@@ -192,48 +192,15 @@ def _multiply(factors: list[tuple[tuple[int, ...], np.ndarray]],
     return all_vars, out
 
 
-def joint_marginal(bn: DiscreteBayesNet, targets: tuple[int, ...]) -> np.ndarray:
-    """Exact P(targets) with axes in the given order, by variable elimination
-    (greedy smallest-intermediate-factor order)."""
-    cards = {x: bn.cardinality(x) for x in range(bn.n_nodes)}
-    factors: list[tuple[tuple[int, ...], np.ndarray]] = []
-    for x in range(bn.n_nodes):
-        ps = tuple(sorted(bn.dag.parents(x)))
-        shape = tuple(cards[p] for p in ps) + (cards[x],)
-        factors.append((ps + (x,), bn.cpts[x].reshape(shape)))
+def _elimination_plan(bn: DiscreteBayesNet, targets: tuple[int, ...]
+                      ) -> tuple[list[int], int]:
+    """Greedy variable-elimination order for P(targets), and its cost.
 
-    to_eliminate = set(range(bn.n_nodes)) - set(targets)
-    while to_eliminate:
-        best_y, best_size = None, None
-        for y in sorted(to_eliminate):
-            union: set[int] = set()
-            for vars_, _ in factors:
-                if y in vars_:
-                    union |= set(vars_)
-            size = 1
-            for v in union - {y}:
-                size *= cards[v]
-            if best_size is None or size < best_size:
-                best_y, best_size = y, size
-        rel = [f for f in factors if best_y in f[0]]
-        rest = [f for f in factors if best_y not in f[0]]
-        vars_, tab = _multiply(rel, cards)
-        axis = vars_.index(best_y)
-        tab = tab.sum(axis=axis)
-        vars_ = tuple(v for v in vars_ if v != best_y)
-        factors = rest + [(vars_, tab)]
-        to_eliminate.discard(best_y)
-
-    vars_, tab = _multiply(factors, cards)
-    # reorder axes to the caller's target order
-    perm = tuple(vars_.index(t) for t in targets)
-    return np.transpose(tab, perm)
-
-
-def _elimination_peak(bn: DiscreteBayesNet, targets: tuple[int, ...]) -> int:
-    """Largest intermediate factor (in cells) that :func:`joint_marginal`
-    would build for these targets — a symbolic dry run of the same greedy
-    elimination, used to decide whether the exact route is affordable."""
+    Each step sums out the variable whose merged factor, less that variable,
+    has the fewest cells (lowest id on ties). Returns the order and the
+    largest factor, in cells, that running it builds: the exact route is
+    taken only while that stays affordable.
+    """
     cards = {x: bn.cardinality(x) for x in range(bn.n_nodes)}
 
     def cells(vs) -> int:
@@ -244,6 +211,7 @@ def _elimination_peak(bn: DiscreteBayesNet, targets: tuple[int, ...]) -> int:
 
     factors = [frozenset(bn.dag.parents(x)) | {x} for x in range(bn.n_nodes)]
     peak = max(cells(f) for f in factors)
+    order: list[int] = []
     to_eliminate = set(range(bn.n_nodes)) - set(targets)
     while to_eliminate:
         best_y, best_size = None, None
@@ -259,9 +227,40 @@ def _elimination_peak(bn: DiscreteBayesNet, targets: tuple[int, ...]) -> int:
         peak = max(peak, cells(merged))
         factors = [f for f in factors if best_y not in f]
         factors.append(merged - {best_y})
+        order.append(best_y)
         to_eliminate.discard(best_y)
     peak = max(peak, cells(frozenset().union(*factors)))
-    return peak
+    return order, peak
+
+
+def _eliminate(bn: DiscreteBayesNet, targets: tuple[int, ...],
+               order: list[int]) -> np.ndarray:
+    """P(targets), axes in the given order, summing out ``order`` in turn."""
+    cards = {x: bn.cardinality(x) for x in range(bn.n_nodes)}
+    factors: list[tuple[tuple[int, ...], np.ndarray]] = []
+    for x in range(bn.n_nodes):
+        ps = tuple(sorted(bn.dag.parents(x)))
+        shape = tuple(cards[p] for p in ps) + (cards[x],)
+        factors.append((ps + (x,), bn.cpts[x].reshape(shape)))
+
+    for y in order:
+        rel = [f for f in factors if y in f[0]]
+        rest = [f for f in factors if y not in f[0]]
+        vars_, tab = _multiply(rel, cards)
+        tab = tab.sum(axis=vars_.index(y))
+        vars_ = tuple(v for v in vars_ if v != y)
+        factors = rest + [(vars_, tab)]
+
+    vars_, tab = _multiply(factors, cards)
+    # reorder axes to the caller's target order
+    perm = tuple(vars_.index(t) for t in targets)
+    return np.transpose(tab, perm)
+
+
+def joint_marginal(bn: DiscreteBayesNet, targets: tuple[int, ...]) -> np.ndarray:
+    """Exact P(targets) with axes in the given order, by variable elimination
+    (greedy smallest-intermediate-factor order)."""
+    return _eliminate(bn, targets, _elimination_plan(bn, targets)[0])
 
 
 def _mi_from_joint(j: np.ndarray) -> float:
@@ -293,9 +292,10 @@ def mutual_information(bn: DiscreteBayesNet, x: int, y: int, given=()) -> float:
     zs = tuple(sorted(set(int(v) for v in given)))
     if x == y or x in zs or y in zs:
         raise ValueError("x, y and the conditioning set must be disjoint")
-    if _elimination_peak(bn, (x, y) + zs) <= EXACT_JOINT_CEILING:
-        j = joint_marginal(bn, (x, y) + zs)
-        return _mi_from_joint(j)
+    targets = (x, y) + zs
+    order, peak = _elimination_plan(bn, targets)
+    if peak <= EXACT_JOINT_CEILING:
+        return _mi_from_joint(_eliminate(bn, targets, order))
     d = sample(bn, PLUGIN_SAMPLE_ROWS, seed=_PLUGIN_SEED)
     cards = (bn.cardinality(x), bn.cardinality(y)) + tuple(bn.cardinality(z) for z in zs)
     cols = tuple(d.values[:, v] for v in (x, y) + zs)
@@ -455,8 +455,6 @@ class EvalReport:
     rev: int | None = None
     type_err: int | None = None
     xs: int | None = None
-    learn_seconds: float | None = None
-    post_seconds: float | None = None
 
 
 def compare_confounders(truth: list[tuple[str, tuple[str, str]]],
@@ -516,14 +514,9 @@ def compare_cpdags(truth: Pdag, learned: Pdag) -> EvalReport:
 
     # shared identifier space: observed names, then matched latent pairs,
     # then the unmatched latents of either side
-    ident: dict[tuple[str, str], str] = {}
-
-    def key_of(p: Pdag, node: int, latent_pairs: dict[str, frozenset[str]],
-               matched: dict[str, str]) -> str:
+    def key_of(p: Pdag, node: int, matched: dict[str, str]) -> str:
         name = p.names[node]
-        if name in latent_pairs:
-            return matched[name]
-        return f"obs:{name}"
+        return matched.get(name, f"obs:{name}")
 
     t_pairs = {name: frozenset({truth.names[a], truth.names[b]}) for name, (a, b) in truth.latents}
     l_pairs = {name: frozenset({learned.names[a], learned.names[b]}) for name, (a, b) in learned.latents}
@@ -538,22 +531,20 @@ def compare_cpdags(truth: Pdag, learned: Pdag) -> EvalReport:
         else:
             l_matched[name] = f"extra:{name}"
 
-    def links_by_key(p: Pdag, latent_pairs, matched) -> dict[frozenset, str]:
+    def links_by_key(p: Pdag, matched: dict[str, str]) -> dict[frozenset, str]:
         out: dict[frozenset, str] = {}
         for (u, v), mark in _link_map(p).items():
-            ku = key_of(p, u, latent_pairs, matched)
-            kv = key_of(p, v, latent_pairs, matched)
+            ku = key_of(p, u, matched)
+            kv = key_of(p, v, matched)
             if mark == "-":
                 out[frozenset((ku, kv))] = "-"
             else:
-                src, dst = (u, v) if mark == ">" else (v, u)
-                ks = key_of(p, src, latent_pairs, matched)
-                kd = key_of(p, dst, latent_pairs, matched)
+                ks, kd = (ku, kv) if mark == ">" else (kv, ku)
                 out[frozenset((ku, kv))] = f"{ks}->{kd}"
         return out
 
-    t_links = links_by_key(truth, t_pairs, t_matched)
-    l_links = links_by_key(learned, l_pairs, l_matched)
+    t_links = links_by_key(truth, t_matched)
+    l_links = links_by_key(learned, l_matched)
 
     ok = rev = type_err = 0
     miss = sum(1 for k in t_links if k not in l_links)

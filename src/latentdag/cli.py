@@ -41,7 +41,7 @@ def _learner_config(args: argparse.Namespace) -> LearnerConfig:
         max_parents=args.max_parents,
         mode=mode,
         seed=args.seed,
-        restarts=getattr(args, "restarts", 1),
+        restarts=args.restarts,
     )
 
 
@@ -193,29 +193,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp: argparse.ArgumentParser, with_learner: bool = True) -> None:
+    def probe_options(sp: argparse.ArgumentParser) -> None:
         sp.add_argument("--h", type=int, default=7,
                         help="max separating-set size (default 7)")
         sp.add_argument("--alpha", type=float, default=0.05,
                         help="independence risk level (default 0.05)")
-        if with_learner:
-            sp.add_argument("--max-parents", type=int, default=4, dest="max_parents")
-            sp.add_argument("--mode", choices=["exact", "hc", "auto"], default="auto")
-            sp.add_argument("--seed", type=int, default=0)
-            sp.add_argument("--restarts", type=int, default=1)
+
+    def learner_options(sp: argparse.ArgumentParser) -> None:
+        sp.add_argument("--max-parents", type=int, default=4, dest="max_parents")
+        sp.add_argument("--mode", choices=["exact", "hc", "auto"], default="auto")
+        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--restarts", type=int, default=1)
 
     disc = sub.add_parser("discover", help="full confounder-discovery pipeline")
     disc.add_argument("--input", required=True, help="delimited data file")
     disc.add_argument("--delimiter", default=",")
     disc.add_argument("--out", default=None, help="CPDAG JSON path (stdout if omitted)")
-    common(disc)
+    probe_options(disc)
+    learner_options(disc)
     disc.set_defaults(func=cmd_discover)
 
     lrn = sub.add_parser("learn", help="baseline DAG learner")
     lrn.add_argument("--input", required=True)
     lrn.add_argument("--delimiter", default=",")
     lrn.add_argument("--out", default=None, help="DAG JSON path (stdout if omitted)")
-    common(lrn, with_learner=True)
+    learner_options(lrn)
     lrn.set_defaults(func=cmd_learn)
 
     sep = sub.add_parser("sepset", help="greedy separating-set search")
@@ -225,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     sep.add_argument("--v", required=True)
     sep.add_argument("--compulsory", default="", help="comma-separated names")
     sep.add_argument("--forbidden", default="", help="comma-separated names")
-    common(sep, with_learner=False)
+    probe_options(sep)
     sep.set_defaults(func=cmd_sepset)
 
     ds = sub.add_parser("dsep", help="d-separation query over a graph JSON")
@@ -244,7 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     bm.add_argument("--jobs", type=int, default=1)
     bm.add_argument("--confounders", type=int, default=2)
     bm.add_argument("--latent-card", type=int, default=2, dest="latent_card")
-    common(bm)
+    probe_options(bm)
+    learner_options(bm)
     bm.set_defaults(func=cmd_benchmark)
 
     return p

@@ -274,15 +274,16 @@ def discover_confounders(d: Dataset, learner_cfg: LearnerConfig = LearnerConfig(
     """Full pipeline: learn a DAG, classify its triangles, confirm the
     confounder candidates, rewire them and complete to a CPDAG.
 
-    All conditional-independence verdicts are cached in one shared scoring
-    context, so the post-learning phase scales with the number of *distinct*
+    One scoring context serves the whole run: the probes reuse the scores
+    the learner cached, and every conditional-independence verdict is cached
+    too, so the post-learning phase scales with the number of *distinct*
     tests, not the number of times they are asked.
     """
+    ctx = ScoreContext(d)
     t0 = time.perf_counter()
-    g = learn(d, learner_cfg)
+    g = learn(d, learner_cfg, ctx)
     t1 = time.perf_counter()
 
-    ctx = ScoreContext(d)
     classifications = [
         classify_triangle(t, ctx, h, alpha) for t in enumerate_triangles(g)
     ]

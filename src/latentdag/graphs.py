@@ -87,8 +87,7 @@ class Dag:
             raise ValueError(
                 f"an arc between {self.names[u]} and {self.names[v]} already exists"
             )
-        # u -> v creates a cycle iff u is already reachable from v
-        if self._reaches(v, u):
+        if self.reaches(v, u):
             raise ValueError(
                 f"arc {self.names[u]} -> {self.names[v]} would create a cycle"
             )
@@ -111,15 +110,23 @@ class Dag:
         if not 0 <= x < self.n_nodes:
             raise KeyError(f"node {x} out of range")
 
-    def _reaches(self, src: int, dst: int) -> bool:
+    def reaches(self, src: int, dst: int) -> bool:
+        """Whether a directed path leads from ``src`` to ``dst`` other than
+        the single arc ``src -> dst``.
+
+        Adding ``u -> v`` between non-adjacent nodes closes a cycle iff
+        ``reaches(v, u)``; reversing ``u -> v`` closes one iff
+        ``reaches(u, v)``.
+        """
         stack = [src]
         seen = {src}
         while stack:
             x = stack.pop()
-            if x == dst:
-                return True
             for c in self._children[x]:
-                if c not in seen:
+                if c == dst:
+                    if x != src:
+                        return True
+                elif c not in seen:
                     seen.add(c)
                     stack.append(c)
         return False

@@ -10,8 +10,9 @@ Two engines behind one config:
 * ``learn_hill_climb`` — add/remove/reverse local search with best-improvement
   moves, per-node delta caching and seeded random restarts.
 
-Both return plain :class:`~latentdag.graphs.Dag` objects and share the
-memoised scores of a :class:`~latentdag.scoring.ScoreContext`.
+Both return plain :class:`~latentdag.graphs.Dag` objects. Each takes an
+optional :class:`~latentdag.scoring.ScoreContext` so that a discovery run
+keeps one memo of scores from learning through the probes.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from .data import Dataset
 from .graphs import Dag
-from .scoring import ScoreContext, bic
+from .scoring import ScoreContext, bic, log_likelihood
 
 __all__ = ["LearnerConfig", "LocalScoreTable", "learn_exact", "learn_hill_climb", "learn"]
 
@@ -37,7 +38,6 @@ class LearnerConfig:
     mode: str = "auto"  # "exact" | "hill_climb" | "auto"
     restarts: int = 1
     seed: int = 0
-    auto_threshold: int = EXACT_MAX_NODES
 
     def __post_init__(self) -> None:
         if self.max_parents < 1:
@@ -60,12 +60,6 @@ class LocalScoreTable:
         self.n = n
         self.k = k
         self.node_scores = node_scores
-
-    def score(self, x: int, parents) -> float:
-        mask = 0
-        for p in parents:
-            mask |= 1 << p
-        return self.node_scores[x][mask]
 
     def best_within(self, x: int, avail_mask: int) -> tuple[float, int]:
         """Highest-scoring stored parent set of ``x`` inside ``avail_mask``.
@@ -90,25 +84,20 @@ def build_local_scores(ctx: ScoreContext, k: int) -> LocalScoreTable:
 
     Parent sets are enumerated depth-first in ascending-id order so the
     mixed-radix row code of the current set can be extended incrementally;
-    each family then needs just one bincount over the rows.
+    each family then needs just one bincount over the rows, tallied as a
+    (configuration, child state) table.
     """
     d = ctx.dataset
     n = d.n_variables
-    n_rows = d.n_rows
     cards = d.cardinalities
-    log_n = math.log(n_rows)
     cols = [d.values[:, i].astype(np.int64) for i in range(n)]
     node_scores: list[dict[int, float]] = [dict() for _ in range(n)]
 
     def family_score(x: int, code: np.ndarray, n_cfg: int) -> float:
         cx = cards[x]
         tallies = np.bincount(code * cx + cols[x], minlength=n_cfg * cx)
-        counts = tallies.reshape(n_cfg, cx).astype(float)
-        n_z = counts.sum(axis=1, keepdims=True)
-        pos = counts > 0
-        ratio = np.divide(counts, n_z, out=np.ones_like(counts), where=pos)
-        ll = float((counts * np.log(ratio, where=pos, out=np.zeros_like(counts)))[pos].sum())
-        return ll - 0.5 * log_n * (cx - 1) * n_cfg
+        ll = log_likelihood(tallies.reshape(n_cfg, cx).astype(float), axis=1)
+        return ll - 0.5 * ctx.log_n * (cx - 1) * n_cfg
 
     def visit(first: int, mask: int, size: int, code: np.ndarray, n_cfg: int) -> None:
         for x in range(n):
@@ -121,7 +110,7 @@ def build_local_scores(ctx: ScoreContext, k: int) -> LocalScoreTable:
                 continue
             visit(y + 1, mask | (1 << y), size + 1, code * cards[y] + cols[y], n_cfg * cards[y])
 
-    visit(0, 0, 0, np.zeros(n_rows, dtype=np.int64), 1)
+    visit(0, 0, 0, np.zeros(d.n_rows, dtype=np.int64), 1)
     return LocalScoreTable(n, k, node_scores)
 
 
@@ -139,7 +128,16 @@ def _drop_bit(masks: np.ndarray, x: int) -> np.ndarray:
     return (masks & low) | ((masks >> (x + 1)) << x)
 
 
-def learn_exact(d: Dataset, cfg: LearnerConfig = LearnerConfig()) -> Dag:
+def _context(d: Dataset, ctx: ScoreContext | None) -> ScoreContext:
+    if ctx is None:
+        return ScoreContext(d)
+    if ctx.dataset is not d:
+        raise ValueError("the score context is bound to another dataset")
+    return ctx
+
+
+def learn_exact(d: Dataset, cfg: LearnerConfig = LearnerConfig(),
+                ctx: ScoreContext | None = None) -> Dag:
     """Globally optimal DAG under the parent cap (subset dynamic program)."""
     n = d.n_variables
     if n > EXACT_MAX_NODES:
@@ -151,8 +149,7 @@ def learn_exact(d: Dataset, cfg: LearnerConfig = LearnerConfig()) -> Dag:
             f"exact mode caps max_parents at {EXACT_MAX_PARENTS}, got {cfg.max_parents}"
         )
     k = min(cfg.max_parents, n - 1) if n > 1 else 0
-    ctx = ScoreContext(d)
-    table = build_local_scores(ctx, k)
+    table = build_local_scores(_context(d, ctx), k)
 
     # best achievable score of x over any stored parent set inside each mask
     # of the other variables: seed with the exact table, then take running
@@ -207,72 +204,63 @@ def learn_exact(d: Dataset, cfg: LearnerConfig = LearnerConfig()) -> Dag:
     return g
 
 
-def _dag_score(ctx: ScoreContext, parents: list[set[int]]) -> float:
-    return sum(bic(ctx, x, ps) for x, ps in enumerate(parents))
+def _dag_score(ctx: ScoreContext, g: Dag) -> float:
+    return sum(bic(ctx, x, g.parents(x)) for x in range(g.n_nodes))
 
 
-def _random_start(n: int, k: int, rng: np.random.Generator) -> list[set[int]]:
-    """Random DAG: pick a node order, then sprinkle forward arcs under the cap."""
+def _random_start(g: Dag, k: int, rng: np.random.Generator) -> None:
+    """Fill the empty ``g`` with a random DAG: pick a node order, then
+    sprinkle forward arcs under the cap."""
+    n = g.n_nodes
     order = rng.permutation(n)
-    parents: list[set[int]] = [set() for _ in range(n)]
     for j in range(1, n):
         v = int(order[j])
         for i in range(j):
             u = int(order[i])
-            if len(parents[v]) >= k:
+            if len(g.parents(v)) >= k:
                 break
             if rng.random() < 0.15:
-                parents[v].add(u)
-    return parents
+                g.add_arc(u, v)
 
 
-def learn_hill_climb(d: Dataset, cfg: LearnerConfig = LearnerConfig()) -> Dag:
+def learn_hill_climb(d: Dataset, cfg: LearnerConfig = LearnerConfig(),
+                     ctx: ScoreContext | None = None) -> Dag:
     """Best-improvement local search over add/remove/reverse moves."""
-    n = d.n_variables
-    k = cfg.max_parents
-    ctx = ScoreContext(d)
-
-    best_parents: list[set[int]] | None = None
+    ctx = _context(d, ctx)
+    names = [v.name for v in d.variables]
+    best: Dag | None = None
     best_score = -math.inf
     for restart in range(cfg.restarts):
-        if restart == 0:
-            parents = [set() for _ in range(n)]
-        else:
-            rng = np.random.default_rng([cfg.seed, restart])
-            parents = _random_start(n, k, rng)
-        parents = _climb(ctx, parents, k)
-        score = _dag_score(ctx, parents)
+        g = Dag(d.n_variables, names)
+        if restart > 0:
+            _random_start(g, cfg.max_parents, np.random.default_rng([cfg.seed, restart]))
+        _climb(ctx, g, cfg.max_parents)
+        score = _dag_score(ctx, g)
         if score > best_score + 1e-12:
-            best_score, best_parents = score, parents
-
-    g = Dag(n, [v.name for v in d.variables])
-    assert best_parents is not None
-    for v, ps in enumerate(best_parents):
-        for u in ps:
-            g.add_arc(u, v)
-    return g
+            best_score, best = score, g
+    return best
 
 
-def _climb(ctx: ScoreContext, parents: list[set[int]], k: int) -> list[set[int]]:
-    n = len(parents)
-    children: list[set[int]] = [set() for _ in range(n)]
-    for v, ps in enumerate(parents):
-        for u in ps:
-            children[u].add(v)
-    local = [bic(ctx, x, parents[x]) for x in range(n)]
+def _moves(g: Dag, k: int):
+    """Every add, remove and reverse move that keeps ``g`` acyclic and every
+    parent set within ``k``, as ``(kind, u, v)`` on the arc ``u -> v``."""
+    n = g.n_nodes
+    room = [len(g.parents(x)) < k for x in range(n)]
+    for u in range(n):
+        for v in range(n):
+            if u == v:
+                continue
+            if g.has_arc(u, v):
+                yield ("remove", u, v)
+                if room[u] and not g.reaches(u, v):
+                    yield ("reverse", u, v)
+            elif room[v] and not g.has_arc(v, u) and not g.reaches(v, u):
+                yield ("add", u, v)
 
-    def creates_cycle(u: int, v: int) -> bool:
-        # would u -> v close a loop, i.e. can v already reach u?
-        stack, seen = [v], {v}
-        while stack:
-            x = stack.pop()
-            if x == u:
-                return True
-            for c in children[x]:
-                if c not in seen:
-                    seen.add(c)
-                    stack.append(c)
-        return False
+
+def _climb(ctx: ScoreContext, g: Dag, k: int) -> None:
+    """Apply the best strictly improving move to ``g`` until none is left."""
+    local = [bic(ctx, x, g.parents(x)) for x in range(g.n_nodes)]
 
     # move deltas keyed by (kind, u, v); entries are dropped whenever a node
     # whose parent set they read gets touched by an applied move
@@ -284,55 +272,40 @@ def _climb(ctx: ScoreContext, parents: list[set[int]], k: int) -> list[set[int]]
         if got is not None:
             return got
         if kind == "add":
-            val = bic(ctx, v, parents[v] | {u}) - local[v]
+            val = bic(ctx, v, g.parents(v) | {u}) - local[v]
         elif kind == "remove":
-            val = bic(ctx, v, parents[v] - {u}) - local[v]
+            val = bic(ctx, v, g.parents(v) - {u}) - local[v]
         else:  # reverse u -> v  becomes  v -> u
-            val = (bic(ctx, v, parents[v] - {u}) - local[v]) + (
-                bic(ctx, u, parents[u] | {v}) - local[u]
+            val = (bic(ctx, v, g.parents(v) - {u}) - local[v]) + (
+                bic(ctx, u, g.parents(u) | {v}) - local[u]
             )
         deltas[key] = val
         return val
 
     while True:
+        # the largest delta above 1e-10 wins; exact ties go to the
+        # smallest (kind, u, v)
         best_key: tuple[str, int, int] | None = None
-        best_delta = 1e-10  # strictly-improving moves only
-        for u in range(n):
-            for v in range(n):
-                if u == v:
-                    continue
-                if v in children[u]:
-                    dd = delta_of("remove", u, v)
-                    if dd > best_delta or (dd == best_delta and best_key and ("remove", u, v) < best_key):
-                        best_delta, best_key = dd, ("remove", u, v)
-                    if len(parents[u]) < k and not _reverse_cycles(children, u, v):
-                        dd = delta_of("reverse", u, v)
-                        if dd > best_delta or (dd == best_delta and best_key and ("reverse", u, v) < best_key):
-                            best_delta, best_key = dd, ("reverse", u, v)
-                elif u not in children[v] and len(parents[v]) < k:
-                    if not creates_cycle(u, v):
-                        dd = delta_of("add", u, v)
-                        if dd > best_delta or (dd == best_delta and best_key and ("add", u, v) < best_key):
-                            best_delta, best_key = dd, ("add", u, v)
+        best_delta = 1e-10
+        for key in _moves(g, k):
+            dd = delta_of(*key)
+            if dd > best_delta or (dd == best_delta and best_key and key < best_key):
+                best_delta, best_key = dd, key
         if best_key is None:
-            return parents
+            return
         kind, u, v = best_key
         if kind == "add":
-            parents[v].add(u)
-            children[u].add(v)
+            g.add_arc(u, v)
             touched = {v}
         elif kind == "remove":
-            parents[v].discard(u)
-            children[u].discard(v)
+            g.remove_arc(u, v)
             touched = {v}
         else:
-            parents[v].discard(u)
-            children[u].discard(v)
-            parents[u].add(v)
-            children[v].add(u)
+            g.remove_arc(u, v)
+            g.add_arc(v, u)
             touched = {u, v}
         for x in touched:
-            local[x] = bic(ctx, x, parents[x])
+            local[x] = bic(ctx, x, g.parents(x))
         deltas = {
             key: val
             for key, val in deltas.items()
@@ -343,34 +316,17 @@ def _climb(ctx: ScoreContext, parents: list[set[int]], k: int) -> list[set[int]]
         }
 
 
-def _reverse_cycles(children: list[set[int]], u: int, v: int) -> bool:
-    """Would reversing u -> v to v -> u create a cycle?
+def learn(d: Dataset, cfg: LearnerConfig = LearnerConfig(),
+          ctx: ScoreContext | None = None) -> Dag:
+    """Dispatch on ``cfg.mode``; ``auto`` uses the exact engine when feasible.
 
-    After dropping u -> v, a path u ~> v must not exist (it would close a
-    loop with the new v -> u arc).
+    ``ctx``, when given, must be bound to ``d``; its memo then outlives the
+    call, for the probes that follow learning.
     """
-    stack, seen = [], {u}
-    for c in children[u]:
-        if c != v:
-            stack.append(c)
-            seen.add(c)
-    while stack:
-        x = stack.pop()
-        if x == v:
-            return True
-        for c in children[x]:
-            if c not in seen:
-                seen.add(c)
-                stack.append(c)
-    return False
-
-
-def learn(d: Dataset, cfg: LearnerConfig = LearnerConfig()) -> Dag:
-    """Dispatch on ``cfg.mode``; ``auto`` uses the exact engine when feasible."""
     if cfg.mode == "exact":
-        return learn_exact(d, cfg)
+        return learn_exact(d, cfg, ctx)
     if cfg.mode == "hill_climb":
-        return learn_hill_climb(d, cfg)
-    if d.n_variables <= min(cfg.auto_threshold, EXACT_MAX_NODES) and cfg.max_parents <= EXACT_MAX_PARENTS:
-        return learn_exact(d, cfg)
-    return learn_hill_climb(d, cfg)
+        return learn_hill_climb(d, cfg, ctx)
+    if d.n_variables <= EXACT_MAX_NODES and cfg.max_parents <= EXACT_MAX_PARENTS:
+        return learn_exact(d, cfg, ctx)
+    return learn_hill_climb(d, cfg, ctx)

@@ -25,7 +25,8 @@ from scipy.stats import chi2 as _chi2
 
 from .data import Dataset, count
 
-__all__ = ["ScoreContext", "IndepVerdict", "bic", "f_bic", "chi2_critical", "is_independent"]
+__all__ = ["ScoreContext", "IndepVerdict", "log_likelihood", "bic", "f_bic", "chi2_critical",
+           "is_independent"]
 
 
 @dataclass(frozen=True)
@@ -51,8 +52,10 @@ class ScoreContext:
     """
 
     def __init__(self, dataset: Dataset):
+        if dataset.n_rows == 0:
+            raise ValueError("dataset has no rows; scores need at least one")
         self.dataset = dataset
-        self._log_n = math.log(dataset.n_rows) if dataset.n_rows > 0 else 0.0
+        self.log_n = math.log(dataset.n_rows)
         self._scores: dict[tuple[int, frozenset[int]], float] = {}
         self._verdicts: dict[tuple[int, int, frozenset[int], float], IndepVerdict] = {}
         self._lock = threading.Lock()
@@ -64,17 +67,18 @@ class ScoreContext:
     def cardinality(self, x: int) -> int:
         return self.dataset.variables[x].cardinality
 
-    def stats(self) -> dict[str, int]:
-        return {"scores": len(self._scores), "verdicts": len(self._verdicts)}
 
+def log_likelihood(counts: np.ndarray, axis: int) -> float:
+    """sum_xz N_xz * ln(N_xz / N_z) with the 0 * ln 0 = 0 convention.
 
-def _log_likelihood(counts: np.ndarray) -> float:
-    """sum_xz N_xz * ln(N_xz / N_z) with the 0 * ln 0 = 0 convention."""
-    n_z = counts.sum(axis=0)
+    ``counts`` is a float 2-D table whose child states run along ``axis``.
+    The sum runs over the table's positive cells in memory order, so two
+    layouts of the same counts may differ in the last bits: each caller
+    keeps the layout it has always used.
+    """
+    n_z = counts.sum(axis=axis, keepdims=True)
     pos = counts > 0
-    ratio = np.divide(
-        counts, n_z[np.newaxis, :], out=np.ones_like(counts, dtype=float), where=pos
-    )
+    ratio = np.divide(counts, n_z, out=np.ones_like(counts), where=pos)
     return float((counts * np.log(ratio, where=pos, out=np.zeros_like(ratio)))[pos].sum())
 
 
@@ -95,7 +99,7 @@ def bic(ctx: ScoreContext, x: int, z=()) -> float:
 
     table = count(ctx.dataset, x, zset)
     dim = (ctx.cardinality(x) - 1) * table.n_configs
-    value = _log_likelihood(table.counts.astype(float)) - 0.5 * ctx._log_n * dim
+    value = log_likelihood(table.counts.astype(float), axis=0) - 0.5 * ctx.log_n * dim
     with ctx._lock:
         ctx._scores[key] = value
     return value
@@ -117,7 +121,7 @@ def f_bic(ctx: ScoreContext, u: int, v: int, z=()) -> IndepVerdict:
         raise ValueError("u and v may not appear in the conditioning set")
     dof = _dof(ctx, u, v, zset)
     stat = 2.0 * (
-        bic(ctx, u, zset | {v}) - bic(ctx, u, zset) + 0.5 * ctx._log_n * dof
+        bic(ctx, u, zset | {v}) - bic(ctx, u, zset) + 0.5 * ctx.log_n * dof
     )
     return IndepVerdict(statistic=stat, dof=dof)
 

@@ -165,15 +165,28 @@ def dag_score(rows, cards, arcs, n):
 
 
 def exhaustive_best_dags(rows, cards, n, k):
-    """All argmax DAGs (and the max score) over every DAG with in-degree <= k."""
+    """All argmax DAGs (and the max score) over every DAG with in-degree <= k.
+
+    Each family (x, sorted parents) is scored once per call and summed in
+    node order, so a DAG's score is the float :func:`dag_score` gives; four
+    nodes have 32 distinct families across their 543 DAGs.
+    """
+    family: dict[tuple[int, tuple[int, ...]], float] = {}
+
+    def score(x, ps):
+        key = (x, tuple(sorted(ps)))
+        if key not in family:
+            family[key] = bic_direct(rows, cards, x, key[1])
+        return family[key]
+
     best, argmax = -math.inf, []
     for arcs in all_dags(n):
-        indeg = {i: 0 for i in range(n)}
-        for _, b in arcs:
-            indeg[b] += 1
-        if any(c > k for c in indeg.values()):
+        parents = {i: [] for i in range(n)}
+        for a, b in arcs:
+            parents[b].append(a)
+        if any(len(ps) > k for ps in parents.values()):
             continue
-        s = dag_score(rows, cards, arcs, n)
+        s = sum(score(x, parents[x]) for x in range(n))
         if s > best + 1e-12:
             best, argmax = s, [arcs]
         elif abs(s - best) <= 1e-12:

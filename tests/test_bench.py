@@ -160,10 +160,11 @@ class TestMutualInformation:
         # 24 binary nodes in a chain: the full joint has 2^24 cells but the
         # elimination never builds a factor beyond a handful of cells, so
         # the answer must be exact, not sampled
-        from latentdag.bench import _elimination_peak
+        from latentdag.bench import _elimination_plan
         bn = chain_bn(24, hi=0.85)
         assert bn.joint_size() > 10_000_000
-        assert _elimination_peak(bn, (0, 1)) <= 8
+        _, peak = _elimination_plan(bn, (0, 1))
+        assert peak <= 8
         h15 = -(0.15 * np.log(0.15) + 0.85 * np.log(0.85))
         assert mutual_information(bn, 0, 1) == pytest.approx(
             np.log(2) - h15, abs=1e-12)
@@ -471,3 +472,17 @@ class TestRunBenchmark:
         row = csv.strip().split("\n")[1].split(",")
         recall = row[4]
         assert recall == "na"
+
+    def test_parallel_run_matches_serial(self):
+        from pathlib import Path
+
+        from latentdag import LearnerConfig, bn_from_json
+        net = Path(__file__).resolve().parent.parent / "assets" / "net20.json"
+        bn = bn_from_json(net.read_text(encoding="utf-8"))
+        inj = InjectionConfig(seed=0)
+        cfg = LearnerConfig(mode="hill_climb")
+        serial, fail1, _ = run_benchmark(bn, [1000], 2, inj, cfg, jobs=1)
+        parallel, fail2, _ = run_benchmark(bn, [1000], 2, inj, cfg, jobs=2)
+        assert "\n1000," in serial  # a scored row, not just the header
+        assert parallel == serial
+        assert fail2 == fail1

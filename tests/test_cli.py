@@ -2,13 +2,16 @@
 
 import importlib.metadata
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import latentdag
 from latentdag import (
     Dag,
     DiscreteBayesNet,
@@ -21,8 +24,13 @@ from test_confounder import planted_dataset
 
 
 def run_cli(*args, **kw):
+    """Run ``python -m latentdag`` on the same package the tests imported,
+    so it also works where only pytest's ``pythonpath`` setting finds it."""
+    src = str(Path(latentdag.__file__).resolve().parent.parent)
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
     cmd = [sys.executable, "-m", "latentdag", *map(str, args)]
-    return subprocess.run(cmd, capture_output=True, text=True, **kw)
+    return subprocess.run(cmd, capture_output=True, text=True, env=env, **kw)
 
 
 def write_csv(path, dataset, delimiter=","):

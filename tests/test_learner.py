@@ -13,6 +13,7 @@ from latentdag import (
     bic,
     build_local_scores,
     d_separated,
+    discover_confounders,
     learn,
     learn_exact,
     learn_hill_climb,
@@ -214,6 +215,22 @@ class TestDispatch:
         gh = learn(d, LearnerConfig(max_parents=2, mode="hill_climb"))
         assert ge.arcs() == learn_exact(d, LearnerConfig(max_parents=2)).arcs()
         assert gh.arcs() == learn_hill_climb(d, LearnerConfig(max_parents=2)).arcs()
+
+    def test_shared_context_keeps_scores_for_later_callers(self):
+        rng = np.random.default_rng(14)
+        d = random_instance(rng, n_rows=500)
+        cfg = LearnerConfig(max_parents=2, mode="hill_climb")
+        ctx = ScoreContext(d)
+        assert learn(d, cfg, ctx).arcs() == learn(d, cfg).arcs()
+        assert ctx._scores  # the climb's scores stay cached for the probes
+        with pytest.raises(ValueError, match="another dataset"):
+            learn(random_instance(rng, n_rows=500), cfg, ctx)
+
+    def test_zero_rows_rejected_by_every_entry_point(self):
+        d = make_dataset([np.zeros(0, dtype=np.int32)] * 3, cards=[2, 2, 2])
+        for run in (learn_exact, learn_hill_climb, discover_confounders):
+            with pytest.raises(ValueError, match="no rows"):
+                run(d, LearnerConfig(max_parents=2))
 
 
 class TestMinimalIMap:

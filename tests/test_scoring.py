@@ -6,6 +6,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latentdag import (
     Dataset,
@@ -201,3 +203,36 @@ class TestIsIndependent:
         a = is_independent(ctx, 0, 2, (1,), 0.05)
         b = is_independent(ctx, 2, 0, (1,), 0.05)
         assert a is b  # canonicalized pair order shares the cache entry
+
+
+@st.composite
+def stat_cases(draw):
+    """Small random tables plus a pair (u, v) and a conditioning set z."""
+    n_vars = draw(st.integers(3, 4))
+    cards = draw(st.lists(st.integers(2, 3), min_size=n_vars, max_size=n_vars))
+    n_rows = draw(st.integers(1, 120))
+    cols = [draw(st.lists(st.integers(0, c - 1), min_size=n_rows, max_size=n_rows))
+            for c in cards]
+    u, v = draw(st.permutations(range(n_vars)))[:2]
+    z = draw(st.sets(st.sampled_from([i for i in range(n_vars) if i not in (u, v)])))
+    return cols, cards, u, v, tuple(sorted(z))
+
+
+class TestStatisticProperties:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(stat_cases())
+    def test_nonnegative_symmetric_and_equal_to_g2(self, case):
+        cols, cards, u, v, z = case
+        ctx = make_context(cols, cards)
+        stat = f_bic(ctx, u, v, z).statistic
+        assert stat >= -1e-9
+        assert f_bic(ctx, v, u, z).statistic == pytest.approx(stat, abs=1e-9)
+        assert stat == pytest.approx(g2_direct(list(zip(*cols)), cards, u, v, list(z)),
+                                     abs=1e-9)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=50)
+    @given(stat_cases())
+    def test_verdict_shared_by_both_pair_orders(self, case):
+        cols, cards, u, v, z = case
+        ctx = make_context(cols, cards)
+        assert is_independent(ctx, u, v, z) is is_independent(ctx, v, u, z)
