@@ -3,8 +3,10 @@
 Two engines behind one config:
 
 * ``learn_exact`` — global optimum of the decomposable BIC under a parent
-  cap, by (1) scoring every parent set of size <= k for every node in one
-  vectorised sweep, (2) a max-over-supersets transform, and (3) dynamic
+  cap, by (1) scoring every parent set of size <= k for every node, from
+  one joint tally per variable subset of size <= k + 1 (a subset's tally
+  serves all of its families, and sibling subsets are tallied in one
+  bincount), (2) a max-over-supersets transform, and (3) dynamic
   programming over node subsets choosing the last sink. Feasible up to 20
   nodes with k <= 4.
 * ``learn_hill_climb`` — add/remove/reverse local search with best-improvement
@@ -80,38 +82,99 @@ class LocalScoreTable:
 
 
 def build_local_scores(ctx: ScoreContext, k: int) -> LocalScoreTable:
-    """Score all (node, parent set <= k) families in one pass over the data.
+    """Score all (node, parent set <= k) families from one tally per subset.
 
-    Parent sets are enumerated depth-first in ascending-id order so the
-    mixed-radix row code of the current set can be extended incrementally;
-    each family then needs just one bincount over the rows, tallied as a
-    (configuration, child state) table.
+    Every variable subset T with 1 <= |T| <= k + 1 is tallied once, and the
+    |T| families (x, T - {x}) are scored from that joint table. Subsets are
+    enumerated depth-first in ascending-id order: a prefix P extends its
+    mixed-radix row code to each child subset P + {y}, y > max(P), and one
+    bincount tallies a batch of those children side by side. Moving x's axis
+    of a joint to the last place gives exactly the (configuration, child
+    state) table of the family, so each score is the float a separate tally
+    of that family would give.
     """
-    d = ctx.dataset
-    n = d.n_variables
-    cards = d.cardinalities
-    cols = [d.values[:, i].astype(np.int64) for i in range(n)]
-    node_scores: list[dict[int, float]] = [dict() for _ in range(n)]
+    t = _Tallies(ctx, k)
+    _visit(t, (), 0, 1)
+    return LocalScoreTable(t.n, k, t.node_scores)
 
-    def family_score(x: int, code: np.ndarray, n_cfg: int) -> float:
-        cx = cards[x]
-        tallies = np.bincount(code * cx + cols[x], minlength=n_cfg * cx)
-        ll = log_likelihood(tallies.reshape(n_cfg, cx).astype(float), axis=1)
-        return ll - 0.5 * ctx.log_n * (cx - 1) * n_cfg
 
-    def visit(first: int, mask: int, size: int, code: np.ndarray, n_cfg: int) -> None:
-        for x in range(n):
-            if not mask & (1 << x):
-                node_scores[x][mask] = family_score(x, code, n_cfg)
-        if size == k:
-            return
-        for y in range(first, n):
-            if mask & (1 << y):
-                continue
-            visit(y + 1, mask | (1 << y), size + 1, code * cards[y] + cols[y], n_cfg * cards[y])
+# Cap on the elements of one batch's row codes and of its joint tally, so a
+# batch's temporaries stay small for long data and for wide domains alike.
+_BATCH_ELEMENTS = 1 << 20
 
-    visit(0, 0, 0, np.zeros(d.n_rows, dtype=np.int64), 1)
-    return LocalScoreTable(n, k, node_scores)
+
+class _Tallies:
+    """State of one :func:`build_local_scores` call: the columns, workspace
+    buffers sized once, and the dicts being filled."""
+
+    def __init__(self, ctx: ScoreContext, k: int):
+        d = ctx.dataset
+        self.n = d.n_variables
+        self.k = k
+        self.cards = d.cardinalities
+        self.half_log_n = 0.5 * ctx.log_n
+        self.cols = np.ascontiguousarray(d.values.T, dtype=np.int64)
+        self.batch_rows = max(1, min(self.n, _BATCH_ELEMENTS // d.n_rows))
+        self.codes = np.empty((self.batch_rows, d.n_rows), dtype=np.int64)
+        self.scaled = np.empty(d.n_rows, dtype=np.int64)
+        # row code of the current prefix at each depth; depth 0 is empty
+        self.prefix_codes = np.zeros((k + 1, d.n_rows), dtype=np.int64)
+        self.node_scores: list[dict[int, float]] = [dict() for _ in range(self.n)]
+        # one int object per parent mask, shared by every node's dict
+        self.masks: dict[int, int] = {}
+
+
+def _visit(t: _Tallies, prefix: tuple[int, ...], mask: int, n_cfg: int) -> None:
+    """Score the families of every subset ``prefix + (y,)``, y above the
+    prefix, then recurse into those subsets that can take another member."""
+    depth = len(prefix)
+    first = prefix[-1] + 1 if prefix else 0
+    cards = t.cards
+    code = t.prefix_codes[depth]
+    pcards = [cards[p] for p in prefix]
+    step = max(1, min(t.batch_rows, _BATCH_ELEMENTS // (n_cfg * max(cards))))
+    for lo in range(first, t.n, step):
+        hi = min(lo + step, t.n)
+        m = hi - lo
+        # child j's joint sits at offset j * n_cfg * width as a
+        # (prefix configuration, y state) grid padded to the widest y; the
+        # padding cells count zero, so no table gains a positive cell
+        width = max(cards[lo:hi])
+        codes = t.codes[:m]
+        np.multiply(code, width, out=t.scaled)
+        np.add(t.cols[lo:hi], t.scaled, out=codes)
+        codes += np.arange(0, m * n_cfg * width, n_cfg * width)[:, None]
+        joint = np.bincount(codes.ravel(), minlength=m * n_cfg * width)
+
+        # x = y: the joint is already the (configuration, child) table.
+        # Penalties keep the association of 0.5 * log n * (|x| - 1) * configs.
+        lls = log_likelihood(joint.reshape(m, n_cfg, width), axis=2)
+        for y, ll in zip(range(lo, hi), lls):
+            t.node_scores[y][mask] = ll - t.half_log_n * (cards[y] - 1) * n_cfg
+
+        # x = a prefix member: move its axis last; the parents are the rest
+        # of the prefix, then y
+        grid = joint.reshape(m, *pcards, width)
+        for i, x in enumerate(prefix):
+            cx = pcards[i]
+            axes = (0, *range(1, i + 1), *range(i + 2, depth + 2), i + 1)
+            tables = grid.transpose(axes).reshape(m, n_cfg // cx * width, cx)
+            lls = log_likelihood(tables, axis=2)
+            rest = mask ^ (1 << x)
+            scored = t.node_scores[x]
+            penalty = t.half_log_n * (cx - 1)
+            for y, ll in zip(range(lo, hi), lls):
+                pm = rest | (1 << y)
+                scored[t.masks.setdefault(pm, pm)] = ll - penalty * (n_cfg // cx * cards[y])
+
+    if depth == t.k:
+        return
+    child_code = t.prefix_codes[depth + 1]
+    for y in range(first, t.n - 1):
+        np.multiply(code, cards[y], out=child_code)
+        child_code += t.cols[y]
+        grown = mask | (1 << y)
+        _visit(t, prefix + (y,), t.masks.setdefault(grown, grown), n_cfg * cards[y])
 
 
 def _popcounts(n_bits: int) -> np.ndarray:
@@ -119,7 +182,7 @@ def _popcounts(n_bits: int) -> np.ndarray:
     v = v - ((v >> 1) & 0x55555555)
     v = (v & 0x33333333) + ((v >> 2) & 0x33333333)
     v = (v + (v >> 4)) & 0x0F0F0F0F
-    return ((v * 0x01010101) >> 24).astype(np.int64)
+    return ((v * 0x01010101) >> 24).astype(np.uint8)
 
 
 def _drop_bit(masks: np.ndarray, x: int) -> np.ndarray:
@@ -168,7 +231,7 @@ def learn_exact(d: Dataset, cfg: LearnerConfig = LearnerConfig(),
         bps.append(arr)
 
     popcnt = _popcounts(n)
-    order = np.argsort(popcnt, kind="stable").astype(np.int64)
+    order = np.argsort(popcnt, kind="stable").astype(np.int32)
     layer_starts = np.searchsorted(popcnt[order], np.arange(n + 2))
     dp = np.full(full, -np.inf)
     dp[0] = 0.0

@@ -68,18 +68,32 @@ class ScoreContext:
         return self.dataset.variables[x].cardinality
 
 
-def log_likelihood(counts: np.ndarray, axis: int) -> float:
-    """sum_xz N_xz * ln(N_xz / N_z) with the 0 * ln 0 = 0 convention.
+def log_likelihood(counts: np.ndarray, axis: int) -> list[float]:
+    """sum_xz N_xz * ln(N_xz / N_z) of each table in a stack, with 0 * ln 0 = 0.
 
-    ``counts`` is a float 2-D table whose child states run along ``axis``.
-    The sum runs over the table's positive cells in memory order, so two
-    layouts of the same counts may differ in the last bits: each caller
-    keeps the layout it has always used.
+    ``counts`` is a 3-D stack of 2-D count tables, ``counts[i]`` being table
+    ``i``; the child states of every table run along ``axis`` (1 or 2). The
+    counts may be integer or float. Returns one float per table.
+
+    Each table's sum runs over its positive cells in memory order and is
+    taken by its own ``np.sum``, so a table scores the same float alone or
+    in a batch. Two layouts of the same counts may differ in the last bits:
+    each caller keeps the layout it has always used.
     """
-    n_z = counts.sum(axis=axis, keepdims=True)
-    pos = counts > 0
-    ratio = np.divide(counts, n_z, out=np.ones_like(counts), where=pos)
-    return float((counts * np.log(ratio, where=pos, out=np.zeros_like(ratio)))[pos].sum())
+    # N_z by einsum, which sums a short last axis many times faster than
+    # ndarray.sum; the counts are whole numbers, so any order is exact. An
+    # empty configuration gets N_z = 1, which no positive cell reads.
+    n_z = np.einsum(counts, [0, 1, 2], [0, 3 - axis])
+    np.maximum(n_z, 1, out=n_z)
+    shape = list(counts.shape)
+    shape[axis] = 1
+    flat = counts.ravel()
+    cells = flat.nonzero()[0]
+    terms = flat.take(cells) * np.log((counts / n_z.reshape(shape)).ravel().take(cells))
+    # table i owns flat cells [i * size, (i + 1) * size)
+    size = counts[0].size
+    ends = cells.searchsorted(np.arange(size, size * len(counts) + 1, size)).tolist()
+    return [float(terms[a:b].sum()) for a, b in zip([0, *ends], ends)]
 
 
 def bic(ctx: ScoreContext, x: int, z=()) -> float:
@@ -99,7 +113,7 @@ def bic(ctx: ScoreContext, x: int, z=()) -> float:
 
     table = count(ctx.dataset, x, zset)
     dim = (ctx.cardinality(x) - 1) * table.n_configs
-    value = log_likelihood(table.counts.astype(float), axis=0) - 0.5 * ctx.log_n * dim
+    value = log_likelihood(table.counts[None], axis=1)[0] - 0.5 * ctx.log_n * dim
     with ctx._lock:
         ctx._scores[key] = value
     return value

@@ -2,9 +2,10 @@
 
 Everything here is deliberately written along a *different* route from the
 library: direct G2 sums instead of score differences, literal trail
-enumeration instead of reachability, dict-tally counting instead of
-vectorized bincounts, exhaustive DAG enumeration instead of dynamic
-programming, and full joint enumeration instead of variable elimination.
+enumeration instead of reachability, dict-tally or sort-based counting
+instead of mixed-radix bincounts, exhaustive DAG enumeration instead of
+dynamic programming, and full joint enumeration instead of variable
+elimination.
 Agreement between the two routes is the point of the tests.
 """
 
@@ -14,9 +15,11 @@ import itertools
 import math
 import operator
 
+import numpy as np
+
 
 # ---------------------------------------------------------------------------
-# counting / scores (dict-tally route)
+# counting / scores (dict-tally and row-sort routes)
 
 
 def tally(rows, cols):
@@ -51,11 +54,18 @@ def bic_direct(rows, cards, x, z):
 def g2_direct(rows, cards, u, v, z):
     """Classical G2 statistic 2 sum N_uvz ln(N_uvz N_z / (N_uz N_vz)).
 
-    The margins are integer sums of the one joint tally, so they equal
+    ``rows`` is a (rows, variables) array of state indices, or anything
+    ``np.asarray`` makes one of. The joint tally sorts the rows of the
+    ``u, v, z`` columns lexicographically and counts each run of equal
+    rows. The margins are integer sums of that one tally, so they equal
     what a separate pass over the rows would count.
     """
     z = sorted(z)
-    n_uvz = tally(rows, [u, v] + z)
+    cols = np.asarray(rows)[:, [u, v] + z]
+    ordered = cols[np.lexsort(cols.T[::-1])]
+    starts = np.flatnonzero(np.r_[True, (ordered[1:] != ordered[:-1]).any(axis=1)])
+    counts = np.diff(np.r_[starts, len(ordered)])
+    n_uvz = dict(zip(map(tuple, ordered[starts].tolist()), counts.tolist()))
     n_uz, n_vz, n_z = {}, {}, {}
     for key, c in n_uvz.items():
         ku, kv, kz = key[0], key[1], key[2:]

@@ -1,5 +1,8 @@
 """Structure learners vs. exhaustive enumeration and known structures."""
 
+import itertools
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from latentdag import (
     ScoreContext,
     VariableMeta,
     bic,
+    bn_from_json,
     build_local_scores,
     d_separated,
     discover_confounders,
@@ -20,6 +24,8 @@ from latentdag import (
     markov_equivalent,
     sample,
 )
+from latentdag import learner
+from latentdag.scoring import log_likelihood
 
 from oracles import (
     all_dags,
@@ -38,6 +44,30 @@ def make_dataset(columns, cards=None):
         for j in range(arr.shape[1])
     )
     return Dataset(vs, arr)
+
+
+def per_family_scores(d, k):
+    """Every (x, S) with |S| <= k scored from its own tally: one bincount
+    per family into the (configuration, child state) layout, through the
+    kernel alone, with the table's penalty expression."""
+    ctx = ScoreContext(d)
+    cards = d.cardinalities
+    n = d.n_variables
+    out = [dict() for _ in range(n)]
+    for x in range(n):
+        others = [v for v in range(n) if v != x]
+        for size in range(min(k, n - 1) + 1):
+            for ps in itertools.combinations(others, size):
+                code = np.zeros(d.n_rows, dtype=np.int64)
+                n_cfg = 1
+                for p in ps:
+                    code = code * cards[p] + d.values[:, p]
+                    n_cfg *= cards[p]
+                counts = np.bincount(code * cards[x] + d.values[:, x],
+                                     minlength=n_cfg * cards[x])
+                ll = log_likelihood(counts.reshape(1, n_cfg, cards[x]).astype(float), axis=2)[0]
+                out[x][sum(1 << p for p in ps)] = ll - 0.5 * ctx.log_n * (cards[x] - 1) * n_cfg
+    return out
 
 
 def total_bic(d, g, k):
@@ -146,6 +176,54 @@ class TestLocalScoreTable:
             for mask, s in tbl.node_scores[x].items():
                 z = tuple(i for i in range(4) if mask >> i & 1)
                 assert s == pytest.approx(bic(ctx, x, z), abs=1e-9)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_equals_per_family_tallies_on_random_data(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        n = int(rng.integers(4, 7))
+        cards = [int(c) for c in rng.integers(2, 5, size=n)]
+        n_rows = int(rng.integers(20, 3000))
+        # skewed margins, so some configurations stay empty
+        d = make_dataset(
+            [rng.choice(c, n_rows, p=rng.dirichlet(np.ones(c))) for c in cards], cards)
+        k = int(rng.integers(1, min(4, n - 1) + 1))
+        tbl = build_local_scores(ScoreContext(d), k)
+        assert tbl.node_scores == per_family_scores(d, k)
+
+    def test_equals_per_family_tallies_on_edge_inputs(self):
+        rng = np.random.default_rng(308)
+        cases = [
+            # a single variable, no parent sets beyond the empty one
+            (make_dataset([rng.integers(0, 3, 100)]), 0),
+            # a variable with one state
+            (make_dataset([np.zeros(400, dtype=int)] + [rng.integers(0, 3, 400)
+                                                        for _ in range(3)],
+                          [1, 3, 3, 3]), 3),
+            # a grid of 6**5 cells over 30 rows
+            (make_dataset([rng.integers(0, 6, 30) for _ in range(5)], [6] * 5), 4),
+            # one row
+            (make_dataset([rng.integers(0, 2, 1) for _ in range(4)], [2] * 4), 3),
+        ]
+        for d, k in cases:
+            tbl = build_local_scores(ScoreContext(d), k)
+            assert tbl.node_scores == per_family_scores(d, k)
+
+    def test_equals_per_family_tallies_when_batches_split(self, monkeypatch):
+        # a small batch cap splits each prefix's children over several
+        # bincounts, as long data or wide domains do under the real cap
+        monkeypatch.setattr(learner, "_BATCH_ELEMENTS", 1000)
+        rng = np.random.default_rng(309)
+        cards = [2, 5, 3, 4, 2, 6]
+        d = make_dataset([rng.integers(0, c, 400) for c in cards], cards)
+        tbl = build_local_scores(ScoreContext(d), 3)
+        assert tbl.node_scores == per_family_scores(d, 3)
+
+    def test_equals_per_family_tallies_on_child(self):
+        assets = Path(__file__).resolve().parents[1] / "assets"
+        d = sample(bn_from_json((assets / "child.json").read_text()), 2000, seed=5)
+        tbl = build_local_scores(ScoreContext(d), 4)
+        assert sum(len(s) for s in tbl.node_scores) == 100_720
+        assert tbl.node_scores == per_family_scores(d, 4)
 
 
 class TestHillClimb:

@@ -15,9 +15,11 @@ from latentdag import (
     VariableMeta,
     bic,
     chi2_critical,
+    count,
     f_bic,
     is_independent,
 )
+from latentdag.scoring import log_likelihood
 from oracles import bic_direct, g2_direct
 
 
@@ -39,6 +41,39 @@ def random_context(rng, n_vars=4, max_card=4, min_rows=100, max_rows=3000):
     ctx = make_context(cols, cards)
     rows = list(zip(*cols))
     return ctx, rows, cards
+
+
+def single_table_log_likelihood(table, axis):
+    """The one-table kernel the batched one generalises, kept as the
+    reference it must equal bit for bit."""
+    n_z = table.sum(axis=axis, keepdims=True)
+    pos = table > 0
+    ratio = np.divide(table, n_z, out=np.ones_like(table), where=pos)
+    return float((table * np.log(ratio, where=pos, out=np.zeros_like(ratio)))[pos].sum())
+
+
+class TestLogLikelihood:
+    @pytest.mark.parametrize("axis", [1, 2])
+    def test_batch_equals_single_table_reference(self, axis):
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            shape = tuple(int(v) for v in rng.integers(1, [6, 30, 7]))
+            stack = rng.integers(0, int(rng.integers(1, 5000)), size=shape)
+            stack *= rng.random(shape) < rng.random()  # zero cells, empty rows
+            want = [single_table_log_likelihood(t.astype(float), axis - 1) for t in stack]
+            assert log_likelihood(stack, axis) == want
+            assert log_likelihood(stack.astype(float), axis) == want
+
+    def test_bic_equals_single_table_reference(self):
+        rng = np.random.default_rng(32)
+        for _ in range(40):
+            ctx, _, cards = random_context(rng, min_rows=50, max_rows=2000)
+            x = int(rng.integers(4))
+            z = [v for v in range(4) if v != x and rng.random() < 0.6]
+            table = count(ctx.dataset, x, z).counts.astype(float)
+            want = (single_table_log_likelihood(table, 0)
+                    - 0.5 * ctx.log_n * (cards[x] - 1) * table.shape[1])
+            assert bic(ctx, x, z) == want
 
 
 class TestBic:
