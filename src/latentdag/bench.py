@@ -75,9 +75,7 @@ class DiscreteBayesNet:
         for x in range(self.dag.n_nodes):
             self.cpts[x] = np.asarray(self.cpts[x], dtype=float)
             card = self.variables[x].cardinality
-            n_cfg = 1
-            for p in sorted(self.dag.parents(x)):
-                n_cfg *= self.variables[p].cardinality
+            n_cfg = math.prod(self.variables[p].cardinality for p in self.dag.parents(x))
             if self.cpts[x].shape != (n_cfg, card):
                 raise ValueError(
                     f"CPT of {self.variables[x].name!r} has shape "
@@ -97,10 +95,7 @@ class DiscreteBayesNet:
         return self.variables[x].cardinality
 
     def joint_size(self) -> int:
-        size = 1
-        for v in self.variables:
-            size *= v.cardinality
-        return size
+        return math.prod(v.cardinality for v in self.variables)
 
     def id_of(self, name: str) -> int:
         for i, v in enumerate(self.variables):
@@ -138,17 +133,26 @@ def bn_from_json(text: str) -> DiscreteBayesNet:
         VariableMeta(v["name"], tuple(v["states"])) for v in doc["variables"]
     ]
     idx = {v.name: i for i, v in enumerate(variables)}
+
+    def declared(name, field: str) -> int:
+        if name not in idx:
+            raise ValueError(f"{field} names undeclared variable {name!r}")
+        return idx[name]
+
     dag = Dag(len(variables), [v.name for v in variables])
     for u, v in doc["arcs"]:
-        dag.add_arc(idx[u], idx[v])
+        dag.add_arc(declared(u, "'arcs'"), declared(v, "'arcs'"))
     cpts = {}
     for name, flat in doc["cpts"].items():
-        x = idx[name]
+        x = declared(name, "'cpts'")
         card = variables[x].cardinality
         flat = np.asarray(flat, dtype=float)
         if flat.size % card:
             raise ValueError(f"CPT of {name!r} has {flat.size} entries, not a multiple of {card}")
         cpts[x] = flat.reshape(-1, card)
+    for x, v in enumerate(variables):
+        if x not in cpts:
+            raise ValueError(f"variable {v.name!r} has no entry in 'cpts'")
     return DiscreteBayesNet(variables=variables, dag=dag, cpts=cpts)
 
 
@@ -307,13 +311,16 @@ def mutual_information(bn: DiscreteBayesNet, x: int, y: int, given=()) -> float:
 # ---------------------------------------------------------------------------
 # confounder injection
 
+# injected CPT rows: a point mass of weight ~ U[DIRAC_LOW, DIRAC_HIGH] plus a Dirichlet(DIRICHLET) draw
+DIRICHLET = 4.0
+DIRAC_LOW = 2.0 / 3.0
+DIRAC_HIGH = 5.0 / 6.0
+
+
 @dataclass(frozen=True)
 class InjectionConfig:
     n_confounders: int = 2
     latent_cardinality: int = 2
-    dirichlet: float = 4.0
-    dirac_low: float = 2.0 / 3.0
-    dirac_high: float = 5.0 / 6.0
     max_attempts: int = 200
     seed: int = 0
 
@@ -322,21 +329,18 @@ class InjectionConfig:
             raise ValueError("n_confounders must be >= 0")
         if self.latent_cardinality < 2:
             raise ValueError("latent domain needs at least two states")
-        if not (0.0 < self.dirac_low <= self.dirac_high < 1.0):
-            raise ValueError("point-mass weight range must sit inside (0, 1)")
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
 
 
-def _mixture_cpt(n_cfg: int, card: int, cfg: InjectionConfig,
-                 rng: np.random.Generator) -> np.ndarray:
-    """Per-row mixture of a point mass (weight ~ U[low, high], atom uniform)
-    and a symmetric Dirichlet draw."""
+def _mixture_cpt(n_cfg: int, card: int, rng: np.random.Generator) -> np.ndarray:
+    """Per-row mixture of a point mass (weight ~ U[DIRAC_LOW, DIRAC_HIGH],
+    atom uniform) and a symmetric Dirichlet draw."""
     cpt = np.empty((n_cfg, card))
     for r in range(n_cfg):
-        w = rng.uniform(cfg.dirac_low, cfg.dirac_high)
+        w = rng.uniform(DIRAC_LOW, DIRAC_HIGH)
         atom = int(rng.integers(card))
-        row = (1.0 - w) * rng.dirichlet([cfg.dirichlet] * card)
+        row = (1.0 - w) * rng.dirichlet([DIRICHLET] * card)
         row[atom] += w
         cpt[r] = row
     return cpt
@@ -415,10 +419,8 @@ def inject_confounders(bn: DiscreteBayesNet, cfg: InjectionConfig
         for attempt in range(cfg.max_attempts):
             for child in (a, b):
                 card = out.cardinality(child)
-                n_cfg = 1
-                for p in sorted(out.dag.parents(child)):
-                    n_cfg *= out.cardinality(p)
-                out.cpts[child] = _mixture_cpt(n_cfg, card, cfg, rng)
+                n_cfg = math.prod(out.cardinality(p) for p in out.dag.parents(child))
+                out.cpts[child] = _mixture_cpt(n_cfg, card, rng)
             if (
                 mutual_information(out, a, b) > thr_mi
                 and mutual_information(out, a, b, given) > thr_cmi
@@ -480,12 +482,18 @@ def compare_confounders(truth: list[tuple[str, tuple[str, str]]],
             remaining.remove(key)
             ok += 1
     not_ok = len(learned) - ok
-    precision = ok / (ok + not_ok) if (ok + not_ok) > 0 else None
-    recall = ok / len(truth) if truth else None
-    f1 = None
-    if precision is not None and recall is not None and (precision + recall) > 0:
-        f1 = 2 * precision * recall / (precision + recall)
+    precision, recall, f1 = _precision_recall_f1(ok, not_ok, len(truth))
     return EvalReport(ok=ok, not_ok=not_ok, precision=precision, recall=recall, f1=f1)
+
+
+def _precision_recall_f1(ok: int, not_ok: int, n_truth: int) -> tuple:
+    """Precision, recall and F1 of ``ok`` hits and ``not_ok`` false claims
+    against ``n_truth`` true items; None where a denominator is zero."""
+    precision = ok / (ok + not_ok) if ok + not_ok else None
+    recall = ok / n_truth if n_truth else None
+    if precision is None or recall is None or precision + recall == 0:
+        return precision, recall, None
+    return precision, recall, 2 * precision * recall / (precision + recall)
 
 
 def _link_map(p: Pdag) -> dict[tuple[int, int], str]:
@@ -589,9 +597,7 @@ class CausalModel:
                 raise ValueError(f"disturbance of node {x} does not sum to 1")
             tab = np.asarray(self.mechanism[x], dtype=float)
             card = self.variables[x].cardinality
-            n_cfg = 1
-            for p in sorted(self.dag.parents(x)):
-                n_cfg *= self.variables[p].cardinality
+            n_cfg = math.prod(self.variables[p].cardinality for p in self.dag.parents(x))
             want = (n_cfg * pxi.size, card)
             if tab.shape != want:
                 raise ValueError(
@@ -724,12 +730,7 @@ def run_benchmark(bn: DiscreteBayesNet, sizes: list[int], reps: int,
         tot_ok = sum(r["ok"] for r in rows)
         tot_nok = sum(r["nok"] for r in rows)
         tot_truth = sum(r["truth"] for r in rows)
-        precision = tot_ok / (tot_ok + tot_nok) if tot_ok + tot_nok else None
-        recall = tot_ok / tot_truth if tot_truth else None
-        if precision is None or recall is None or precision + recall == 0:
-            f1 = None
-        else:
-            f1 = 2 * precision * recall / (precision + recall)
+        precision, recall, f1 = _precision_recall_f1(tot_ok, tot_nok, tot_truth)
         cells = [str(size), fmt(tot_ok / n), fmt(tot_nok / n), fmt(precision),
                  fmt(recall), fmt(f1)]
         cells += [fmt(sum(r[k] for r in rows) / n)

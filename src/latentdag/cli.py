@@ -116,6 +116,8 @@ def cmd_sepset(args: argparse.Namespace) -> int:
 
 
 def cmd_dsep(args: argparse.Namespace) -> int:
+    if args.max_trails < 0:
+        raise ValueError("--max-trails must be >= 0")
     with open(args.graph, "r", encoding="utf-8") as fh:
         g = Dag.from_json(fh.read())
     idx = {n: i for i, n in enumerate(g.names)}
@@ -130,8 +132,10 @@ def cmd_dsep(args: argparse.Namespace) -> int:
     z = {resolve(n) for n in _split(args.given)}
     sep = d_separated(g, u, v, z)
     print(f"d-separated({args.u}, {args.v} | {sorted(_split(args.given))}): {sep}")
-    shown = 0
-    for trail in enumerate_trails(g, u, v):
+    for shown, trail in enumerate(enumerate_trails(g, u, v)):
+        if shown == args.max_trails:
+            print("  ... (further trails suppressed)")
+            break
         pretty = []
         for i, node in enumerate(trail.nodes):
             pretty.append(g.names[node])
@@ -140,10 +144,6 @@ def cmd_dsep(args: argparse.Namespace) -> int:
         at = trail.blocked_by(g, z)
         status = "active" if at is None else f"blocked at {g.names[trail.nodes[at]]}"
         print(f"  trail {' '.join(pretty)}: {status}")
-        shown += 1
-        if shown >= args.max_trails:
-            print("  ... (further trails suppressed)")
-            break
     return 0
 
 
@@ -235,7 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
     ds.add_argument("--u", required=True)
     ds.add_argument("--v", required=True)
     ds.add_argument("--given", default="", help="comma-separated names")
-    ds.add_argument("--max-trails", type=int, default=64, dest="max_trails")
+    ds.add_argument("--max-trails", type=int, default=64, dest="max_trails",
+                    help="show at most this many trails (default 64)")
     ds.set_defaults(func=cmd_dsep)
 
     bm = sub.add_parser("benchmark", help="inject/sample/learn/evaluate grid")

@@ -13,6 +13,7 @@ layout conventions fixed here propagate to the whole package:
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -155,8 +156,8 @@ def load_dataset(path, delimiter: str = ",") -> Dataset:
     """Read a delimited text file (header row required) into a :class:`Dataset`.
 
     Domains are inferred as the sorted set of distinct labels per column.
-    Empty cells and single-state columns are rejected: downstream scoring
-    needs complete data and at least two states per variable.
+    Files without data rows, empty cells and single-state columns are
+    rejected: scoring needs complete data and two or more states per variable.
     """
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
@@ -179,7 +180,9 @@ def load_dataset(path, delimiter: str = ",") -> Dataset:
                 raise ValueError(f"{path}:{lineno}: missing value")
             rows.append(row)
 
-    columns = list(zip(*rows)) if rows else [() for _ in header]
+    if not rows:
+        raise ValueError(f"{path}: no data rows after the header")
+    columns = list(zip(*rows))
     variables = []
     encoded = np.empty((len(rows), len(header)), dtype=np.int32)
     for i, name in enumerate(header):
@@ -223,9 +226,7 @@ def count(d: Dataset, child: int | str, parents: Iterable[int | str] = ()) -> Co
     child_card = cards[ci]
     parent_cards = tuple(cards[p] for p in pids)
 
-    n_cfg = 1
-    for c in parent_cards:
-        n_cfg *= c
+    n_cfg = math.prod(parent_cards)
 
     if pids:
         cfg = np.ravel_multi_index(

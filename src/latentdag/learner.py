@@ -6,9 +6,12 @@ Two engines behind one config:
   cap, by (1) scoring every parent set of size <= k for every node, from
   one joint tally per variable subset of size <= k + 1 (a subset's tally
   serves all of its families, and sibling subsets are tallied in one
-  bincount), (2) a max-over-supersets transform, and (3) dynamic
-  programming over node subsets choosing the last sink. Feasible up to 20
-  nodes with k <= 4.
+  bincount), straight into one dense array per node indexed by the parent
+  mask, (2) running maxima over supersets in those same arrays, and (3)
+  dynamic programming over node subsets that records the sink it picks
+  for each subset (a strictly better sink replaces a smaller one, so exact
+  ties keep the smallest id); the graph is rebuilt by peeling the recorded
+  sinks. Feasible up to 20 nodes with k <= 4.
 * ``learn_hill_climb`` — add/remove/reverse local search with best-improvement
   moves, per-node delta caching and seeded random restarts.
 
@@ -51,34 +54,26 @@ class LearnerConfig:
 
 
 class LocalScoreTable:
-    """Every local score ``(x, S)`` with ``|S| <= k``, keyed by parent bitmask.
+    """Every local score ``(x, S)`` with ``|S| <= k``, in the DP's layout.
 
-    ``node_scores[x]`` maps a bitmask over all variables (bit ``i`` = variable
-    ``i``, never containing ``x``'s own bit) to the BIC local score of ``x``
-    with that parent set.
+    ``scores`` is an ``(n, 2**(n-1))`` float64 array. Row ``x`` is indexed by
+    the parent mask with ``x``'s own bit removed (bits above ``x`` shift down
+    one slot, as :func:`_drop_bit` does); sets of more than ``k`` parents
+    hold ``-inf``. :func:`learn_exact` turns its table into running maxima.
     """
 
-    def __init__(self, n: int, k: int, node_scores: list[dict[int, float]]):
+    def __init__(self, n: int, k: int, scores: np.ndarray):
         self.n = n
         self.k = k
-        self.node_scores = node_scores
+        self.scores = scores
 
-    def best_within(self, x: int, avail_mask: int) -> tuple[float, int]:
-        """Highest-scoring stored parent set of ``x`` inside ``avail_mask``.
-
-        Ties break toward fewer parents, then the smallest mask, so
-        reconstruction is deterministic.
-        """
-        best = -math.inf
-        best_mask = 0
-        best_key = (0, 0)
-        for mask, s in self.node_scores[x].items():
-            if mask & ~avail_mask:
-                continue
-            key = (bin(mask).count("1"), mask)
-            if s > best or (s == best and key < best_key):
-                best, best_mask, best_key = s, mask, key
-        return best, best_mask
+    @property
+    def node_scores(self) -> list[dict[int, float]]:
+        """Each node's stored families as ``{full parent mask: score}``, the
+        mask over all variables (bit ``i`` = variable ``i``)."""
+        idx = np.flatnonzero(_popcounts(self.n - 1) <= self.k)
+        return [dict(zip(_insert_bit(idx, x).tolist(), self.scores[x, idx].tolist()))
+                for x in range(self.n)]
 
 
 def build_local_scores(ctx: ScoreContext, k: int) -> LocalScoreTable:
@@ -91,11 +86,15 @@ def build_local_scores(ctx: ScoreContext, k: int) -> LocalScoreTable:
     bincount tallies a batch of those children side by side. Moving x's axis
     of a joint to the last place gives exactly the (configuration, child
     state) table of the family, so each score is the float a separate tally
-    of that family would give.
+    of that family would give. The scores fill the dense arrays of
+    :class:`LocalScoreTable`, hence at most ``EXACT_MAX_NODES`` variables.
     """
+    n = ctx.dataset.n_variables
+    if n > EXACT_MAX_NODES:
+        raise ValueError(f"exact mode handles at most {EXACT_MAX_NODES} variables, got {n}")
     t = _Tallies(ctx, k)
     _visit(t, (), 0, 1)
-    return LocalScoreTable(t.n, k, t.node_scores)
+    return LocalScoreTable(n, k, t.scores)
 
 
 # Cap on the elements of one batch's row codes and of its joint tally, so a
@@ -105,7 +104,7 @@ _BATCH_ELEMENTS = 1 << 20
 
 class _Tallies:
     """State of one :func:`build_local_scores` call: the columns, workspace
-    buffers sized once, and the dicts being filled."""
+    buffers sized once, and the score array being filled."""
 
     def __init__(self, ctx: ScoreContext, k: int):
         d = ctx.dataset
@@ -119,9 +118,7 @@ class _Tallies:
         self.scaled = np.empty(d.n_rows, dtype=np.int64)
         # row code of the current prefix at each depth; depth 0 is empty
         self.prefix_codes = np.zeros((k + 1, d.n_rows), dtype=np.int64)
-        self.node_scores: list[dict[int, float]] = [dict() for _ in range(self.n)]
-        # one int object per parent mask, shared by every node's dict
-        self.masks: dict[int, int] = {}
+        self.scores = np.full((self.n, 1 << (self.n - 1)), -np.inf)
 
 
 def _visit(t: _Tallies, prefix: tuple[int, ...], mask: int, n_cfg: int) -> None:
@@ -146,26 +143,28 @@ def _visit(t: _Tallies, prefix: tuple[int, ...], mask: int, n_cfg: int) -> None:
         codes += np.arange(0, m * n_cfg * width, n_cfg * width)[:, None]
         joint = np.bincount(codes.ravel(), minlength=m * n_cfg * width)
 
-        # x = y: the joint is already the (configuration, child) table.
+        # x = y: the joint is already the (configuration, child) table, and
+        # the prefix lies below y, so the parent index is the prefix mask.
         # Penalties keep the association of 0.5 * log n * (|x| - 1) * configs.
+        # Scores are written one at a time: numpy calls on a batch of at most
+        # n scores cost more than the loop.
         lls = log_likelihood(joint.reshape(m, n_cfg, width), axis=2)
         for y, ll in zip(range(lo, hi), lls):
-            t.node_scores[y][mask] = ll - t.half_log_n * (cards[y] - 1) * n_cfg
+            t.scores[y, mask] = ll - t.half_log_n * (cards[y] - 1) * n_cfg
 
         # x = a prefix member: move its axis last; the parents are the rest
-        # of the prefix, then y
+        # of the prefix, then y, whose bit lands one slot down above x
         grid = joint.reshape(m, *pcards, width)
         for i, x in enumerate(prefix):
             cx = pcards[i]
             axes = (0, *range(1, i + 1), *range(i + 2, depth + 2), i + 1)
             tables = grid.transpose(axes).reshape(m, n_cfg // cx * width, cx)
             lls = log_likelihood(tables, axis=2)
-            rest = mask ^ (1 << x)
-            scored = t.node_scores[x]
             penalty = t.half_log_n * (cx - 1)
+            row = t.scores[x]
+            rest = _drop_bit(mask ^ (1 << x), x)
             for y, ll in zip(range(lo, hi), lls):
-                pm = rest | (1 << y)
-                scored[t.masks.setdefault(pm, pm)] = ll - penalty * (n_cfg // cx * cards[y])
+                row[rest | 1 << (y - 1)] = ll - penalty * (n_cfg // cx * cards[y])
 
     if depth == t.k:
         return
@@ -173,8 +172,7 @@ def _visit(t: _Tallies, prefix: tuple[int, ...], mask: int, n_cfg: int) -> None:
     for y in range(first, t.n - 1):
         np.multiply(code, cards[y], out=child_code)
         child_code += t.cols[y]
-        grown = mask | (1 << y)
-        _visit(t, prefix + (y,), t.masks.setdefault(grown, grown), n_cfg * cards[y])
+        _visit(t, prefix + (y,), mask | (1 << y), n_cfg * cards[y])
 
 
 def _popcounts(n_bits: int) -> np.ndarray:
@@ -185,10 +183,16 @@ def _popcounts(n_bits: int) -> np.ndarray:
     return ((v * 0x01010101) >> 24).astype(np.uint8)
 
 
-def _drop_bit(masks: np.ndarray, x: int) -> np.ndarray:
+def _drop_bit(masks, x: int):
     """Remove bit ``x`` from each mask, shifting higher bits down one slot."""
     low = (1 << x) - 1
     return (masks & low) | ((masks >> (x + 1)) << x)
+
+
+def _insert_bit(masks, x: int):
+    """Inverse of :func:`_drop_bit`: open a zero bit at slot ``x``."""
+    low = (1 << x) - 1
+    return (masks & low) | ((masks >> x) << (x + 1))
 
 
 def _context(d: Dataset, ctx: ScoreContext | None) -> ScoreContext:
@@ -203,38 +207,28 @@ def learn_exact(d: Dataset, cfg: LearnerConfig = LearnerConfig(),
                 ctx: ScoreContext | None = None) -> Dag:
     """Globally optimal DAG under the parent cap (subset dynamic program)."""
     n = d.n_variables
-    if n > EXACT_MAX_NODES:
-        raise ValueError(
-            f"exact mode handles at most {EXACT_MAX_NODES} variables, got {n}"
-        )
     if cfg.max_parents > EXACT_MAX_PARENTS:
         raise ValueError(
             f"exact mode caps max_parents at {EXACT_MAX_PARENTS}, got {cfg.max_parents}"
         )
     k = min(cfg.max_parents, n - 1) if n > 1 else 0
-    table = build_local_scores(_context(d, ctx), k)
+    bps = build_local_scores(_context(d, ctx), k).scores
 
-    # best achievable score of x over any stored parent set inside each mask
-    # of the other variables: seed with the exact table, then take running
-    # maxima over supersets one bit at a time.
-    full = 1 << n
-    half = 1 << (n - 1)
-    bps = []
-    for x in range(n):
-        arr = np.full(half, -np.inf)
-        masks = np.fromiter(table.node_scores[x].keys(), dtype=np.int64)
-        vals = np.fromiter(table.node_scores[x].values(), dtype=np.float64)
-        arr[_drop_bit(masks, x)] = vals
+    # bps[x][T] becomes x's best stored score inside T: running maxima over
+    # supersets, a row at a time so that the row stays in cache across bits
+    for arr in bps:
         for b in range(n - 1):
             view = arr.reshape(-1, 2, 1 << b)
             np.maximum(view[:, 1, :], view[:, 0, :], out=view[:, 1, :])
-        bps.append(arr)
 
+    # best score of each variable subset, and the sink that attains it
+    full = 1 << n
     popcnt = _popcounts(n)
     order = np.argsort(popcnt, kind="stable").astype(np.int32)
     layer_starts = np.searchsorted(popcnt[order], np.arange(n + 2))
     dp = np.full(full, -np.inf)
     dp[0] = 0.0
+    sink = np.zeros(full, dtype=np.uint8)
     for s in range(1, n + 1):
         layer = order[layer_starts[s]:layer_starts[s + 1]]
         for x in range(n):
@@ -243,27 +237,29 @@ def learn_exact(d: Dataset, cfg: LearnerConfig = LearnerConfig(),
                 continue
             prev = sel ^ (1 << x)
             cand = dp[prev] + bps[x][_drop_bit(prev, x)]
-            dp[sel] = np.maximum(dp[sel], cand)
+            # only a strictly larger candidate wins, so on exact ties the
+            # smallest sink keeps the subset
+            win = cand > dp[sel]
+            sel = sel[win]
+            dp[sel] = cand[win]
+            sink[sel] = x
 
-    # walk the table back: peel one sink at a time, smallest id on ties
+    # peel the recorded sinks. A sink's parents are the first stored set in
+    # the remaining variables, by fewest members then smallest mask, whose
+    # running maximum equals the best there; that set scores the best itself.
+    stored = np.flatnonzero(popcnt[:full >> 1] <= k)
+    stored = stored[np.argsort(popcnt[stored], kind="stable")]
     g = Dag(n, [v.name for v in d.variables])
     mask = full - 1
     while mask:
-        for x in range(n):
-            bit = 1 << x
-            if not mask & bit:
-                continue
-            prev = mask ^ bit
-            reach = dp[prev] + bps[x][_drop_bit(np.array([prev]), x)[0]]
-            if reach == dp[mask]:
-                score, pmask = table.best_within(x, prev)
-                for p in range(n):
-                    if pmask & (1 << p):
-                        g.add_arc(p, x)
-                mask = prev
-                break
-        else:  # pragma: no cover - defensive; dp always admits a sink
-            raise AssertionError("sink reconstruction failed")
+        x = int(sink[mask])
+        mask ^= 1 << x
+        within = _drop_bit(mask, x)
+        fits = stored[stored & ~within == 0]
+        pmask = _insert_bit(int(fits[np.argmax(bps[x][fits] == bps[x][within])]), x)
+        for p in range(n):
+            if pmask >> p & 1:
+                g.add_arc(p, x)
     return g
 
 

@@ -86,6 +86,24 @@ class TestBayesNetModel:
                 1: np.array([[0.5, 0.5]]),  # needs 2 rows (one per A state)
             })
 
+    def test_json_arc_to_undeclared_variable(self):
+        doc = json.loads(bn_to_json(diamond_bn()))
+        doc["arcs"].append(["A", "NOPE"])
+        with pytest.raises(ValueError, match="'arcs' names undeclared variable 'NOPE'"):
+            bn_from_json(json.dumps(doc))
+
+    def test_json_cpt_of_undeclared_variable(self):
+        doc = json.loads(bn_to_json(diamond_bn()))
+        doc["cpts"]["GHOST"] = [0.5, 0.5]
+        with pytest.raises(ValueError, match="'cpts' names undeclared variable 'GHOST'"):
+            bn_from_json(json.dumps(doc))
+
+    def test_json_variable_without_cpt(self):
+        doc = json.loads(bn_to_json(diamond_bn()))
+        del doc["cpts"]["C"]
+        with pytest.raises(ValueError, match="variable 'C' has no entry in 'cpts'"):
+            bn_from_json(json.dumps(doc))
+
     def test_copy_is_deep(self):
         bn = diamond_bn()
         c = bn.copy()
@@ -279,8 +297,6 @@ class TestInjection:
             InjectionConfig(n_confounders=-1)
         with pytest.raises(ValueError):
             InjectionConfig(latent_cardinality=1)
-        with pytest.raises(ValueError):
-            InjectionConfig(dirac_low=0.9, dirac_high=0.8)
         with pytest.raises(ValueError):
             InjectionConfig(max_attempts=0)
 

@@ -172,6 +172,23 @@ class TestDsep:
         assert "False" in r2.stdout
         assert "U -> Z -> V: active" in r2.stdout
 
+    def test_max_trails_shows_at_most_n(self, workdir):
+        # U - Z - V has one trail between U and V
+        g = workdir / "chain_graph.json"
+        r = run_cli("dsep", "--graph", g, "--u", "U", "--v", "V", "--max-trails", "1")
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.count("  trail ") == 1
+        assert "suppressed" not in r.stdout
+
+        r0 = run_cli("dsep", "--graph", g, "--u", "U", "--v", "V", "--max-trails", "0")
+        assert r0.returncode == 0, r0.stderr
+        assert "  trail " not in r0.stdout
+        assert "further trails suppressed" in r0.stdout
+
+        r_neg = run_cli("dsep", "--graph", g, "--u", "U", "--v", "V", "--max-trails", "-1")
+        assert r_neg.returncode == 2
+        assert "--max-trails must be >= 0" in r_neg.stderr
+
     def test_unknown_node_is_usage_error(self, workdir):
         r = run_cli("dsep", "--graph", workdir / "chain_graph.json",
                     "--u", "U", "--v", "NOPE")
@@ -206,6 +223,15 @@ class TestBenchmark:
         bad.write_text("{not json")
         r = run_cli("benchmark", "--bn", bad, "--sizes", "300", "--reps", "1")
         assert r.returncode == 2
+
+    def test_arc_to_undeclared_variable_is_usage_error(self, workdir):
+        doc = json.loads((workdir / "bn7.json").read_text())
+        doc["arcs"].append(["V0", "NOPE"])
+        bad = workdir / "bad_arc.json"
+        bad.write_text(json.dumps(doc))
+        r = run_cli("benchmark", "--bn", bad, "--sizes", "300", "--reps", "1")
+        assert r.returncode == 2
+        assert "undeclared variable 'NOPE'" in r.stderr
 
     def test_empty_sizes_is_usage_error(self, workdir):
         r = run_cli("benchmark", "--bn", workdir / "bn7.json",

@@ -59,6 +59,11 @@ class TestLoadDataset:
         with pytest.raises(ValueError, match="single"):
             load_dataset(path)
 
+    def test_header_only_rejected(self, tmp_path):
+        path = write(tmp_path, "A,B\n")
+        with pytest.raises(ValueError, match="no data rows"):
+            load_dataset(path)
+
     def test_ragged_row_rejected(self, tmp_path):
         path = write(tmp_path, "X,Y\na,x\nb\n")
         with pytest.raises(ValueError, match=":3: ragged"):

@@ -149,6 +149,34 @@ class TestExact:
         with pytest.raises(ValueError, match="4"):
             learn_exact(d4, LearnerConfig(max_parents=5))
 
+    def test_ties_between_identical_columns(self):
+        # every tree over copies scores the same: the smallest sink wins at
+        # each subset, and the parent set with fewest members, then the
+        # smallest mask
+        col = np.random.default_rng(42).integers(0, 2, (300, 1))
+        d = make_dataset(list(np.tile(col, (1, 5)).T))
+        g = learn_exact(d, LearnerConfig(max_parents=3))
+        assert g.arcs() == [(1, 0), (2, 1), (3, 2), (4, 3)]
+
+    def test_ties_between_two_pairs_of_copies(self):
+        # V0 = V1 and V2 = V3, with V2 a noisy copy of V0: V1 may take V2 or
+        # V3 as its parent at the same score, and takes the smaller mask
+        rng = np.random.default_rng(7)
+        a = rng.integers(0, 2, 500)
+        c = np.where(rng.random(500) < 0.9, a, 1 - a)
+        g = learn_exact(make_dataset([a, a, c, c]), LearnerConfig(max_parents=2))
+        assert g.arcs() == [(1, 0), (2, 1), (3, 2)]
+
+    def test_ties_between_parent_sets_of_different_sizes(self):
+        # V2 = 2 V0 + V1 recodes {V0, V1}, so V3, a noisy XOR of V0 and V1,
+        # scores the same with either parent set: the one-member set wins
+        rng = np.random.default_rng(11)
+        a, b = rng.integers(0, 2, 2000), rng.integers(0, 2, 2000)
+        x = np.where(rng.random(2000) < 0.8, a ^ b, rng.integers(0, 2, 2000))
+        d = make_dataset([a, b, 2 * a + b, x], [2, 2, 4, 2])
+        g = learn_exact(d, LearnerConfig(max_parents=2))
+        assert g.arcs() == [(0, 2), (2, 1), (2, 3)]
+
     def test_deterministic(self):
         rng = np.random.default_rng(4)
         d = random_instance(rng)
