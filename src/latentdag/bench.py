@@ -129,9 +129,16 @@ def bn_to_json(bn: DiscreteBayesNet) -> str:
 
 def bn_from_json(text: str) -> DiscreteBayesNet:
     doc = json.loads(text)
-    variables = [
-        VariableMeta(v["name"], tuple(v["states"])) for v in doc["variables"]
-    ]
+    for key in ("variables", "arcs", "cpts"):
+        if key not in doc:
+            raise ValueError(f"network JSON has no {key!r} key")
+    variables = []
+    for i, v in enumerate(doc["variables"]):
+        for attr in ("name", "states"):
+            if attr not in v:
+                who = repr(v["name"]) if "name" in v else f"number {i}"
+                raise ValueError(f"variable {who} has no {attr!r} field")
+        variables.append(VariableMeta(v["name"], tuple(v["states"])))
     idx = {v.name: i for i, v in enumerate(variables)}
 
     def declared(name, field: str) -> int:

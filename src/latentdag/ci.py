@@ -5,13 +5,17 @@ The search is deliberately not exhaustive. A returned failure means the
 greedy path found no separator within the size budget — it is *evidence* of
 dependence, not a proof. Callers (triangle classification in particular)
 treat it exactly that way.
+
+Each step scores its candidates from one batched tally: :func:`fill_bic`
+memoises ``bic(u, Z ∪ {v, y})`` and ``bic(u, Z ∪ {y})`` for every candidate
+y, and the per-candidate statistics below read those from the memo.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .scoring import ScoreContext, f_bic, is_independent
+from .scoring import ScoreContext, f_bic, fill_bic, is_independent
 
 __all__ = ["SeparatorQuery", "SeparatorResult", "find_separator"]
 
@@ -72,11 +76,11 @@ def find_separator(q: SeparatorQuery, ctx: ScoreContext) -> SeparatorResult:
 
     n_vars = ctx.dataset.n_variables
     while len(z) < q.h:
+        cands = [y for y in range(n_vars) if y not in z and y not in blocked]
+        fill_bic(ctx, q.u, z | {q.v}, cands, drop=q.v)
         best: int | None = None
         best_stat = float("inf")
-        for y in range(n_vars):
-            if y in z or y in blocked:
-                continue
+        for y in cands:
             stat = f_bic(ctx, q.u, q.v, z | {y}).statistic
             if stat < best_stat:  # strict: ties keep the lowest id
                 best, best_stat = y, stat

@@ -26,6 +26,7 @@ __all__ = [
     "load_dataset",
     "project",
     "count",
+    "BatchTally",
 ]
 
 
@@ -244,3 +245,61 @@ def count(d: Dataset, child: int | str, parents: Iterable[int | str] = ()) -> Co
         n_rows=d.n_rows,
         parent_cards=parent_cards,
     )
+
+
+# Cap on the elements of one batch's row codes and of its joint tally, so a
+# batch's temporaries stay small for long data and for wide domains alike.
+_BATCH_ELEMENTS = 1 << 20
+
+
+class BatchTally:
+    """Joint tallies of one base variable set with each of several extra
+    variables, side by side in one bincount.
+
+    Holds the columns as int64 rows and workspace buffers sized once, so a
+    caller that tallies many batches (the exact learner's score table, each
+    separator step, each hill-climb target) allocates them once.
+    """
+
+    def __init__(self, d: Dataset):
+        self.cards = d.cardinalities
+        self.cols = np.ascontiguousarray(d.values.T, dtype=np.int64)
+        self.batch_rows = max(1, min(d.n_variables, _BATCH_ELEMENTS // d.n_rows))
+        self.codes = np.empty((self.batch_rows, d.n_rows), dtype=np.int64)
+        self.scaled = np.empty(d.n_rows, dtype=np.int64)
+
+    def code(self, variables: Iterable[int]) -> np.ndarray:
+        """Mixed-radix row code of ``variables``, the first most significant."""
+        code = np.zeros(self.cols.shape[1], dtype=np.int64)
+        for x in variables:
+            code *= self.cards[x]
+            code += self.cols[x]
+        return code
+
+    def joints(self, code: np.ndarray, n_cfg: int, ys: Sequence[int]):
+        """Yield ``(chunk, joint)`` batches that cover the ascending ids ``ys``.
+
+        ``code`` takes values below ``n_cfg``. ``joint[j]`` is the
+        ``(n_cfg, width)`` grid counting the rows by (``code``, state of
+        ``chunk[j]``), where ``width`` is the widest domain in the chunk; the
+        padding cells beyond a variable's own domain count zero. A chunk's
+        row codes and joints hold at most ``_BATCH_ELEMENTS`` elements,
+        unless a single joint is larger.
+        """
+        cards = self.cards
+        step = max(1, min(self.batch_rows,
+                          _BATCH_ELEMENTS // (n_cfg * max(cards[y] for y in ys))))
+        for lo in range(0, len(ys), step):
+            chunk = ys[lo:lo + step]
+            m = len(chunk)
+            # child j's joint sits at offset j * n_cfg * width
+            width = max(cards[y] for y in chunk)
+            codes = self.codes[:m]
+            np.multiply(code, width, out=self.scaled)
+            # ascending distinct ids that span m slots are a slice: no copy
+            rows = (self.cols[chunk[0]:chunk[-1] + 1] if chunk[-1] - chunk[0] == m - 1
+                    else self.cols[chunk])
+            np.add(rows, self.scaled, out=codes)
+            codes += np.arange(0, m * n_cfg * width, n_cfg * width)[:, None]
+            joint = np.bincount(codes.ravel(), minlength=m * n_cfg * width)
+            yield chunk, joint.reshape(m, n_cfg, width)

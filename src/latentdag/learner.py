@@ -6,14 +6,19 @@ Two engines behind one config:
   cap, by (1) scoring every parent set of size <= k for every node, from
   one joint tally per variable subset of size <= k + 1 (a subset's tally
   serves all of its families, and sibling subsets are tallied in one
-  bincount), straight into one dense array per node indexed by the parent
-  mask, (2) running maxima over supersets in those same arrays, and (3)
-  dynamic programming over node subsets that records the sink it picks
-  for each subset (a strictly better sink replaces a smaller one, so exact
-  ties keep the smallest id); the graph is rebuilt by peeling the recorded
-  sinks. Feasible up to 20 nodes with k <= 4.
+  bincount by :class:`~latentdag.data.BatchTally`, the batch tally the
+  probes and the climber share), straight into one dense array per node
+  indexed by the parent mask, (2) running maxima over supersets in those
+  same arrays, and (3) dynamic programming over node subsets that records
+  the sink it picks for each subset (a strictly better sink replaces a
+  smaller one, so exact ties keep the smallest id); the graph is rebuilt
+  by peeling the recorded sinks. Feasible up to 20 nodes with k <= 4.
 * ``learn_hill_climb`` — add/remove/reverse local search with best-improvement
-  moves, per-node delta caching and seeded random restarts.
+  moves, per-node delta caching and seeded random restarts. Each node that
+  can take another parent and whose parent set changed (every node at the
+  start) gets the scores of all its one-parent extensions from one batch
+  tally (:func:`~latentdag.scoring.fill_bic`); the move loop reads them
+  from the memo.
 
 Both return plain :class:`~latentdag.graphs.Dag` objects. Each takes an
 optional :class:`~latentdag.scoring.ScoreContext` so that a discovery run
@@ -29,7 +34,7 @@ import numpy as np
 
 from .data import Dataset
 from .graphs import Dag
-from .scoring import ScoreContext, bic, log_likelihood
+from .scoring import ScoreContext, bic, fill_bic, log_likelihood
 
 __all__ = ["LearnerConfig", "LocalScoreTable", "learn_exact", "learn_hill_climb", "learn"]
 
@@ -97,14 +102,9 @@ def build_local_scores(ctx: ScoreContext, k: int) -> LocalScoreTable:
     return LocalScoreTable(n, k, t.scores)
 
 
-# Cap on the elements of one batch's row codes and of its joint tally, so a
-# batch's temporaries stay small for long data and for wide domains alike.
-_BATCH_ELEMENTS = 1 << 20
-
-
 class _Tallies:
-    """State of one :func:`build_local_scores` call: the columns, workspace
-    buffers sized once, and the score array being filled."""
+    """State of one :func:`build_local_scores` call: the shared batch tally,
+    the prefix codes and the score array being filled."""
 
     def __init__(self, ctx: ScoreContext, k: int):
         d = ctx.dataset
@@ -112,10 +112,7 @@ class _Tallies:
         self.k = k
         self.cards = d.cardinalities
         self.half_log_n = 0.5 * ctx.log_n
-        self.cols = np.ascontiguousarray(d.values.T, dtype=np.int64)
-        self.batch_rows = max(1, min(self.n, _BATCH_ELEMENTS // d.n_rows))
-        self.codes = np.empty((self.batch_rows, d.n_rows), dtype=np.int64)
-        self.scaled = np.empty(d.n_rows, dtype=np.int64)
+        self.tally = ctx.tally
         # row code of the current prefix at each depth; depth 0 is empty
         self.prefix_codes = np.zeros((k + 1, d.n_rows), dtype=np.int64)
         self.scores = np.full((self.n, 1 << (self.n - 1)), -np.inf)
@@ -129,27 +126,16 @@ def _visit(t: _Tallies, prefix: tuple[int, ...], mask: int, n_cfg: int) -> None:
     cards = t.cards
     code = t.prefix_codes[depth]
     pcards = [cards[p] for p in prefix]
-    step = max(1, min(t.batch_rows, _BATCH_ELEMENTS // (n_cfg * max(cards))))
-    for lo in range(first, t.n, step):
-        hi = min(lo + step, t.n)
-        m = hi - lo
-        # child j's joint sits at offset j * n_cfg * width as a
-        # (prefix configuration, y state) grid padded to the widest y; the
-        # padding cells count zero, so no table gains a positive cell
-        width = max(cards[lo:hi])
-        codes = t.codes[:m]
-        np.multiply(code, width, out=t.scaled)
-        np.add(t.cols[lo:hi], t.scaled, out=codes)
-        codes += np.arange(0, m * n_cfg * width, n_cfg * width)[:, None]
-        joint = np.bincount(codes.ravel(), minlength=m * n_cfg * width)
-
+    for ys, joint in t.tally.joints(code, n_cfg, range(first, t.n)):
+        m, _, width = joint.shape
         # x = y: the joint is already the (configuration, child) table, and
-        # the prefix lies below y, so the parent index is the prefix mask.
+        # the prefix lies below y, so the parent index is the prefix mask;
+        # padding cells count zero, so no table gains a positive cell.
         # Penalties keep the association of 0.5 * log n * (|x| - 1) * configs.
         # Scores are written one at a time: numpy calls on a batch of at most
         # n scores cost more than the loop.
-        lls = log_likelihood(joint.reshape(m, n_cfg, width), axis=2)
-        for y, ll in zip(range(lo, hi), lls):
+        lls = log_likelihood(joint, axis=2)
+        for y, ll in zip(ys, lls):
             t.scores[y, mask] = ll - t.half_log_n * (cards[y] - 1) * n_cfg
 
         # x = a prefix member: move its axis last; the parents are the rest
@@ -163,7 +149,7 @@ def _visit(t: _Tallies, prefix: tuple[int, ...], mask: int, n_cfg: int) -> None:
             penalty = t.half_log_n * (cx - 1)
             row = t.scores[x]
             rest = _drop_bit(mask ^ (1 << x), x)
-            for y, ll in zip(range(lo, hi), lls):
+            for y, ll in zip(ys, lls):
                 row[rest | 1 << (y - 1)] = ll - penalty * (n_cfg // cx * cards[y])
 
     if depth == t.k:
@@ -171,7 +157,7 @@ def _visit(t: _Tallies, prefix: tuple[int, ...], mask: int, n_cfg: int) -> None:
     child_code = t.prefix_codes[depth + 1]
     for y in range(first, t.n - 1):
         np.multiply(code, cards[y], out=child_code)
-        child_code += t.cols[y]
+        child_code += t.tally.cols[y]
         _visit(t, prefix + (y,), mask | (1 << y), n_cfg * cards[y])
 
 
@@ -341,7 +327,17 @@ def _climb(ctx: ScoreContext, g: Dag, k: int) -> None:
         deltas[key] = val
         return val
 
+    n = g.n_nodes
+    stale = range(n)
     while True:
+        # one batch tally per stale target with room for another parent
+        # memoises bic(v, pa(v) + {u}) for every u that add and reverse
+        # moves may ask for
+        for v in stale:
+            pa = g.parents(v)
+            if len(pa) < k:
+                fill_bic(ctx, v, pa, [u for u in range(n) if u != v and u not in pa])
+
         # the largest delta above 1e-10 wins; exact ties go to the
         # smallest (kind, u, v)
         best_key: tuple[str, int, int] | None = None
@@ -365,6 +361,7 @@ def _climb(ctx: ScoreContext, g: Dag, k: int) -> None:
             touched = {u, v}
         for x in touched:
             local[x] = bic(ctx, x, g.parents(x))
+        stale = touched
         deltas = {
             key: val
             for key, val in deltas.items()

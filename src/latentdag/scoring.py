@@ -12,21 +12,29 @@ statistic of the U x V table stratified by Z. The test suite checks that
 identity against a direct G computation on random tables; here the score
 route is the only one implemented, so the learner and the independence
 search share one memoised code path.
+
+:func:`bic` tallies one family at a time. :func:`fill_bic` memoises the
+families ``(x, S ∪ {y})`` of many candidates y from one shared batch tally
+(:class:`~latentdag.data.BatchTally`, the routine the exact learner's score
+table runs on): the separator search calls it once per step and the hill
+climber once per stale target. Each table it scores is, integer for integer
+and in the same memory order, the table :func:`~latentdag.data.count`
+builds, so the memo holds the floats :func:`bic` would store.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2 as _chi2
+from scipy.special import chdtri
 
-from .data import Dataset, count
+from .data import BatchTally, Dataset, count
 
-__all__ = ["ScoreContext", "IndepVerdict", "log_likelihood", "bic", "f_bic", "chi2_critical",
-           "is_independent"]
+__all__ = ["ScoreContext", "IndepVerdict", "log_likelihood", "bic", "fill_bic", "f_bic",
+           "chi2_critical", "is_independent"]
 
 
 @dataclass(frozen=True)
@@ -46,9 +54,8 @@ class IndepVerdict:
 class ScoreContext:
     """Memoised local-score evaluator bound to one dataset.
 
-    Lookups are cheap dict reads; insertion is guarded by a lock so
-    concurrent scorers cannot corrupt the tables (recomputed values are
-    bit-identical, so a lost race is harmless).
+    Lookups are cheap dict reads. The batch-tally workspace is made on first
+    use and kept for the context's lifetime.
     """
 
     def __init__(self, dataset: Dataset):
@@ -58,7 +65,13 @@ class ScoreContext:
         self.log_n = math.log(dataset.n_rows)
         self._scores: dict[tuple[int, frozenset[int]], float] = {}
         self._verdicts: dict[tuple[int, int, frozenset[int], float], IndepVerdict] = {}
-        self._lock = threading.Lock()
+        self._tally: BatchTally | None = None
+
+    @property
+    def tally(self) -> BatchTally:
+        if self._tally is None:
+            self._tally = BatchTally(self.dataset)
+        return self._tally
 
     @property
     def n_rows(self) -> int:
@@ -112,11 +125,62 @@ def bic(ctx: ScoreContext, x: int, z=()) -> float:
         return cached
 
     table = count(ctx.dataset, x, zset)
-    dim = (ctx.cardinality(x) - 1) * table.n_configs
-    value = log_likelihood(table.counts[None], axis=1)[0] - 0.5 * ctx.log_n * dim
-    with ctx._lock:
-        ctx._scores[key] = value
-    return value
+    _memoise(ctx, x, [key], table.counts[None])
+    return ctx._scores[key]
+
+
+def _memoise(ctx: ScoreContext, x: int, keys, tables: np.ndarray) -> None:
+    """Score a stack of ``x``'s tables in :func:`~latentdag.data.count`'s
+    layout, ``(child state, parent configuration)``, into the memo."""
+    dim = (ctx.cardinality(x) - 1) * tables.shape[2]
+    for key, ll in zip(keys, log_likelihood(tables, axis=1)):
+        ctx._scores[key] = ll - 0.5 * ctx.log_n * dim
+
+
+def fill_bic(ctx: ScoreContext, x: int, base, ys, drop: int | None = None) -> None:
+    """Memoise ``bic(x, base ∪ {y})`` for every y of ``ys`` from batch tallies.
+
+    One bincount per batch tallies the joints of (x, base, y) for all y.
+    With ``drop``, a member of ``base``, the same joints also give
+    ``bic(x, (base - {drop}) ∪ {y})``, by summing over ``drop``'s axis (exact
+    on integers). Only keys missing from the memo are computed. Each table
+    is ``count``'s: padding sliced off, y's axis moved into its sorted slot
+    among the parents, and copied into a C-ordered stack, so every value is
+    the float :func:`bic` would store.
+    """
+    base = sorted(int(p) for p in base)
+    sets = [base] if drop is None else [base, [p for p in base if p != drop]]
+    todo = sorted({y for y in ys for s in sets if (x, frozenset((*s, y))) not in ctx._scores})
+    if not todo:
+        return
+    cards = ctx.dataset.cardinalities
+    base_cards = [cards[p] for p in base]
+    tally = ctx.tally
+    code = tally.code([x, *base])
+    for chunk, joint in tally.joints(code, cards[x] * math.prod(base_cards), todo):
+        grid = joint.reshape(len(chunk), cards[x], *base_cards, -1)
+        _fill_from(ctx, x, base, chunk, grid)
+        if drop is not None:
+            _fill_from(ctx, x, sets[1], chunk, grid.sum(axis=2 + base.index(drop)))
+
+
+def _fill_from(ctx: ScoreContext, x: int, parents: list[int], chunk, grid: np.ndarray) -> None:
+    """Memoise the missing ``bic(x, parents ∪ {y})`` for the ys of ``chunk``;
+    ``grid[j]`` counts (x, *parents, y) for ``chunk[j]``, y's axis padded."""
+    cards = ctx.dataset.cardinalities
+    groups: dict[tuple[int, ...], list] = {}
+    for j, y in enumerate(chunk):
+        key = (x, frozenset((*parents, y)))
+        if key in ctx._scores:
+            continue
+        slot = 1 + bisect.bisect(parents, y)
+        table = np.moveaxis(grid[j, ..., :cards[y]], -1, slot)
+        groups.setdefault(table.shape, []).append((key, table))
+    for shape, group in groups.items():
+        stack = np.empty((len(group), *shape), dtype=np.int64)
+        for i, (_, table) in enumerate(group):
+            stack[i] = table
+        _memoise(ctx, x, [key for key, _ in group], stack.reshape(len(group), shape[0], -1))
 
 
 def _dof(ctx: ScoreContext, u: int, v: int, zset: frozenset[int]) -> int:
@@ -146,7 +210,7 @@ def chi2_critical(dof: int, alpha: float) -> float:
         raise ValueError("dof must be >= 1")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
-    return float(_chi2.isf(alpha, dof))
+    return float(chdtri(dof, alpha))
 
 
 def is_independent(ctx: ScoreContext, u: int, v: int, z=(), alpha: float = 0.05) -> IndepVerdict:
@@ -170,6 +234,5 @@ def is_independent(ctx: ScoreContext, u: int, v: int, z=(), alpha: float = 0.05)
         critical=crit,
         independent=bool(partial.statistic < crit),
     )
-    with ctx._lock:
-        ctx._verdicts[key] = verdict
+    ctx._verdicts[key] = verdict
     return verdict

@@ -104,6 +104,25 @@ class TestBayesNetModel:
         with pytest.raises(ValueError, match="variable 'C' has no entry in 'cpts'"):
             bn_from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("key", ["variables", "arcs", "cpts"])
+    def test_json_missing_top_level_key(self, key):
+        doc = json.loads(bn_to_json(diamond_bn()))
+        del doc[key]
+        with pytest.raises(ValueError, match=f"network JSON has no '{key}' key"):
+            bn_from_json(json.dumps(doc))
+
+    def test_json_variable_without_states(self):
+        doc = json.loads(bn_to_json(diamond_bn()))
+        del doc["variables"][1]["states"]
+        with pytest.raises(ValueError, match="variable 'B' has no 'states' field"):
+            bn_from_json(json.dumps(doc))
+
+    def test_json_variable_without_name(self):
+        doc = json.loads(bn_to_json(diamond_bn()))
+        del doc["variables"][2]["name"]
+        with pytest.raises(ValueError, match="variable number 2 has no 'name' field"):
+            bn_from_json(json.dumps(doc))
+
     def test_copy_is_deep(self):
         bn = diamond_bn()
         c = bn.copy()

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latentdag import (
     Dag,
@@ -9,7 +11,9 @@ from latentdag import (
     ScoreContext,
     SeparatorQuery,
     VariableMeta,
+    SeparatorResult,
     d_separated,
+    f_bic,
     find_separator,
     is_independent,
     sample,
@@ -198,3 +202,66 @@ class TestGreedyStatisticSelection:
         assert r.found
         assert r.z == frozenset({1})
         assert r.trace[0][0] == 1
+
+
+def find_separator_per_candidate(q, ctx):
+    """The search with one f_bic tally pair per candidate and no batch fill,
+    kept as the reference the batched search must equal exactly."""
+    z = set(q.compulsory)
+    blocked = set(q.forbidden) | {q.u, q.v}
+    trace = []
+    if len(z) > q.h:
+        return SeparatorResult(found=False, trace=trace)
+    if is_independent(ctx, q.u, q.v, z, q.alpha).independent:
+        return SeparatorResult(found=True, z=frozenset(z), trace=trace)
+    while len(z) < q.h:
+        best, best_stat = None, float("inf")
+        for y in range(ctx.dataset.n_variables):
+            if y in z or y in blocked:
+                continue
+            stat = f_bic(ctx, q.u, q.v, z | {y}).statistic
+            if stat < best_stat:
+                best, best_stat = y, stat
+        if best is None:
+            break
+        z.add(best)
+        trace.append((best, best_stat))
+        if is_independent(ctx, q.u, q.v, z, q.alpha).independent:
+            return SeparatorResult(found=True, z=frozenset(z), trace=trace)
+    return SeparatorResult(found=False, trace=trace)
+
+
+@st.composite
+def separator_cases(draw):
+    """Dependent columns of 2 to 5 states (each a noisy function of earlier
+    ones) and one query with random compulsory and forbidden sets."""
+    n_vars = draw(st.integers(3, 7))
+    cards = draw(st.lists(st.integers(2, 5), min_size=n_vars, max_size=n_vars))
+    n_rows = draw(st.integers(20, 600))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cols = []
+    for i, c in enumerate(cards):
+        parents = [j for j in range(i) if rng.random() < 0.6]
+        col = sum((cols[j] for j in parents), np.zeros(n_rows, dtype=np.int64)) % c
+        noise = rng.random(n_rows) < 0.25
+        cols.append(np.where(noise, rng.integers(0, c, n_rows), col))
+    u, v, *rest = draw(st.permutations(range(n_vars)))
+    compulsory = draw(st.sets(st.sampled_from(rest), max_size=1)) if rest else set()
+    forbidden = draw(st.sets(st.sampled_from(rest), max_size=1)) - compulsory if rest else set()
+    query = SeparatorQuery(u=u, v=v, h=draw(st.integers(1, 6)),
+                           alpha=draw(st.sampled_from([0.001, 0.05, 0.5])),
+                           compulsory=compulsory, forbidden=forbidden)
+    return cols, cards, query
+
+
+class TestBatchedSteps:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(separator_cases())
+    def test_equals_per_candidate_search(self, case):
+        cols, cards, q = case
+        vs = tuple(VariableMeta(f"V{i}", tuple(f"s{j}" for j in range(c)))
+                   for i, c in enumerate(cards))
+        d = Dataset(vs, np.column_stack(cols).astype(np.int32))
+        got = find_separator(q, ScoreContext(d))
+        want = find_separator_per_candidate(q, ScoreContext(d))
+        assert (got.found, got.z, got.trace) == (want.found, want.z, want.trace)

@@ -233,6 +233,15 @@ class TestBenchmark:
         assert r.returncode == 2
         assert "undeclared variable 'NOPE'" in r.stderr
 
+    def test_missing_arcs_key_is_usage_error(self, workdir):
+        doc = json.loads((workdir / "bn7.json").read_text())
+        del doc["arcs"]
+        bad = workdir / "no_arcs.json"
+        bad.write_text(json.dumps(doc))
+        r = run_cli("benchmark", "--bn", bad, "--sizes", "300", "--reps", "1")
+        assert r.returncode == 2
+        assert "error: network JSON has no 'arcs' key" in r.stderr
+
     def test_empty_sizes_is_usage_error(self, workdir):
         r = run_cli("benchmark", "--bn", workdir / "bn7.json",
                     "--sizes", "", "--reps", "1")

@@ -1,9 +1,16 @@
 """Dataset loading, projection, and contingency counting."""
 
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latentdag import ContingencyTable, Dataset, VariableMeta, count, load_dataset, project
+from latentdag import data
+from latentdag.data import BatchTally
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -204,3 +211,44 @@ class TestContingencyTable:
                 counts=np.array([[1, 2], [3, 4]]), n_rows=99,
                 parent_cards=(2,),
             )
+
+
+@st.composite
+def tally_cases(draw):
+    """Columns of 2 to 6 states, an ascending base set (possibly empty), the
+    ascending extra variables, and the batch cap."""
+    n_vars = draw(st.integers(2, 6))
+    cards = draw(st.lists(st.integers(2, 6), min_size=n_vars, max_size=n_vars))
+    n_rows = draw(st.integers(1, 150))
+    cols = [draw(st.lists(st.integers(0, c - 1), min_size=n_rows, max_size=n_rows))
+            for c in cards]
+    base = sorted(draw(st.sets(st.integers(0, n_vars - 1), max_size=n_vars - 1)))
+    ys = sorted(draw(st.sets(st.sampled_from([i for i in range(n_vars) if i not in base]),
+                             min_size=1)))
+    cap = draw(st.sampled_from([1 << 20, 1, 9, 100]))
+    return cols, cards, base, ys, cap
+
+
+class TestBatchTally:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(tally_cases())
+    def test_joints_are_count_tables(self, case):
+        cols, cards, base, ys, cap = case
+        vs = [VariableMeta(f"V{i}", tuple(f"s{j}" for j in range(c)))
+              for i, c in enumerate(cards)]
+        d = Dataset(vs, np.array(cols, dtype=np.int32).T)
+        n_cfg = math.prod(cards[p] for p in base)
+        seen = []
+        with mock.patch.object(data, "_BATCH_ELEMENTS", cap):
+            tally = BatchTally(d)
+            code = tally.code(base)
+            for chunk, joint in tally.joints(code, n_cfg, ys):
+                assert joint.shape == (len(chunk), n_cfg, max(cards[y] for y in chunk))
+                for y, grid in zip(chunk, joint):
+                    seen.append(y)
+                    assert grid.sum() == d.n_rows
+                    assert not grid[:, cards[y]:].any()  # padding counts zero
+                    assert np.array_equal(grid.sum(axis=1),
+                                          np.bincount(code, minlength=n_cfg))
+                    assert np.array_equal(grid[:, :cards[y]].T, count(d, y, base).counts)
+        assert seen == ys

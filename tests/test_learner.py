@@ -2,9 +2,12 @@
 
 import itertools
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latentdag import (
     Dag,
@@ -24,7 +27,7 @@ from latentdag import (
     markov_equivalent,
     sample,
 )
-from latentdag import learner
+from latentdag import data, learner
 from latentdag.scoring import log_likelihood
 
 from oracles import (
@@ -239,7 +242,7 @@ class TestLocalScoreTable:
     def test_equals_per_family_tallies_when_batches_split(self, monkeypatch):
         # a small batch cap splits each prefix's children over several
         # bincounts, as long data or wide domains do under the real cap
-        monkeypatch.setattr(learner, "_BATCH_ELEMENTS", 1000)
+        monkeypatch.setattr(data, "_BATCH_ELEMENTS", 1000)
         rng = np.random.default_rng(309)
         cards = [2, 5, 3, 4, 2, 6]
         d = make_dataset([rng.integers(0, c, 400) for c in cards], cards)
@@ -254,7 +257,39 @@ class TestLocalScoreTable:
         assert tbl.node_scores == per_family_scores(d, 4)
 
 
+@st.composite
+def climb_cases(draw):
+    """Dependent columns of 2 to 5 states, each a noisy function of earlier
+    ones, plus a parent cap and a restart count."""
+    n_vars = draw(st.integers(2, 7))
+    cards = draw(st.lists(st.integers(2, 5), min_size=n_vars, max_size=n_vars))
+    n_rows = draw(st.integers(1, 500))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cols = []
+    for i, c in enumerate(cards):
+        parents = [j for j in range(i) if rng.random() < 0.5]
+        col = sum((cols[j] for j in parents), np.zeros(n_rows, dtype=np.int64)) % c
+        cols.append(np.where(rng.random(n_rows) < 0.3, rng.integers(0, c, n_rows), col))
+    cfg = LearnerConfig(max_parents=draw(st.integers(1, 3)), restarts=draw(st.integers(1, 3)),
+                        seed=draw(st.integers(0, 9)))
+    return make_dataset(cols, cards), cfg
+
+
 class TestHillClimb:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=80)
+    @given(climb_cases())
+    def test_batch_fill_changes_no_arc(self, case):
+        # with the fill a no-op, every score comes from its own tally: the
+        # climber as it was before the batch, kept as the reference
+        d, cfg = case
+        ctx = ScoreContext(d)
+        got = learn_hill_climb(d, cfg, ctx).arcs()
+        ref_ctx = ScoreContext(d)
+        with mock.patch.object(learner, "fill_bic", lambda *args, **kw: None):
+            want = learn_hill_climb(d, cfg, ref_ctx).arcs()
+        assert got == want
+        assert all(ctx._scores[key] == v for key, v in ref_ctx._scores.items())
+
     def test_never_beats_exact(self):
         for seed in range(4):
             rng = np.random.default_rng(200 + seed)

@@ -2,7 +2,12 @@
 chi-square critical values they are compared against."""
 
 import math
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +24,8 @@ from latentdag import (
     f_bic,
     is_independent,
 )
-from latentdag.scoring import log_likelihood
+from latentdag import data
+from latentdag.scoring import fill_bic, log_likelihood
 from oracles import bic_direct, g2_direct
 
 
@@ -271,3 +277,69 @@ class TestStatisticProperties:
         cols, cards, u, v, z = case
         ctx = make_context(cols, cards)
         assert is_independent(ctx, u, v, z) is is_independent(ctx, v, u, z)
+
+
+@st.composite
+def batch_cases(draw):
+    """A dataset of 2 to 6 columns with 2 to 6 states, and one fill_bic call:
+    child x, base set, candidates, an optional dropped base member, keys
+    already memoised, and the batch cap."""
+    n_vars = draw(st.integers(2, 6))
+    cards = draw(st.lists(st.integers(2, 6), min_size=n_vars, max_size=n_vars))
+    n_rows = draw(st.integers(1, 150))
+    cols = [draw(st.lists(st.integers(0, c - 1), min_size=n_rows, max_size=n_rows))
+            for c in cards]
+    x = draw(st.integers(0, n_vars - 1))
+    others = [i for i in range(n_vars) if i != x]
+    base = sorted(draw(st.sets(st.sampled_from(others), max_size=n_vars - 2)))
+    ys = sorted(draw(st.sets(st.sampled_from([i for i in others if i not in base]),
+                             min_size=1)))
+    drop = draw(st.sampled_from([None, *base]))
+    sets = [base] if drop is None else [base, [p for p in base if p != drop]]
+    keys = [frozenset((*s, y)) for s in sets for y in ys]
+    cached = draw(st.sets(st.sampled_from(keys)))
+    cap = draw(st.sampled_from([1 << 20, 1, 9, 100]))
+    return cols, cards, x, base, ys, drop, keys, cached, cap
+
+
+class TestFillBic:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(batch_cases())
+    def test_memo_equals_fresh_per_family_bic(self, case):
+        cols, cards, x, base, ys, drop, keys, cached, cap = case
+        ctx = make_context(cols, cards)
+        # a memoised key is left alone, whatever it holds
+        for key in cached:
+            ctx._scores[(x, key)] = -1.0
+        with mock.patch.object(data, "_BATCH_ELEMENTS", cap):
+            fill_bic(ctx, x, base, ys, drop)
+        assert set(ctx._scores) == {(x, key) for key in keys}
+        fresh = make_context(cols, cards)
+        for key in keys:
+            want = -1.0 if key in cached else bic(fresh, x, key)
+            assert ctx._scores[(x, key)] == want
+
+    def test_empty_base_and_unobserved_configurations(self):
+        # 6 x 5 x 4 grid over 12 rows: most configurations never occur
+        rng = np.random.default_rng(8)
+        cards = [6, 5, 4, 3]
+        cols = [list(rng.integers(0, c, 12)) for c in cards]
+        ctx = make_context(cols, cards)
+        fill_bic(ctx, 0, (), [1, 2, 3])
+        fill_bic(ctx, 1, (0, 2), [3], drop=0)
+        fresh = make_context(cols, cards)
+        for x, parents in [(0, {1}), (0, {2}), (0, {3}), (1, {0, 2, 3}), (1, {2, 3})]:
+            assert ctx._scores[(x, frozenset(parents))] == bic(fresh, x, parents)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats takes most of a cold import; the package needs only
+    # scipy.special
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in [str(src), os.environ.get("PYTHONPATH", "")] if p))
+    r = subprocess.run(
+        [sys.executable, "-c",
+         "import latentdag, sys; assert 'scipy.stats' not in sys.modules"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert r.returncode == 0, r.stderr
