@@ -7,15 +7,20 @@ dependence, not a proof. Callers (triangle classification in particular)
 treat it exactly that way.
 
 Each step scores its candidates from one batched tally: :func:`fill_bic`
-memoises ``bic(u, Z ∪ {v, y})`` and ``bic(u, Z ∪ {y})`` for every candidate
-y, and the per-candidate statistics below read those from the memo.
+returns ``bic(u, Z ∪ {v, y})`` and ``bic(u, Z ∪ {y})`` for every candidate
+y as two arrays, and the step takes all statistics as one array expression,
+in :func:`~latentdag.scoring.f_bic`'s association, so each is the float
+``f_bic`` gives.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
-from .scoring import ScoreContext, f_bic, fill_bic, is_independent
+import numpy as np
+
+from .scoring import ScoreContext, fill_bic, is_independent
 
 __all__ = ["SeparatorQuery", "SeparatorResult", "find_separator"]
 
@@ -75,17 +80,18 @@ def find_separator(q: SeparatorQuery, ctx: ScoreContext) -> SeparatorResult:
         return SeparatorResult(found=True, z=frozenset(z), trace=trace)
 
     n_vars = ctx.dataset.n_variables
+    cards = ctx.dataset.cardinalities
     while len(z) < q.h:
         cands = [y for y in range(n_vars) if y not in z and y not in blocked]
-        fill_bic(ctx, q.u, z | {q.v}, cands, drop=q.v)
-        best: int | None = None
-        best_stat = float("inf")
-        for y in cands:
-            stat = f_bic(ctx, q.u, q.v, z | {y}).statistic
-            if stat < best_stat:  # strict: ties keep the lowest id
-                best, best_stat = y, stat
-        if best is None:
+        if not cands:
             break  # candidate pool exhausted before the budget
+        with_v, without_v = fill_bic(ctx, q.u, z | {q.v}, cands, drop=q.v)
+        # f_bic's statistic for every candidate y, in f_bic's association
+        dof = ((cards[q.u] - 1) * (cards[q.v] - 1) * math.prod(cards[x] for x in z)
+               * np.array([cards[y] for y in cands]))
+        stats = 2.0 * (with_v - without_v + 0.5 * ctx.log_n * dof)
+        i = int(np.argmin(stats))  # the first minimum: ties keep the lowest id
+        best, best_stat = cands[i], float(stats[i])
         z.add(best)
         trace.append((best, best_stat))
         if is_independent(ctx, q.u, q.v, z, q.alpha).independent:

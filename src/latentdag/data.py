@@ -86,6 +86,7 @@ class Dataset:
         self.variables: tuple[VariableMeta, ...] = tuple(variables)
         self.values: np.ndarray = np.ascontiguousarray(values, dtype=np.int32)
         self.values.setflags(write=False)
+        self._cards: tuple[int, ...] = tuple(v.cardinality for v in variables)
         self._index: dict[str, int] = {n: i for i, n in enumerate(names)}
 
     @property
@@ -98,7 +99,7 @@ class Dataset:
 
     @property
     def cardinalities(self) -> tuple[int, ...]:
-        return tuple(v.cardinality for v in self.variables)
+        return self._cards
 
     def id_of(self, name: str) -> int:
         try:
@@ -160,26 +161,42 @@ def load_dataset(path, delimiter: str = ",") -> Dataset:
     Files without data rows, empty cells and single-state columns are
     rejected: scoring needs complete data and two or more states per variable.
     """
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
+    try:
+        csv.reader((), delimiter=delimiter)
+    except TypeError as exc:
+        raise ValueError(f"bad delimiter {delimiter!r}: {exc}") from None
+    try:
+        with open(path, "r", newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh, delimiter=delimiter)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise ValueError(f"{path}: empty file (missing header)") from None
+            if any(not h.strip() for h in header):
+                raise ValueError(f"{path}: blank column name in header")
+            rows: list[list[str]] = []
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue  # ignore completely blank lines
+                if len(row) != len(header):
+                    raise ValueError(
+                        f"{path}:{lineno}: ragged row ({len(row)} cells, "
+                        f"expected {len(header)})"
+                    )
+                if "" in row:
+                    raise ValueError(f"{path}:{lineno}: missing value")
+                rows.append(row)
+    except UnicodeDecodeError:
+        # the decoder reports offsets within its read chunk: decode the
+        # whole file again to place the bad byte
+        with open(path, "rb") as fh:
+            raw = fh.read()
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file (missing header)") from None
-        if any(not h.strip() for h in header):
-            raise ValueError(f"{path}: blank column name in header")
-        rows: list[list[str]] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue  # ignore completely blank lines
-            if len(row) != len(header):
-                raise ValueError(
-                    f"{path}:{lineno}: ragged row ({len(row)} cells, "
-                    f"expected {len(header)})"
-                )
-            if any(cell == "" for cell in row):
-                raise ValueError(f"{path}:{lineno}: missing value")
-            rows.append(row)
+            raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text (byte 0x{raw[exc.start]:02x} "
+                             f"at offset {exc.start})") from None
+        raise
 
     if not rows:
         raise ValueError(f"{path}: no data rows after the header")
@@ -195,7 +212,8 @@ def load_dataset(path, delimiter: str = ",") -> Dataset:
             )
         variables.append(VariableMeta(name, tuple(labels)))
         lookup = {lab: j for j, lab in enumerate(labels)}
-        encoded[:, i] = [lookup[cell] for cell in columns[i]]
+        encoded[:, i] = np.fromiter(map(lookup.__getitem__, columns[i]), np.int32,
+                                    count=len(rows))
     return Dataset(variables, encoded)
 
 

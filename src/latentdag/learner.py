@@ -14,11 +14,14 @@ Two engines behind one config:
   smaller one, so exact ties keep the smallest id); the graph is rebuilt
   by peeling the recorded sinks. Feasible up to 20 nodes with k <= 4.
 * ``learn_hill_climb`` — add/remove/reverse local search with best-improvement
-  moves, per-node delta caching and seeded random restarts. Each node that
-  can take another parent and whose parent set changed (every node at the
-  start) gets the scores of all its one-parent extensions from one batch
-  tally (:func:`~latentdag.scoring.fill_bic`); the move loop reads them
-  from the memo.
+  moves and seeded random restarts. The climber keeps n x n arrays of add
+  and remove deltas and recomputes a node's column only when its parent set
+  changes (every node at the start): the adds from one batch tally of its
+  one-parent extensions (:func:`~latentdag.scoring.fill_bic`), the removes
+  from one tally of its family (:func:`~latentdag.scoring.drop_bic`). A
+  reverse scores the remove plus the opposite add. Each iteration masks the
+  illegal moves with the adjacency matrix and one transitive closure and
+  takes the first maximum over the (add, remove, reverse) stack.
 
 Both return plain :class:`~latentdag.graphs.Dag` objects. Each takes an
 optional :class:`~latentdag.scoring.ScoreContext` so that a discovery run
@@ -34,7 +37,7 @@ import numpy as np
 
 from .data import Dataset
 from .graphs import Dag
-from .scoring import ScoreContext, bic, fill_bic, log_likelihood
+from .scoring import ScoreContext, bic, drop_bic, fill_bic, log_likelihood
 
 __all__ = ["LearnerConfig", "LocalScoreTable", "learn_exact", "learn_hill_climb", "learn"]
 
@@ -286,90 +289,73 @@ def learn_hill_climb(d: Dataset, cfg: LearnerConfig = LearnerConfig(),
     return best
 
 
-def _moves(g: Dag, k: int):
-    """Every add, remove and reverse move that keeps ``g`` acyclic and every
-    parent set within ``k``, as ``(kind, u, v)`` on the arc ``u -> v``."""
-    n = g.n_nodes
-    room = [len(g.parents(x)) < k for x in range(n)]
-    for u in range(n):
-        for v in range(n):
-            if u == v:
-                continue
-            if g.has_arc(u, v):
-                yield ("remove", u, v)
-                if room[u] and not g.reaches(u, v):
-                    yield ("reverse", u, v)
-            elif room[v] and not g.has_arc(v, u) and not g.reaches(v, u):
-                yield ("add", u, v)
+def _legal_moves(adj: np.ndarray, k: int) -> np.ndarray:
+    """Masks of the moves that keep the graph acyclic and every parent set
+    within ``k``: ``[kind, u, v]`` for the arc ``u -> v``, kinds in the
+    order add, remove, reverse. ``adj[u, v]`` marks the arc ``u -> v``."""
+    # paths of one or more arcs, by squaring until no longer path appears
+    reach = adj
+    while True:
+        longer = reach | reach @ reach
+        if (longer == reach).all():
+            break
+        reach = longer
+    room = adj.sum(axis=0) < k
+    # adding u -> v between non-adjacent nodes closes a cycle iff v reaches
+    # u; reversing u -> v closes one iff a path of two or more arcs leads
+    # from u to v
+    add = ~(adj | adj.T | reach.T | np.eye(len(adj), dtype=bool)) & room
+    reverse = adj & ~(adj @ reach) & room[:, None]
+    return np.stack([add, adj, reverse])
 
 
 def _climb(ctx: ScoreContext, g: Dag, k: int) -> None:
     """Apply the best strictly improving move to ``g`` until none is left."""
-    local = [bic(ctx, x, g.parents(x)) for x in range(g.n_nodes)]
-
-    # move deltas keyed by (kind, u, v); entries are dropped whenever a node
-    # whose parent set they read gets touched by an applied move
-    deltas: dict[tuple[str, int, int], float] = {}
-
-    def delta_of(kind: str, u: int, v: int) -> float:
-        key = (kind, u, v)
-        got = deltas.get(key)
-        if got is not None:
-            return got
-        if kind == "add":
-            val = bic(ctx, v, g.parents(v) | {u}) - local[v]
-        elif kind == "remove":
-            val = bic(ctx, v, g.parents(v) - {u}) - local[v]
-        else:  # reverse u -> v  becomes  v -> u
-            val = (bic(ctx, v, g.parents(v) - {u}) - local[v]) + (
-                bic(ctx, u, g.parents(u) | {v}) - local[u]
-            )
-        deltas[key] = val
-        return val
-
     n = g.n_nodes
+    if n < 2:
+        return  # no move exists
+    adj = np.zeros((n, n), dtype=bool)
+    for u, v in g.arcs():
+        adj[u, v] = True
+    local = np.zeros(n)
+    # score deltas of adding and of removing u -> v, at [u, v]; a target's
+    # column is recomputed whenever its parent set changes, and reversing
+    # u -> v scores remove[u, v] + add[v, u]
+    add = np.zeros((n, n))
+    remove = np.zeros((n, n))
     stale = range(n)
     while True:
-        # one batch tally per stale target with room for another parent
-        # memoises bic(v, pa(v) + {u}) for every u that add and reverse
-        # moves may ask for
         for v in stale:
-            pa = g.parents(v)
+            pa = np.flatnonzero(adj[:, v]).tolist()
+            drops = drop_bic(ctx, v, pa)
+            local[v] = bic(ctx, v, pa)
+            remove[pa, v] = drops - local[v]
             if len(pa) < k:
-                fill_bic(ctx, v, pa, [u for u in range(n) if u != v and u not in pa])
+                cands = [u for u in range(n) if u != v and not adj[u, v]]
+                add[cands, v] = fill_bic(ctx, v, pa, cands)[0] - local[v]
 
-        # the largest delta above 1e-10 wins; exact ties go to the
-        # smallest (kind, u, v)
-        best_key: tuple[str, int, int] | None = None
-        best_delta = 1e-10
-        for key in _moves(g, k):
-            dd = delta_of(*key)
-            if dd > best_delta or (dd == best_delta and best_key and key < best_key):
-                best_delta, best_key = dd, key
-        if best_key is None:
+        # the largest delta above 1e-10 wins; the first maximum in
+        # (kind, u, v) order takes exact ties
+        deltas = np.where(_legal_moves(adj, k), np.stack([add, remove, remove + add.T]),
+                          -np.inf)
+        best = int(deltas.argmax())
+        if not deltas.flat[best] > 1e-10:
             return
-        kind, u, v = best_key
-        if kind == "add":
+        kind, arc = divmod(best, n * n)
+        u, v = divmod(arc, n)
+        if kind == 0:
             g.add_arc(u, v)
-            touched = {v}
-        elif kind == "remove":
+            adj[u, v] = True
+            stale = (v,)
+        elif kind == 1:
             g.remove_arc(u, v)
-            touched = {v}
+            adj[u, v] = False
+            stale = (v,)
         else:
             g.remove_arc(u, v)
             g.add_arc(v, u)
-            touched = {u, v}
-        for x in touched:
-            local[x] = bic(ctx, x, g.parents(x))
-        stale = touched
-        deltas = {
-            key: val
-            for key, val in deltas.items()
-            if not (
-                key[2] in touched
-                or (key[0] == "reverse" and key[1] in touched)
-            )
-        }
+            adj[u, v], adj[v, u] = False, True
+            stale = (u, v)
 
 
 def learn(d: Dataset, cfg: LearnerConfig = LearnerConfig(),

@@ -13,18 +13,22 @@ identity against a direct G computation on random tables; here the score
 route is the only one implemented, so the learner and the independence
 search share one memoised code path.
 
-:func:`bic` tallies one family at a time. :func:`fill_bic` memoises the
+:func:`bic` tallies one family at a time. :func:`fill_bic` scores the
 families ``(x, S ∪ {y})`` of many candidates y from one shared batch tally
 (:class:`~latentdag.data.BatchTally`, the routine the exact learner's score
-table runs on): the separator search calls it once per step and the hill
-climber once per stale target. Each table it scores is, integer for integer
-and in the same memory order, the table :func:`~latentdag.data.count`
-builds, so the memo holds the floats :func:`bic` would store.
+table runs on) and returns them as arrays in candidate order: the separator
+search calls it once per step and the hill climber once per stale target.
+:func:`drop_bic` scores the families ``(x, S - {p})`` of every member p
+from one tally of ``(x, S)``, for the climber's remove moves. Each table
+either scores is, integer for integer and in the same memory order, the
+table :func:`~latentdag.data.count` builds, so both memoise and return the
+floats :func:`bic` would store.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -33,8 +37,8 @@ from scipy.special import chdtri
 
 from .data import BatchTally, Dataset, count
 
-__all__ = ["ScoreContext", "IndepVerdict", "log_likelihood", "bic", "fill_bic", "f_bic",
-           "chi2_critical", "is_independent"]
+__all__ = ["ScoreContext", "IndepVerdict", "log_likelihood", "bic", "fill_bic", "drop_bic",
+           "f_bic", "chi2_critical", "is_independent"]
 
 
 @dataclass(frozen=True)
@@ -137,50 +141,93 @@ def _memoise(ctx: ScoreContext, x: int, keys, tables: np.ndarray) -> None:
         ctx._scores[key] = ll - 0.5 * ctx.log_n * dim
 
 
-def fill_bic(ctx: ScoreContext, x: int, base, ys, drop: int | None = None) -> None:
-    """Memoise ``bic(x, base ∪ {y})`` for every y of ``ys`` from batch tallies.
+def fill_bic(ctx: ScoreContext, x: int, base, ys, drop: int | None = None) -> list[np.ndarray]:
+    """``bic(x, base ∪ {y})`` for every y of ``ys``, from batch tallies.
 
-    One bincount per batch tallies the joints of (x, base, y) for all y.
-    With ``drop``, a member of ``base``, the same joints also give
-    ``bic(x, (base - {drop}) ∪ {y})``, by summing over ``drop``'s axis (exact
-    on integers). Only keys missing from the memo are computed. Each table
-    is ``count``'s: padding sliced off, y's axis moved into its sorted slot
-    among the parents, and copied into a C-ordered stack, so every value is
-    the float :func:`bic` would store.
+    Returns one float64 array in ``ys`` order; with ``drop``, a member of
+    ``base``, a second array holds ``bic(x, (base - {drop}) ∪ {y})``, got
+    from the same joints by summing over ``drop``'s axis (exact on
+    integers). One bincount per batch tallies the joints of (x, base, y) for
+    all y, and only keys missing from the memo are computed and memoised.
+    Each table is ``count``'s, integer for integer and in the same memory
+    order, so every value is the float :func:`bic` would store.
     """
     base = sorted(int(p) for p in base)
     sets = [base] if drop is None else [base, [p for p in base if p != drop]]
-    todo = sorted({y for y in ys for s in sets if (x, frozenset((*s, y))) not in ctx._scores})
-    if not todo:
-        return
-    cards = ctx.dataset.cardinalities
-    base_cards = [cards[p] for p in base]
-    tally = ctx.tally
-    code = tally.code([x, *base])
-    for chunk, joint in tally.joints(code, cards[x] * math.prod(base_cards), todo):
-        grid = joint.reshape(len(chunk), cards[x], *base_cards, -1)
-        _fill_from(ctx, x, base, chunk, grid)
-        if drop is not None:
-            _fill_from(ctx, x, sets[1], chunk, grid.sum(axis=2 + base.index(drop)))
+    memo = ctx._scores
+    keys = [[(x, frozenset((*s, y))) for y in ys] for s in sets]
+    missing = [{y: key for y, key in zip(ys, row) if key not in memo} for row in keys]
+    todo = sorted(set().union(*missing))
+    if todo:
+        cards = ctx.dataset.cardinalities
+        base_cards = [cards[p] for p in base]
+        tally = ctx.tally
+        code = tally.code([x, *base])
+        for chunk, joint in tally.joints(code, cards[x] * math.prod(base_cards), todo):
+            grid = joint.reshape(len(chunk), cards[x], *base_cards, -1)
+            _fill_from(ctx, x, base, chunk, grid, missing[0])
+            if drop is not None:
+                _fill_from(ctx, x, sets[1], chunk, grid.sum(axis=2 + base.index(drop)),
+                           missing[1])
+    return [np.array([memo[key] for key in row], dtype=np.float64) for row in keys]
 
 
-def _fill_from(ctx: ScoreContext, x: int, parents: list[int], chunk, grid: np.ndarray) -> None:
-    """Memoise the missing ``bic(x, parents ∪ {y})`` for the ys of ``chunk``;
-    ``grid[j]`` counts (x, *parents, y) for ``chunk[j]``, y's axis padded."""
+def _fill_from(ctx: ScoreContext, x: int, parents: list[int], chunk, grid: np.ndarray,
+               missing: dict) -> None:
+    """Memoise ``bic(x, parents ∪ {y})`` under ``missing[y]`` for the ys of
+    ``chunk`` it names; ``grid[j]`` counts (x, *parents, y) for ``chunk[j]``,
+    y's axis padded.
+
+    The tables of the ys of one cardinality share one stack and one kernel
+    call. y's axis goes to its sorted slot among the parents; the ys of a
+    slot are consecutive in ``chunk``, so each slot fills its block of the
+    stack with one transposed copy.
+    """
     cards = ctx.dataset.cardinalities
-    groups: dict[tuple[int, ...], list] = {}
+    pcards = [cards[p] for p in parents]
+    groups: dict[int, list[int]] = {}
     for j, y in enumerate(chunk):
-        key = (x, frozenset((*parents, y)))
-        if key in ctx._scores:
-            continue
-        slot = 1 + bisect.bisect(parents, y)
-        table = np.moveaxis(grid[j, ..., :cards[y]], -1, slot)
-        groups.setdefault(table.shape, []).append((key, table))
-    for shape, group in groups.items():
-        stack = np.empty((len(group), *shape), dtype=np.int64)
-        for i, (_, table) in enumerate(group):
-            stack[i] = table
-        _memoise(ctx, x, [key for key, _ in group], stack.reshape(len(group), shape[0], -1))
+        if y in missing:
+            groups.setdefault(cards[y], []).append(j)
+    last = len(pcards) + 2  # grid axes: row, x, parents, y
+    for c, js in groups.items():
+        stack = np.empty((len(js), cards[x], math.prod(pcards) * c), dtype=np.int64)
+        lo = 0
+        for slot, run in itertools.groupby(js, lambda j: bisect.bisect(parents, chunk[j])):
+            hi = lo + len(list(run))
+            axes = (0, 1, *range(2, 2 + slot), last, *range(2 + slot, last))
+            block = stack[lo:hi].reshape(hi - lo, cards[x], *pcards[:slot], c, *pcards[slot:])
+            block[...] = grid[js[lo:hi], ..., :c].transpose(axes)
+            lo = hi
+        _memoise(ctx, x, [missing[chunk[j]] for j in js], stack)
+
+
+def drop_bic(ctx: ScoreContext, x: int, parents) -> np.ndarray:
+    """``bic(x, parents - {p})`` for each p of the sorted ``parents``, as
+    one float64 array; ``bic(x, parents)`` is memoised on the way.
+
+    Missing keys come from one tally of (x, *parents): summing it over p's
+    axis gives, integer for integer and in the same memory order,
+    ``count``'s table of (x, parents - {p}).
+    """
+    parents = sorted(int(p) for p in parents)
+    memo = ctx._scores
+    full = (x, frozenset(parents))
+    keys = [(x, frozenset(parents[:i] + parents[i + 1:])) for i in range(len(parents))]
+    missing = [i for i, key in enumerate(keys) if key not in memo]
+    if missing or full not in memo:
+        table = count(ctx.dataset, x, parents).counts
+        if full not in memo:
+            _memoise(ctx, x, [full], table[None])
+        cards = ctx.dataset.cardinalities
+        grid = table.reshape(cards[x], *(cards[p] for p in parents))
+        groups: dict[int, list[int]] = {}
+        for i in missing:
+            groups.setdefault(cards[parents[i]], []).append(i)
+        for idx in groups.values():
+            stack = np.stack([grid.sum(axis=1 + i).reshape(cards[x], -1) for i in idx])
+            _memoise(ctx, x, [keys[i] for i in idx], stack)
+    return np.array([memo[key] for key in keys], dtype=np.float64)
 
 
 def _dof(ctx: ScoreContext, u: int, v: int, zset: frozenset[int]) -> int:

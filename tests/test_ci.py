@@ -255,6 +255,22 @@ def separator_cases(draw):
 
 
 class TestBatchedSteps:
+    def test_exact_tie_keeps_lowest_id(self):
+        # V3 copies the mediator V2, and both sit above u and v, so their
+        # tables and statistics are equal to the last bit
+        rng = np.random.default_rng(3)
+        n = 400
+        u = rng.integers(0, 2, n)
+        z = np.where(rng.random(n) < 0.8, u, 1 - u)
+        v = np.where(rng.random(n) < 0.8, z, 1 - z)
+        vs = tuple(VariableMeta(f"V{i}", ("s0", "s1")) for i in range(4))
+        d = Dataset(vs, np.column_stack([u, v, z, z]).astype(np.int32))
+        q = SeparatorQuery(u=0, v=1)
+        got = find_separator(q, ScoreContext(d))
+        want = find_separator_per_candidate(q, ScoreContext(d))
+        assert got.trace[0][0] == 2
+        assert (got.found, got.z, got.trace) == (want.found, want.z, want.trace)
+
     @settings(derandomize=True, database=None, deadline=None, max_examples=150)
     @given(separator_cases())
     def test_equals_per_candidate_search(self, case):

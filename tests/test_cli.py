@@ -249,6 +249,27 @@ class TestBenchmark:
         assert "at least one dataset size" in r.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ("discover", "--delimiter", ""),
+    ("learn", "--delimiter", ";;"),
+    ("sepset", "--u", "U", "--v", "V", "--delimiter", ";;"),
+])
+def test_bad_delimiter_is_usage_error(workdir, argv):
+    r = run_cli(argv[0], "--input", workdir / "chain.csv", *argv[1:])
+    assert r.returncode == 2
+    assert "error: bad delimiter" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_non_utf8_input_names_file_and_offset(workdir):
+    path = workdir / "latin1.csv"
+    # 0xe9 is "é" in Latin-1 and a truncated sequence in UTF-8
+    path.write_bytes("U,V\nlo,hi\n".encode() + b"caf\xe9,lo\n")
+    r = run_cli("learn", "--input", path)
+    assert r.returncode == 2
+    assert f"error: {path}: not UTF-8 text (byte 0xe9 at offset 13)" in r.stderr
+
+
 def test_no_subcommand_is_usage_error():
     r = run_cli()
     assert r.returncode == 2

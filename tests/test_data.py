@@ -90,6 +90,19 @@ class TestLoadDataset:
         d = load_dataset(path, delimiter=";")
         assert d.n_variables == 2
 
+    @pytest.mark.parametrize("delimiter", ["", ";;"])
+    def test_bad_delimiter_is_value_error(self, tmp_path, delimiter):
+        path = write(tmp_path, "X,Y\na,x\nb,y\n")
+        with pytest.raises(ValueError, match="bad delimiter"):
+            load_dataset(path, delimiter=delimiter)
+
+    def test_bad_byte_offset_beyond_first_read_chunk(self, tmp_path):
+        # the decoder reads in chunks; the offset counts from the file start
+        path = tmp_path / "long.csv"
+        path.write_bytes(b"X,Y\n" + b"a,x\nb,y\n" * 5000 + b"\xff,x\n")
+        with pytest.raises(ValueError, match="byte 0xff at offset 40004"):
+            load_dataset(path)
+
     def test_values_are_read_only(self, tmp_path):
         path = write(tmp_path, "X\na\nb\n")
         d = load_dataset(path)

@@ -2,7 +2,6 @@
 
 import itertools
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -257,6 +256,99 @@ class TestLocalScoreTable:
         assert tbl.node_scores == per_family_scores(d, 4)
 
 
+def moves_per_candidate(g, k):
+    """Every add, remove and reverse move that keeps ``g`` acyclic and every
+    parent set within ``k``, as ``(kind, u, v)`` on the arc ``u -> v``, from
+    one ``Dag.reaches`` search per candidate."""
+    n = g.n_nodes
+    room = [len(g.parents(x)) < k for x in range(n)]
+    for u in range(n):
+        for v in range(n):
+            if u == v:
+                continue
+            if g.has_arc(u, v):
+                yield ("remove", u, v)
+                if room[u] and not g.reaches(u, v):
+                    yield ("reverse", u, v)
+            elif room[v] and not g.has_arc(v, u) and not g.reaches(v, u):
+                yield ("add", u, v)
+
+
+def climb_per_move(ctx, g, k):
+    """The climber with one delta per candidate move, each score from its own
+    tally, kept as the reference the array climber must equal exactly."""
+    local = [bic(ctx, x, g.parents(x)) for x in range(g.n_nodes)]
+
+    # move deltas keyed by (kind, u, v); entries are dropped whenever a node
+    # whose parent set they read gets touched by an applied move
+    deltas = {}
+
+    def delta_of(kind, u, v):
+        key = (kind, u, v)
+        got = deltas.get(key)
+        if got is not None:
+            return got
+        if kind == "add":
+            val = bic(ctx, v, g.parents(v) | {u}) - local[v]
+        elif kind == "remove":
+            val = bic(ctx, v, g.parents(v) - {u}) - local[v]
+        else:  # reverse u -> v  becomes  v -> u
+            val = (bic(ctx, v, g.parents(v) - {u}) - local[v]) + (
+                bic(ctx, u, g.parents(u) | {v}) - local[u]
+            )
+        deltas[key] = val
+        return val
+
+    while True:
+        # the largest delta above 1e-10 wins; exact ties go to the
+        # smallest (kind, u, v)
+        best_key = None
+        best_delta = 1e-10
+        for key in moves_per_candidate(g, k):
+            dd = delta_of(*key)
+            if dd > best_delta or (dd == best_delta and best_key and key < best_key):
+                best_delta, best_key = dd, key
+        if best_key is None:
+            return
+        kind, u, v = best_key
+        if kind == "add":
+            g.add_arc(u, v)
+            touched = {v}
+        elif kind == "remove":
+            g.remove_arc(u, v)
+            touched = {v}
+        else:
+            g.remove_arc(u, v)
+            g.add_arc(v, u)
+            touched = {u, v}
+        for x in touched:
+            local[x] = bic(ctx, x, g.parents(x))
+        deltas = {
+            key: val
+            for key, val in deltas.items()
+            if not (
+                key[2] in touched
+                or (key[0] == "reverse" and key[1] in touched)
+            )
+        }
+
+
+def learn_hill_climb_per_move(d, cfg, ctx):
+    """``learn_hill_climb``'s restarts around :func:`climb_per_move`."""
+    names = [v.name for v in d.variables]
+    best, best_score = None, -np.inf
+    for restart in range(cfg.restarts):
+        g = Dag(d.n_variables, names)
+        if restart > 0:
+            learner._random_start(g, cfg.max_parents,
+                                  np.random.default_rng([cfg.seed, restart]))
+        climb_per_move(ctx, g, cfg.max_parents)
+        score = sum(bic(ctx, x, g.parents(x)) for x in range(g.n_nodes))
+        if score > best_score + 1e-12:
+            best_score, best = score, g
+    return best
+
+
 @st.composite
 def climb_cases(draw):
     """Dependent columns of 2 to 5 states, each a noisy function of earlier
@@ -278,17 +370,33 @@ def climb_cases(draw):
 class TestHillClimb:
     @settings(derandomize=True, database=None, deadline=None, max_examples=80)
     @given(climb_cases())
-    def test_batch_fill_changes_no_arc(self, case):
-        # with the fill a no-op, every score comes from its own tally: the
-        # climber as it was before the batch, kept as the reference
+    def test_equals_per_move_climber(self, case):
         d, cfg = case
         ctx = ScoreContext(d)
         got = learn_hill_climb(d, cfg, ctx).arcs()
         ref_ctx = ScoreContext(d)
-        with mock.patch.object(learner, "fill_bic", lambda *args, **kw: None):
-            want = learn_hill_climb(d, cfg, ref_ctx).arcs()
+        want = learn_hill_climb_per_move(d, cfg, ref_ctx).arcs()
         assert got == want
         assert all(ctx._scores[key] == v for key, v in ref_ctx._scores.items())
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(st.integers(1, 8), st.integers(1, 4), st.floats(0.0, 0.8),
+           st.integers(0, 2**32 - 1))
+    def test_legal_moves_agree_with_reaches(self, n, k, density, seed):
+        rng = np.random.default_rng(seed)
+        order = rng.permutation(n)
+        g = Dag(n)
+        for j in range(n):
+            for i in range(j):
+                if rng.random() < density:
+                    g.add_arc(int(order[i]), int(order[j]))
+        adj = np.zeros((n, n), dtype=bool)
+        for u, v in g.arcs():
+            adj[u, v] = True
+        want = np.zeros((3, n, n), dtype=bool)
+        for kind, u, v in moves_per_candidate(g, k):
+            want[("add", "remove", "reverse").index(kind), u, v] = True
+        assert (learner._legal_moves(adj, k) == want).all()
 
     def test_never_beats_exact(self):
         for seed in range(4):

@@ -25,7 +25,7 @@ from latentdag import (
     is_independent,
 )
 from latentdag import data
-from latentdag.scoring import fill_bic, log_likelihood
+from latentdag.scoring import drop_bic, fill_bic, log_likelihood
 from oracles import bic_direct, g2_direct
 
 
@@ -312,12 +312,37 @@ class TestFillBic:
         for key in cached:
             ctx._scores[(x, key)] = -1.0
         with mock.patch.object(data, "_BATCH_ELEMENTS", cap):
-            fill_bic(ctx, x, base, ys, drop)
+            got = fill_bic(ctx, x, base, ys, drop)
         assert set(ctx._scores) == {(x, key) for key in keys}
         fresh = make_context(cols, cards)
         for key in keys:
             want = -1.0 if key in cached else bic(fresh, x, key)
             assert ctx._scores[(x, key)] == want
+        # one array per parent set, in ys order, each entry the memo's value
+        assert [a.dtype for a in got] == [np.float64] * len(got)
+        assert [a.tolist() for a in got] == [
+            [ctx._scores[(x, key)] for key in keys[i * len(ys):(i + 1) * len(ys)]]
+            for i in range(len(got))]
+        assert len(got) == (1 if drop is None else 2)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(batch_cases())
+    def test_drop_bic_equals_fresh_per_family_bic(self, case):
+        cols, cards, x, base, _, _, _, _, _ = case
+        ctx = make_context(cols, cards)
+        keys = [frozenset(base) - {p} for p in base]
+        # a memoised key is left alone, whatever it holds
+        if keys:
+            ctx._scores[(x, keys[0])] = -1.0
+        got = drop_bic(ctx, x, base)
+        fresh = make_context(cols, cards)
+        want = [bic(fresh, x, key) for key in keys]
+        if keys:
+            want[0] = -1.0
+        assert got.dtype == np.float64
+        assert got.tolist() == want
+        assert ctx._scores[(x, frozenset(base))] == bic(fresh, x, base)
+        assert set(ctx._scores) == {(x, key) for key in [*keys, frozenset(base)]}
 
     def test_empty_base_and_unobserved_configurations(self):
         # 6 x 5 x 4 grid over 12 rows: most configurations never occur
