@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .ci import check_probe_options
 from .data import Dataset, VariableMeta, project
 from .graphs import Dag, Pdag, cpdag_of
 
@@ -702,6 +703,9 @@ def run_benchmark(bn: DiscreteBayesNet, sizes: list[int], reps: int,
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
+    check_probe_options(h, alpha)
     packed = [(bn, r, sizes, injection, learner, h, alpha) for r in range(reps)]
     outcomes: dict[int, list[dict] | str] = {}
     if jobs > 1:

@@ -22,7 +22,16 @@ import numpy as np
 
 from .scoring import ScoreContext, fill_bic, is_independent
 
-__all__ = ["SeparatorQuery", "SeparatorResult", "find_separator"]
+__all__ = ["SeparatorQuery", "SeparatorResult", "check_probe_options", "find_separator"]
+
+
+def check_probe_options(h: int, alpha: float) -> None:
+    """Reject a separator size cap ``h`` below 0 or a risk level ``alpha``
+    outside (0, 1)."""
+    if h < 0:
+        raise ValueError("h must be >= 0")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie strictly between 0 and 1")
 
 
 @dataclass(frozen=True)
@@ -45,10 +54,7 @@ class SeparatorQuery:
         object.__setattr__(self, "forbidden", frozenset(self.forbidden))
         if self.u == self.v:
             raise ValueError("u and v must differ")
-        if self.h < 0:
-            raise ValueError("h must be >= 0")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie strictly between 0 and 1")
+        check_probe_options(self.h, self.alpha)
         if self.u in self.compulsory or self.v in self.compulsory:
             raise ValueError("u and v may not be compulsory")
         if self.compulsory & self.forbidden:

@@ -31,7 +31,7 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .ci import SeparatorQuery, SeparatorResult, find_separator
+from .ci import SeparatorQuery, SeparatorResult, check_probe_options, find_separator
 from .data import Dataset
 from .graphs import Dag, Pdag, cpdag_of
 from .learner import LearnerConfig, learn
@@ -279,6 +279,7 @@ def discover_confounders(d: Dataset, learner_cfg: LearnerConfig = LearnerConfig(
     too, so the post-learning phase scales with the number of *distinct*
     tests, not the number of times they are asked.
     """
+    check_probe_options(h, alpha)
     ctx = ScoreContext(d)
     t0 = time.perf_counter()
     g = learn(d, learner_cfg, ctx)

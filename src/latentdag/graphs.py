@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
@@ -152,25 +153,21 @@ class Dag:
 
     def descendants(self, x: int) -> set[int]:
         """Transitive closure of children; ``x`` itself is excluded."""
-        self._check(x)
-        out: set[int] = set()
-        stack = list(self._children[x])
-        while stack:
-            y = stack.pop()
-            if y not in out:
-                out.add(y)
-                stack.extend(self._children[y])
-        return out
+        return self._closure(x, self._children)
 
     def ancestors(self, x: int) -> set[int]:
+        """Transitive closure of parents; ``x`` itself is excluded."""
+        return self._closure(x, self._parents)
+
+    def _closure(self, x: int, links: list[set[int]]) -> set[int]:
         self._check(x)
         out: set[int] = set()
-        stack = list(self._parents[x])
+        stack = list(links[x])
         while stack:
             y = stack.pop()
             if y not in out:
                 out.add(y)
-                stack.extend(self._parents[y])
+                stack.extend(links[y])
         return out
 
     def topological_order(self) -> list[int]:
@@ -207,15 +204,36 @@ class Dag:
 
     @classmethod
     def from_json(cls, text: str) -> "Dag":
-        doc = json.loads(text)
-        names = list(doc["nodes"])
-        idx = {n: i for i, n in enumerate(names)}
-        g = cls(len(names), names)
-        for u, v in doc.get("arcs", []):
-            if u not in idx or v not in idx:
-                raise ValueError(f"arc references unknown node: {u!r} -> {v!r}")
-            g.add_arc(idx[u], idx[v])
-        return g
+        doc, names = _graph_doc(text)
+        return cls.from_arcs(len(names), _pairs(doc, "arcs", names), names)
+
+
+def _graph_doc(text: str) -> tuple[dict, list[str]]:
+    """Parse a graph JSON document into the object and its node names."""
+    doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError(f"graph JSON must be an object, not {type(doc).__name__}")
+    names = doc.get("nodes")
+    if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
+        raise ValueError("graph JSON needs 'nodes', a list of node names")
+    return doc, names
+
+
+def _pair(item, field: str, names: list[str]) -> tuple[int, int]:
+    """Node ids of a ``[from, to]`` pair of names."""
+    if not (isinstance(item, list) and len(item) == 2):
+        raise ValueError(f"{field} entry {item!r} is not a [from, to] pair")
+    for x in item:
+        if x not in names:
+            raise ValueError(f"{field} entry {item!r} names unknown node {x!r}")
+    return names.index(item[0]), names.index(item[1])
+
+
+def _pairs(doc: dict, key: str, names: list[str]) -> list[tuple[int, int]]:
+    items = doc.get(key, [])
+    if not isinstance(items, list):
+        raise ValueError(f"graph JSON's {key!r} must be a list of [from, to] pairs")
+    return [_pair(item, repr(key), names) for item in items]
 
 
 @dataclass(frozen=True)
@@ -412,17 +430,14 @@ class Pdag:
 
     @classmethod
     def from_json(cls, text: str) -> "Pdag":
-        doc = json.loads(text)
-        names = list(doc["nodes"])
-        idx = {n: i for i, n in enumerate(names)}
+        doc, names = _graph_doc(text)
         p = cls(len(names), names)
-        for u, v in doc.get("directed", []):
-            p.add_directed(idx[u], idx[v])
-        for u, v in doc.get("undirected", []):
-            p.add_undirected(idx[u], idx[v])
+        for u, v in _pairs(doc, "directed", names):
+            p.add_directed(u, v)
+        for u, v in _pairs(doc, "undirected", names):
+            p.add_undirected(u, v)
         for lat in doc.get("latents", []):
-            a, b = lat["children"]
-            p.latents.append((lat["name"], (idx[a], idx[b])))
+            p.latents.append((lat["name"], _pair(lat["children"], "latent children", names)))
         return p
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -440,85 +455,42 @@ def markov_equivalent(g1: Dag, g2: Dag) -> bool:
 
 
 def cpdag_of(g: Dag) -> Pdag:
-    """Equivalence-class representative: v-structure arcs stay directed,
-    then the four standard orientation-propagation rules run to fixpoint,
-    and whatever remains is left undirected."""
-    n = g.n_nodes
-    # mixed adjacency: mark[u][v] = '>' (u->v), '<' or '-'
-    adj: list[dict[int, str]] = [dict() for _ in range(n)]
-    for u, v in skeleton(g):
-        adj[u][v] = "-"
-        adj[v][u] = "-"
-    for x, zn, y in v_structures(g):
-        adj[x][zn] = ">"
-        adj[zn][x] = "<"
-        adj[y][zn] = ">"
-        adj[zn][y] = "<"
+    """Equivalence-class representative: an edge stays directed iff every
+    DAG Markov-equivalent to ``g`` orients it the same way (Chickering,
+    JMLR 2002).
 
-    def orient(u: int, v: int) -> None:
-        adj[u][v] = ">"
-        adj[v][u] = "<"
+    The v-structure arcs start directed and the other edges undirected;
+    then Meek's rules 1-3 orient what they force until no edge changes.
+    Without background knowledge those three rules already give the CPDAG
+    (Meek, UAI 1995), so rule 4 is not needed. The rules are sound: each
+    arc they orient has the same direction in every member of the class,
+    ``g`` included, so an undirected edge is kept as ``g``'s arc and only
+    that direction is tested.
+    """
+    vs = v_structures(g)
+    arcs = {(x, z) for x, z, _ in vs} | {(y, z) for _, z, y in vs}
+    edges = set(g.arcs()) - arcs
 
-    changed = True
-    while changed:
-        changed = False
-        for b in range(n):
-            undirected = [c for c, m in adj[b].items() if m == "-"]
-            parents = [a for a, m in adj[b].items() if m == "<"]
-            children = [c for c, m in adj[b].items() if m == ">"]
-            # Rule 1: a -> b - c with a, c non-adjacent  =>  b -> c
-            for c in undirected:
-                if any(c not in adj[a] for a in parents):
-                    orient(b, c)
-                    changed = True
-            # Rule 2: a -> b -> c with a - c  =>  a -> c
-            for a in parents:
-                for c in children:
-                    if adj[a].get(c) == "-":
-                        orient(a, c)
-                        changed = True
-            # Rule 3: b - a, b - c, b - d with c -> a, d -> a, c,d non-adj => b -> a
-            for a in undirected:
-                into_a = [p for p, m in adj[a].items() if m == "<"]
-                hit = False
-                for i in range(len(into_a)):
-                    for j in range(i + 1, len(into_a)):
-                        c, dd = into_a[i], into_a[j]
-                        if (
-                            adj[b].get(c) == "-"
-                            and adj[b].get(dd) == "-"
-                            and dd not in adj[c]
-                        ):
-                            orient(b, a)
-                            changed = True
-                            hit = True
-                            break
-                    if hit:
-                        break
-            # Rule 4: b - a with c -> d, d -> a, c,a non-adjacent and b
-            # adjacent to both c and d  =>  b -> a
-            for a in undirected:
-                if adj[b].get(a) != "-":
-                    continue  # may have been oriented by rule 3 this sweep
-                into_a = [p for p, m in adj[a].items() if m == "<"]
-                done = False
-                for dd in into_a:
-                    if dd not in adj[b]:
-                        continue
-                    for c, m in adj[dd].items():
-                        if m == "<" and c not in adj[a] and c != a and c in adj[b]:
-                            orient(b, a)
-                            changed = True
-                            done = True
-                            break
-                    if done:
-                        break
+    def undirected(a: int, b: int) -> bool:
+        return (a, b) in edges or (b, a) in edges
 
-    out = Pdag(n, list(g.names))
-    for u in range(n):
-        for v, m in adj[u].items():
-            if m == ">":
-                out.add_directed(u, v)
-            elif m == "-" and u < v:
-                out.add_undirected(u, v)
+    def forced(a: int, b: int) -> bool:
+        into_b = [c for c in g._parents[b] if (c, b) in arcs]
+        return (
+            # rule 1: c -> a - b with c, b non-adjacent
+            any((c, a) in arcs and not g.adjacent(c, b) for c in g._parents[a])
+            # rule 2: a -> c -> b with a - b
+            or any((a, c) in arcs for c in into_b)
+            # rule 3: a - c -> b and a - d -> b with c, d non-adjacent
+            or any(not g.adjacent(c, d) for c, d in
+                   combinations([c for c in into_b if undirected(a, c)], 2))
+        )
+
+    while fired := {e for e in edges if forced(*e)}:
+        arcs |= fired
+        edges -= fired
+
+    out = Pdag(g.n_nodes, list(g.names))
+    out.directed = arcs
+    out.undirected = {(min(e), max(e)) for e in edges}
     return out

@@ -210,22 +210,22 @@ def learn_exact(d: Dataset, cfg: LearnerConfig = LearnerConfig(),
             view = arr.reshape(-1, 2, 1 << b)
             np.maximum(view[:, 1, :], view[:, 0, :], out=view[:, 1, :])
 
-    # best score of each variable subset, and the sink that attains it
+    # best score of each variable subset, and the sink that attains it. The
+    # parent masks j over the other n - 1 variables, by popcount then value,
+    # serve both the layers and the peel below.
     full = 1 << n
-    popcnt = _popcounts(n)
-    order = np.argsort(popcnt, kind="stable").astype(np.int32)
-    layer_starts = np.searchsorted(popcnt[order], np.arange(n + 2))
+    popcnt = _popcounts(n - 1)
+    masks = np.argsort(popcnt, kind="stable").astype(np.int32)
+    starts = np.searchsorted(popcnt[masks], np.arange(n + 1))
     dp = np.full(full, -np.inf)
     dp[0] = 0.0
     sink = np.zeros(full, dtype=np.uint8)
     for s in range(1, n + 1):
-        layer = order[layer_starts[s]:layer_starts[s + 1]]
+        js = masks[starts[s - 1]:starts[s]]
         for x in range(n):
-            sel = layer[(layer >> x) & 1 == 1]
-            if sel.size == 0:
-                continue
-            prev = sel ^ (1 << x)
-            cand = dp[prev] + bps[x][_drop_bit(prev, x)]
+            prev = _insert_bit(js, x)
+            sel = prev | 1 << x
+            cand = dp[prev] + bps[x][js]
             # only a strictly larger candidate wins, so on exact ties the
             # smallest sink keeps the subset
             win = cand > dp[sel]
@@ -236,8 +236,7 @@ def learn_exact(d: Dataset, cfg: LearnerConfig = LearnerConfig(),
     # peel the recorded sinks. A sink's parents are the first stored set in
     # the remaining variables, by fewest members then smallest mask, whose
     # running maximum equals the best there; that set scores the best itself.
-    stored = np.flatnonzero(popcnt[:full >> 1] <= k)
-    stored = stored[np.argsort(popcnt[stored], kind="stable")]
+    stored = masks[:starts[k + 1]]
     g = Dag(n, [v.name for v in d.variables])
     mask = full - 1
     while mask:

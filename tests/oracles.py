@@ -149,6 +149,21 @@ def all_dags(n):
     return out
 
 
+def markov_classes(n):
+    """Every labelled DAG on n nodes grouped by skeleton and v-structures
+    (Verma and Pearl's criterion), each read straight off the arc list:
+    ``{key: [arc tuples]}``."""
+    classes = {}
+    for arcs in all_dags(n):
+        skel = frozenset(frozenset(a) for a in arcs)
+        colliders = frozenset(
+            (a, b, c) for a, b in arcs for c, d in arcs
+            if d == b and a < c and frozenset((a, c)) not in skel
+        )
+        classes.setdefault((skel, colliders), []).append(arcs)
+    return classes
+
+
 def _is_acyclic(n, arcs):
     children = {i: [] for i in range(n)}
     indeg = {i: 0 for i in range(n)}

@@ -508,6 +508,24 @@ class TestRunBenchmark:
         recall = row[4]
         assert recall == "na"
 
+    @pytest.mark.parametrize("kw, message", [
+        ({"jobs": 0}, "jobs must be >= 1"),
+        ({"jobs": -4}, "jobs must be >= 1"),
+        ({"h": -3}, "h must be >= 0"),
+        ({"alpha": 7.0}, "alpha must lie strictly between 0 and 1"),
+        ({"alpha": 0.0}, "alpha must lie strictly between 0 and 1"),
+    ])
+    def test_bad_options_rejected_before_injecting(self, monkeypatch, kw, message):
+        from latentdag import LearnerConfig, bench
+
+        def no_injection(*args):
+            raise AssertionError("injected before checking the options")
+
+        monkeypatch.setattr(bench, "inject_confounders", no_injection)
+        with pytest.raises(ValueError, match=message):
+            run_benchmark(self.small_net(), [400], 1, InjectionConfig(seed=1),
+                          LearnerConfig(max_parents=3), **kw)
+
     def test_parallel_run_matches_serial(self):
         from pathlib import Path
 

@@ -110,6 +110,13 @@ class TestDiscover:
         assert r.returncode == 2
         assert "error:" in r.stderr
 
+    @pytest.mark.parametrize("flags", [("--alpha", "7"), ("--h", "-3")])
+    def test_bad_probe_option_is_usage_error(self, workdir, flags):
+        # the chain's learnt DAG has no triangle, so no probe would run
+        r = run_cli("discover", "--input", workdir / "chain.csv", *flags)
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: ")
+
 
 class TestLearn:
     def test_chain_skeleton(self, workdir):
@@ -195,6 +202,21 @@ class TestDsep:
         assert r.returncode == 2
         assert "unknown node" in r.stderr
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"arcs": []}', "error: graph JSON needs 'nodes', a list of node names"),
+        ('{"nodes": ["U", "V"], "arcs": [["U"]]}',
+         "error: 'arcs' entry ['U'] is not a [from, to] pair"),
+        ('[["U", "V"]]', "error: graph JSON must be an object, not list"),
+        ('{"nodes": ["U", "V"], "arcs": [["U", "W"]]}',
+         "error: 'arcs' entry ['U', 'W'] names unknown node 'W'"),
+    ])
+    def test_malformed_graph_json_is_usage_error(self, workdir, text, message):
+        bad = workdir / "bad_graph.json"
+        bad.write_text(text)
+        r = run_cli("dsep", "--graph", bad, "--u", "U", "--v", "V")
+        assert r.returncode == 2
+        assert r.stderr.strip() == message
+
 
 class TestBenchmark:
     def test_grid_runs_and_is_reproducible(self, workdir):
@@ -241,6 +263,12 @@ class TestBenchmark:
         r = run_cli("benchmark", "--bn", bad, "--sizes", "300", "--reps", "1")
         assert r.returncode == 2
         assert "error: network JSON has no 'arcs' key" in r.stderr
+
+    def test_negative_jobs_is_usage_error(self, workdir):
+        r = run_cli("benchmark", "--bn", workdir / "bn7.json",
+                    "--sizes", "300", "--reps", "1", "--jobs", "-4")
+        assert r.returncode == 2
+        assert "error: jobs must be >= 1" in r.stderr
 
     def test_empty_sizes_is_usage_error(self, workdir):
         r = run_cli("benchmark", "--bn", workdir / "bn7.json",

@@ -272,6 +272,22 @@ class TestDiscoverEndToEnd:
         assert r.latents == []
         assert r.classifications == []
 
+    @pytest.mark.parametrize("h, alpha, message", [
+        (-3, 0.05, "h must be >= 0"),
+        (7, 7.0, "alpha must lie strictly between 0 and 1"),
+        (7, 1.0, "alpha must lie strictly between 0 and 1"),
+    ])
+    def test_bad_probe_options_rejected_before_learning(self, monkeypatch, h, alpha,
+                                                        message):
+        from latentdag import confounder
+
+        def no_learning(*args):
+            raise AssertionError("learnt before checking the options")
+
+        monkeypatch.setattr(confounder, "learn", no_learning)
+        with pytest.raises(ValueError, match=message):
+            discover_confounders(planted_dataset(n=200), h=h, alpha=alpha)
+
     def test_hidden_cause_footprint_forms_reliably(self):
         """The confounded pair stays adjacent in the learnt DAG, and the
         observed parent of the arc's tail closes a clique around the pair.

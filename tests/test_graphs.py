@@ -16,7 +16,7 @@ from latentdag import (
     skeleton,
     v_structures,
 )
-from oracles import all_dags, brute_force_dsep
+from oracles import all_dags, brute_force_dsep, markov_classes
 
 
 def confounded_pair_graph():
@@ -86,6 +86,33 @@ class TestDagMutation:
         g = Dag.from_arcs(3, [(0, 1), (2, 1)], names=["a", "b", "c"])
         h = Dag.from_json(g.to_json())
         assert h == g and h.names == g.names
+
+
+@pytest.mark.parametrize("cls", [Dag, Pdag])
+@pytest.mark.parametrize("doc, message", [
+    ([["A", "B"]], "graph JSON must be an object, not list"),
+    ({"arcs": []}, "graph JSON needs 'nodes', a list of node names"),
+    ({"nodes": "AB"}, "graph JSON needs 'nodes', a list of node names"),
+    ({"nodes": ["A", ["B"]]}, "graph JSON needs 'nodes', a list of node names"),
+    ({"nodes": ["A", "B"], "@": [["A"]]}, r"'@' entry \['A'\] is not a \[from, to\] pair"),
+    ({"nodes": ["A", "B"], "@": ["AB"]}, r"'@' entry 'AB' is not a \[from, to\] pair"),
+    ({"nodes": ["A", "B"], "@": [["A", "C"]]}, "names unknown node 'C'"),
+    ({"nodes": ["A", "B"], "@": [[["A"], "B"]]}, r"names unknown node \['A'\]"),
+    ({"nodes": ["A", "B"], "@": "AB"}, "'@' must be a list of"),
+])
+def test_malformed_graph_json_is_named(cls, doc, message):
+    # "@" stands for the link field of each class
+    field = "arcs" if cls is Dag else "directed"
+    text = json.dumps(doc).replace("@", field)
+    with pytest.raises(ValueError, match=message.replace("@", field)):
+        cls.from_json(text)
+
+
+def test_pdag_json_unknown_latent_child_is_named():
+    text = json.dumps({"nodes": ["A", "B"],
+                       "latents": [{"name": "L1", "children": ["A", "Q"]}]})
+    with pytest.raises(ValueError, match="latent children entry .* unknown node 'Q'"):
+        Pdag.from_json(text)
 
 
 class TestAncestry:
@@ -258,6 +285,21 @@ class TestCpdag:
         for i in range(len(dags)):
             for j in range(len(dags)):
                 assert markov_equivalent(dags[i], dags[j]) == (reprs[i] == reprs[j])
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_directed_iff_every_class_member_agrees(self, n):
+        # Chickering's definition: an edge of the CPDAG is directed iff all
+        # DAGs of the Markov-equivalence class orient it the same way
+        classes = markov_classes(n)
+        assert sum(map(len, classes.values())) == {4: 543, 5: 29281}[n]
+        for members in classes.values():
+            compelled = set.intersection(*map(set, members))
+            reversible = {(min(a), max(a)) for a in members[0]} - {
+                (min(a), max(a)) for a in compelled}
+            for arcs in members:
+                p = cpdag_of(Dag.from_arcs(n, arcs))
+                assert p.directed == compelled
+                assert p.undirected == reversible
 
 
 class TestMarkovEquivalent:
