@@ -504,15 +504,6 @@ def _precision_recall_f1(ok: int, not_ok: int, n_truth: int) -> tuple:
     return precision, recall, 2 * precision * recall / (precision + recall)
 
 
-def _link_map(p: Pdag) -> dict[tuple[int, int], str]:
-    links: dict[tuple[int, int], str] = {}
-    for u, v in p.directed:
-        links[(min(u, v), max(u, v))] = ">" if u < v else "<"
-    for u, v in p.undirected:
-        links[(u, v)] = "-"
-    return links
-
-
 def compare_cpdags(truth: Pdag, learned: Pdag) -> EvalReport:
     """Count link agreements between two equivalence-class graphs.
 
@@ -530,10 +521,6 @@ def compare_cpdags(truth: Pdag, learned: Pdag) -> EvalReport:
 
     # shared identifier space: observed names, then matched latent pairs,
     # then the unmatched latents of either side
-    def key_of(p: Pdag, node: int, matched: dict[str, str]) -> str:
-        name = p.names[node]
-        return matched.get(name, f"obs:{name}")
-
     t_pairs = {name: frozenset({truth.names[a], truth.names[b]}) for name, (a, b) in truth.latents}
     l_pairs = {name: frozenset({learned.names[a], learned.names[b]}) for name, (a, b) in learned.latents}
     unclaimed = dict(t_pairs)
@@ -548,15 +535,10 @@ def compare_cpdags(truth: Pdag, learned: Pdag) -> EvalReport:
             l_matched[name] = f"extra:{name}"
 
     def links_by_key(p: Pdag, matched: dict[str, str]) -> dict[frozenset, str]:
-        out: dict[frozenset, str] = {}
-        for (u, v), mark in _link_map(p).items():
-            ku = key_of(p, u, matched)
-            kv = key_of(p, v, matched)
-            if mark == "-":
-                out[frozenset((ku, kv))] = "-"
-            else:
-                ks, kd = (ku, kv) if mark == ">" else (kv, ku)
-                out[frozenset((ku, kv))] = f"{ks}->{kd}"
+        """Each link as {its two keys: "from->to", or "-" when undirected}."""
+        key = [matched.get(name, f"obs:{name}") for name in p.names]
+        out = {frozenset((key[u], key[v])): f"{key[u]}->{key[v]}" for u, v in p.directed}
+        out.update((frozenset((key[u], key[v])), "-") for u, v in p.undirected)
         return out
 
     t_links = links_by_key(truth, t_matched)

@@ -275,9 +275,10 @@ def discover_confounders(d: Dataset, learner_cfg: LearnerConfig = LearnerConfig(
     confounder candidates, rewire them and complete to a CPDAG.
 
     One scoring context serves the whole run: the probes reuse the scores
-    the learner cached, and every conditional-independence verdict is cached
-    too, so the post-learning phase scales with the number of *distinct*
-    tests, not the number of times they are asked.
+    the learner memoised, and each family is tallied once, so a repeated
+    conditional-independence test costs two memo reads and a critical value,
+    and the post-learning phase's counting scales with the number of
+    *distinct* tests, not the number of times they are asked.
     """
     check_probe_options(h, alpha)
     ctx = ScoreContext(d)

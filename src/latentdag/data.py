@@ -149,10 +149,6 @@ class ContingencyTable:
         """Per-configuration totals ``N_z`` (sums over the child axis)."""
         return self.counts.sum(axis=0)
 
-    @property
-    def n_configs(self) -> int:
-        return self.counts.shape[1]
-
 
 def load_dataset(path, delimiter: str = ",") -> Dataset:
     """Read a delimited text file (header row required) into a :class:`Dataset`.

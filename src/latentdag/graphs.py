@@ -383,24 +383,27 @@ class Pdag:
         )
         if len(self.names) != n_nodes:
             raise ValueError("names length must equal n_nodes")
+        if len(set(self.names)) != n_nodes:
+            raise ValueError("duplicate node names")
         self.directed: set[tuple[int, int]] = set()
         self.undirected: set[tuple[int, int]] = set()
         self.latents: list[tuple[str, tuple[int, int]]] = []
 
     def add_directed(self, u: int, v: int) -> None:
-        key = (min(u, v), max(u, v))
-        if key in self.undirected or (v, u) in self.directed:
+        if self._pair_key(u, v) in self.undirected or (v, u) in self.directed:
             raise ValueError("pair already linked")
         self.directed.add((u, v))
 
     def add_undirected(self, u: int, v: int) -> None:
+        key = self._pair_key(u, v)
         if (u, v) in self.directed or (v, u) in self.directed:
             raise ValueError("pair already linked")
-        self.undirected.add((min(u, v), max(u, v)))
+        self.undirected.add(key)
 
-    def links(self) -> set[tuple[int, int]]:
-        """All linked unordered pairs, regardless of orientation."""
-        return {(min(u, v), max(u, v)) for u, v in self.directed} | set(self.undirected)
+    def _pair_key(self, u: int, v: int) -> tuple[int, int]:
+        if u == v:
+            raise ValueError(f"self-link on {self.names[u]} is not allowed")
+        return min(u, v), max(u, v)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Pdag):
@@ -436,7 +439,14 @@ class Pdag:
             p.add_directed(u, v)
         for u, v in _pairs(doc, "undirected", names):
             p.add_undirected(u, v)
-        for lat in doc.get("latents", []):
+        latents = doc.get("latents", [])
+        if not isinstance(latents, list):
+            raise ValueError(f"graph JSON's 'latents' must be a list, not {latents!r}")
+        for lat in latents:
+            if not (isinstance(lat, dict) and isinstance(lat.get("name"), str)
+                    and "children" in lat):
+                raise ValueError(f"latents entry {lat!r} is not an object with a string "
+                                 "'name' and a 'children' pair")
             p.latents.append((lat["name"], _pair(lat["children"], "latent children", names)))
         return p
 

@@ -21,7 +21,10 @@ Two engines behind one config:
   from one tally of its family (:func:`~latentdag.scoring.drop_bic`). A
   reverse scores the remove plus the opposite add. Each iteration masks the
   illegal moves with the adjacency matrix and one transitive closure and
-  takes the first maximum over the (add, remove, reverse) stack.
+  takes the first maximum over the (add, remove, reverse) stack. The climb
+  runs on that boolean matrix alone, and its score is the sum of the local
+  scores it already holds; the winning restart's matrix becomes the
+  :class:`~latentdag.graphs.Dag` once, at the end.
 
 Both return plain :class:`~latentdag.graphs.Dag` objects. Each takes an
 optional :class:`~latentdag.scoring.ScoreContext` so that a discovery run
@@ -251,41 +254,35 @@ def learn_exact(d: Dataset, cfg: LearnerConfig = LearnerConfig(),
     return g
 
 
-def _dag_score(ctx: ScoreContext, g: Dag) -> float:
-    return sum(bic(ctx, x, g.parents(x)) for x in range(g.n_nodes))
-
-
-def _random_start(g: Dag, k: int, rng: np.random.Generator) -> None:
-    """Fill the empty ``g`` with a random DAG: pick a node order, then
-    sprinkle forward arcs under the cap."""
-    n = g.n_nodes
+def _random_start(adj: np.ndarray, k: int, rng: np.random.Generator) -> None:
+    """Fill the empty arc matrix ``adj`` with a random DAG: pick a node
+    order, then sprinkle forward arcs under the cap."""
+    n = len(adj)
     order = rng.permutation(n)
     for j in range(1, n):
         v = int(order[j])
         for i in range(j):
-            u = int(order[i])
-            if len(g.parents(v)) >= k:
+            if adj[:, v].sum() >= k:
                 break
             if rng.random() < 0.15:
-                g.add_arc(u, v)
+                adj[int(order[i]), v] = True
 
 
 def learn_hill_climb(d: Dataset, cfg: LearnerConfig = LearnerConfig(),
                      ctx: ScoreContext | None = None) -> Dag:
     """Best-improvement local search over add/remove/reverse moves."""
     ctx = _context(d, ctx)
-    names = [v.name for v in d.variables]
-    best: Dag | None = None
+    n = d.n_variables
+    best = np.zeros((n, n), dtype=bool)
     best_score = -math.inf
     for restart in range(cfg.restarts):
-        g = Dag(d.n_variables, names)
+        adj = np.zeros((n, n), dtype=bool)
         if restart > 0:
-            _random_start(g, cfg.max_parents, np.random.default_rng([cfg.seed, restart]))
-        _climb(ctx, g, cfg.max_parents)
-        score = _dag_score(ctx, g)
+            _random_start(adj, cfg.max_parents, np.random.default_rng([cfg.seed, restart]))
+        score = _climb(ctx, adj, cfg.max_parents)
         if score > best_score + 1e-12:
-            best_score, best = score, g
-    return best
+            best_score, best = score, adj
+    return Dag.from_arcs(n, np.argwhere(best).tolist(), [v.name for v in d.variables])
 
 
 def _legal_moves(adj: np.ndarray, k: int) -> np.ndarray:
@@ -308,14 +305,13 @@ def _legal_moves(adj: np.ndarray, k: int) -> np.ndarray:
     return np.stack([add, adj, reverse])
 
 
-def _climb(ctx: ScoreContext, g: Dag, k: int) -> None:
-    """Apply the best strictly improving move to ``g`` until none is left."""
-    n = g.n_nodes
+def _climb(ctx: ScoreContext, adj: np.ndarray, k: int) -> float:
+    """Apply the best strictly improving move to the arc matrix ``adj``
+    (``adj[u, v]`` marks ``u -> v``) until none is left, and return the
+    final graph's score: its local scores summed in node order."""
+    n = len(adj)
     if n < 2:
-        return  # no move exists
-    adj = np.zeros((n, n), dtype=bool)
-    for u, v in g.arcs():
-        adj[u, v] = True
+        return sum(bic(ctx, x) for x in range(n))  # no move exists
     local = np.zeros(n)
     # score deltas of adding and of removing u -> v, at [u, v]; a target's
     # column is recomputed whenever its parent set changes, and reversing
@@ -326,7 +322,7 @@ def _climb(ctx: ScoreContext, g: Dag, k: int) -> None:
     while True:
         for v in stale:
             pa = np.flatnonzero(adj[:, v]).tolist()
-            drops = drop_bic(ctx, v, pa)
+            drops = drop_bic(ctx, v, pa, pa)
             local[v] = bic(ctx, v, pa)
             remove[pa, v] = drops - local[v]
             if len(pa) < k:
@@ -339,21 +335,13 @@ def _climb(ctx: ScoreContext, g: Dag, k: int) -> None:
                           -np.inf)
         best = int(deltas.argmax())
         if not deltas.flat[best] > 1e-10:
-            return
+            return sum(local.tolist())
         kind, arc = divmod(best, n * n)
         u, v = divmod(arc, n)
-        if kind == 0:
-            g.add_arc(u, v)
-            adj[u, v] = True
-            stale = (v,)
-        elif kind == 1:
-            g.remove_arc(u, v)
-            adj[u, v] = False
-            stale = (v,)
-        else:
-            g.remove_arc(u, v)
-            g.add_arc(v, u)
-            adj[u, v], adj[v, u] = False, True
+        adj[u, v] = kind == 0  # an add sets the arc; a remove or reverse clears it
+        stale = (v,)
+        if kind == 2:
+            adj[v, u] = True
             stale = (u, v)
 
 

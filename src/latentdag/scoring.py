@@ -13,16 +13,18 @@ identity against a direct G computation on random tables; here the score
 route is the only one implemented, so the learner and the independence
 search share one memoised code path.
 
-:func:`bic` tallies one family at a time. :func:`fill_bic` scores the
-families ``(x, S ∪ {y})`` of many candidates y from one shared batch tally
-(:class:`~latentdag.data.BatchTally`, the routine the exact learner's score
-table runs on) and returns them as arrays in candidate order: the separator
-search calls it once per step and the hill climber once per stale target.
-:func:`drop_bic` scores the families ``(x, S - {p})`` of every member p
-from one tally of ``(x, S)``, for the climber's remove moves. Each table
-either scores is, integer for integer and in the same memory order, the
-table :func:`~latentdag.data.count` builds, so both memoise and return the
-floats :func:`bic` would store.
+:func:`drop_bic` is the one route by which a single family is tallied:
+one :func:`~latentdag.data.count` of ``(x, S)`` scores that family and,
+by summing over a member p's axis, each listed ``(x, S - {p})``. The hill
+climber lists every parent (its remove moves), :func:`f_bic` lists v (both
+families of its statistic) and :func:`bic` lists none. :func:`fill_bic`
+scores the families ``(x, S ∪ {y})`` of many candidates y from one shared
+batch tally (:class:`~latentdag.data.BatchTally`, the routine the exact
+learner's score table runs on) and returns them as arrays in candidate
+order: the separator search calls it once per step and the hill climber
+once per stale target. Each table either scores is, integer for integer
+and in the same memory order, the table ``count`` builds for that family,
+so both memoise and return the floats a tally of the family alone gives.
 """
 
 from __future__ import annotations
@@ -59,7 +61,8 @@ class ScoreContext:
     """Memoised local-score evaluator bound to one dataset.
 
     Lookups are cheap dict reads. The batch-tally workspace is made on first
-    use and kept for the context's lifetime.
+    use and kept for the context's lifetime. The memo holds scores, not
+    verdicts: each :func:`is_independent` call reads its two scores from it.
     """
 
     def __init__(self, dataset: Dataset):
@@ -68,7 +71,6 @@ class ScoreContext:
         self.dataset = dataset
         self.log_n = math.log(dataset.n_rows)
         self._scores: dict[tuple[int, frozenset[int]], float] = {}
-        self._verdicts: dict[tuple[int, int, frozenset[int], float], IndepVerdict] = {}
         self._tally: BatchTally | None = None
 
     @property
@@ -76,10 +78,6 @@ class ScoreContext:
         if self._tally is None:
             self._tally = BatchTally(self.dataset)
         return self._tally
-
-    @property
-    def n_rows(self) -> int:
-        return self.dataset.n_rows
 
     def cardinality(self, x: int) -> int:
         return self.dataset.variables[x].cardinality
@@ -125,12 +123,10 @@ def bic(ctx: ScoreContext, x: int, z=()) -> float:
         raise ValueError("x may not appear in its own conditioning set")
     key = (int(x), zset)
     cached = ctx._scores.get(key)
-    if cached is not None:
-        return cached
-
-    table = count(ctx.dataset, x, zset)
-    _memoise(ctx, x, [key], table.counts[None])
-    return ctx._scores[key]
+    if cached is None:
+        drop_bic(ctx, key[0], zset, ())
+        cached = ctx._scores[key]
+    return cached
 
 
 def _memoise(ctx: ScoreContext, x: int, keys, tables: np.ndarray) -> None:
@@ -202,18 +198,19 @@ def _fill_from(ctx: ScoreContext, x: int, parents: list[int], chunk, grid: np.nd
         _memoise(ctx, x, [missing[chunk[j]] for j in js], stack)
 
 
-def drop_bic(ctx: ScoreContext, x: int, parents) -> np.ndarray:
-    """``bic(x, parents - {p})`` for each p of the sorted ``parents``, as
-    one float64 array; ``bic(x, parents)`` is memoised on the way.
+def drop_bic(ctx: ScoreContext, x: int, parents, drops) -> np.ndarray:
+    """``bic(x, parents - {p})`` for each p of ``drops``, members of
+    ``parents``, as one float64 array; ``bic(x, parents)`` is memoised on
+    the way.
 
-    Missing keys come from one tally of (x, *parents): summing it over p's
-    axis gives, integer for integer and in the same memory order,
-    ``count``'s table of (x, parents - {p}).
+    When any of these keys is missing, one tally of (x, *parents) fills them
+    all: summing it over p's axis gives, integer for integer and in the same
+    memory order, ``count``'s table of (x, parents - {p}).
     """
     parents = sorted(int(p) for p in parents)
     memo = ctx._scores
     full = (x, frozenset(parents))
-    keys = [(x, frozenset(parents[:i] + parents[i + 1:])) for i in range(len(parents))]
+    keys = [(x, full[1] - {p}) for p in drops]
     missing = [i for i, key in enumerate(keys) if key not in memo]
     if missing or full not in memo:
         table = count(ctx.dataset, x, parents).counts
@@ -223,9 +220,10 @@ def drop_bic(ctx: ScoreContext, x: int, parents) -> np.ndarray:
         grid = table.reshape(cards[x], *(cards[p] for p in parents))
         groups: dict[int, list[int]] = {}
         for i in missing:
-            groups.setdefault(cards[parents[i]], []).append(i)
+            groups.setdefault(cards[drops[i]], []).append(i)
         for idx in groups.values():
-            stack = np.stack([grid.sum(axis=1 + i).reshape(cards[x], -1) for i in idx])
+            stack = np.stack([grid.sum(axis=1 + parents.index(drops[i])).reshape(cards[x], -1)
+                              for i in idx])
             _memoise(ctx, x, [keys[i] for i in idx], stack)
     return np.array([memo[key] for key in keys], dtype=np.float64)
 
@@ -238,13 +236,17 @@ def _dof(ctx: ScoreContext, u: int, v: int, zset: frozenset[int]) -> int:
 
 
 def f_bic(ctx: ScoreContext, u: int, v: int, z=()) -> IndepVerdict:
-    """Score-difference independence statistic for (u, v | z); no verdict."""
+    """Score-difference independence statistic for (u, v | z); no verdict.
+
+    Both families of u come from one tally of (u, z ∪ {v}) when either is
+    missing from the memo."""
     zset = frozenset(int(x) for x in z)
     if u == v:
         raise ValueError("u and v must differ")
     if u in zset or v in zset:
         raise ValueError("u and v may not appear in the conditioning set")
     dof = _dof(ctx, u, v, zset)
+    drop_bic(ctx, u, zset | {v}, (v,))
     stat = 2.0 * (
         bic(ctx, u, zset | {v}) - bic(ctx, u, zset) + 0.5 * ctx.log_n * dof
     )
@@ -263,23 +265,16 @@ def chi2_critical(dof: int, alpha: float) -> float:
 def is_independent(ctx: ScoreContext, u: int, v: int, z=(), alpha: float = 0.05) -> IndepVerdict:
     """Full test: statistic below the critical value means independent.
 
-    Verdicts are cached per (unordered pair, conditioning set, alpha) for the
-    lifetime of the context, so repeated queries during a discovery run cost
-    one dict lookup.
+    The statistic is :func:`f_bic`'s for the ordered pair (min, max), so
+    both orders of a pair get the same verdict. No verdict is cached: each
+    call reads the two scores from the context's memo and takes the critical
+    value afresh.
     """
-    zset = frozenset(int(x) for x in z)
-    a, b = (u, v) if u <= v else (v, u)
-    key = (a, b, zset, alpha)
-    hit = ctx._verdicts.get(key)
-    if hit is not None:
-        return hit
-    partial = f_bic(ctx, a, b, zset)
+    partial = f_bic(ctx, min(u, v), max(u, v), z)
     crit = chi2_critical(partial.dof, alpha)
-    verdict = IndepVerdict(
+    return IndepVerdict(
         statistic=partial.statistic,
         dof=partial.dof,
         critical=crit,
         independent=bool(partial.statistic < crit),
     )
-    ctx._verdicts[key] = verdict
-    return verdict

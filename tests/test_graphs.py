@@ -99,6 +99,8 @@ class TestDagMutation:
     ({"nodes": ["A", "B"], "@": [["A", "C"]]}, "names unknown node 'C'"),
     ({"nodes": ["A", "B"], "@": [[["A"], "B"]]}, r"names unknown node \['A'\]"),
     ({"nodes": ["A", "B"], "@": "AB"}, "'@' must be a list of"),
+    ({"nodes": ["A", "A"]}, "duplicate node names"),
+    ({"nodes": ["A", "B"], "@": [["B", "B"]]}, "self-(arc|link)"),
 ])
 def test_malformed_graph_json_is_named(cls, doc, message):
     # "@" stands for the link field of each class
@@ -106,6 +108,24 @@ def test_malformed_graph_json_is_named(cls, doc, message):
     text = json.dumps(doc).replace("@", field)
     with pytest.raises(ValueError, match=message.replace("@", field)):
         cls.from_json(text)
+
+
+def test_pdag_json_undirected_self_link_is_named():
+    text = json.dumps({"nodes": ["A", "B"], "undirected": [["A", "A"]]})
+    with pytest.raises(ValueError, match="self-link on A"):
+        Pdag.from_json(text)
+
+
+@pytest.mark.parametrize("latents, message", [
+    (7, "'latents' must be a list, not 7"),
+    ([5], "latents entry 5 is not an object"),
+    ([{"name": "L1"}], r"latents entry \{'name': 'L1'\} is not an object .* 'children' pair"),
+    ([{"name": 3, "children": ["A", "B"]}], "latents entry .* with a string 'name'"),
+])
+def test_pdag_json_malformed_latent_is_named(latents, message):
+    text = json.dumps({"nodes": ["A", "B"], "latents": latents})
+    with pytest.raises(ValueError, match=message):
+        Pdag.from_json(text)
 
 
 def test_pdag_json_unknown_latent_child_is_named():

@@ -333,6 +333,19 @@ def climb_per_move(ctx, g, k):
         }
 
 
+def random_start_per_arc(g, k, rng):
+    """The random restart drawn on a ``Dag``, arc by arc: a node order, then
+    forward arcs under the cap, each kept with probability 0.15."""
+    order = rng.permutation(g.n_nodes)
+    for j in range(1, g.n_nodes):
+        v = int(order[j])
+        for i in range(j):
+            if len(g.parents(v)) >= k:
+                break
+            if rng.random() < 0.15:
+                g.add_arc(int(order[i]), v)
+
+
 def learn_hill_climb_per_move(d, cfg, ctx):
     """``learn_hill_climb``'s restarts around :func:`climb_per_move`."""
     names = [v.name for v in d.variables]
@@ -340,8 +353,8 @@ def learn_hill_climb_per_move(d, cfg, ctx):
     for restart in range(cfg.restarts):
         g = Dag(d.n_variables, names)
         if restart > 0:
-            learner._random_start(g, cfg.max_parents,
-                                  np.random.default_rng([cfg.seed, restart]))
+            random_start_per_arc(g, cfg.max_parents,
+                                 np.random.default_rng([cfg.seed, restart]))
         climb_per_move(ctx, g, cfg.max_parents)
         score = sum(bic(ctx, x, g.parents(x)) for x in range(g.n_nodes))
         if score > best_score + 1e-12:
