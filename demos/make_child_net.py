@@ -12,10 +12,13 @@ Writes assets/child.json.
 
 import json
 import pathlib
+import sys
 
 import numpy as np
 
-from latentdag import Dag, DiscreteBayesNet, VariableMeta, bn_to_json, joint_marginal
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+
+from latentdag import Dag, DiscreteBayesNet, VariableMeta, bn_to_json, joint_marginal  # noqa: E402
 
 VARIABLES = [
     ("BirthAsphyxia", ("yes", "no")),

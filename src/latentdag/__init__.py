@@ -39,7 +39,6 @@ from .confounder import (
     recreate_latents,
 )
 from .data import (
-    ContingencyTable,
     Dataset,
     VariableMeta,
     count,
@@ -78,7 +77,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AugmentedResult",
     "CausalModel",
-    "ContingencyTable",
     "Dag",
     "Dataset",
     "DiscreteBayesNet",

@@ -19,9 +19,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .ci import check_probe_options
-from .data import Dataset, VariableMeta, project
+from .ci import DEFAULT_H, check_probe_options
+from .data import Dataset, VariableMeta, project, row_codes
 from .graphs import Dag, Pdag, cpdag_of
+from .scoring import DEFAULT_ALPHA
 
 __all__ = [
     "DiscreteBayesNet",
@@ -57,7 +58,7 @@ class DiscreteBayesNet:
 
     ``cpts[x]`` has shape ``(n_parent_configs, cardinality of x)``; rows are
     indexed lexicographically over the parents sorted by variable id (same
-    convention as :func:`latentdag.data.count`) and each row sums to one.
+    convention as :func:`latentdag.data.row_codes`) and each row sums to one.
     """
 
     variables: list[VariableMeta]
@@ -170,22 +171,19 @@ def bn_from_json(text: str) -> DiscreteBayesNet:
 def sample(bn: DiscreteBayesNet, n: int, seed: int = 0) -> Dataset:
     """Draw ``n`` rows by ancestral sampling (deterministic given the seed)."""
     rng = np.random.default_rng(seed)
-    values = np.zeros((n, bn.n_nodes), dtype=np.int32)
+    cards = [v.cardinality for v in bn.variables]
+    cols = np.zeros((bn.n_nodes, n), dtype=np.int64)
     for x in bn.dag.topological_order():
         ps = sorted(bn.dag.parents(x))
-        card = bn.cardinality(x)
+        card = cards[x]
         if ps:
-            cfg = np.ravel_multi_index(
-                tuple(values[:, p] for p in ps),
-                tuple(bn.cardinality(p) for p in ps),
-            )
-            rows = bn.cpts[x][cfg]
+            rows = bn.cpts[x][row_codes(cols, cards, ps)]
         else:
             rows = np.broadcast_to(bn.cpts[x][0], (n, card))
         u = rng.random(n)
         draws = (u[:, None] > np.cumsum(rows, axis=1)).sum(axis=1)
-        values[:, x] = np.minimum(draws, card - 1)
-    return Dataset(list(bn.variables), values)
+        cols[x] = np.minimum(draws, card - 1)
+    return Dataset(list(bn.variables), cols.T)
 
 
 # ---------------------------------------------------------------------------
@@ -309,10 +307,9 @@ def mutual_information(bn: DiscreteBayesNet, x: int, y: int, given=()) -> float:
     if peak <= EXACT_JOINT_CEILING:
         return _mi_from_joint(_eliminate(bn, targets, order))
     d = sample(bn, PLUGIN_SAMPLE_ROWS, seed=_PLUGIN_SEED)
-    cards = (bn.cardinality(x), bn.cardinality(y)) + tuple(bn.cardinality(z) for z in zs)
-    cols = tuple(d.values[:, v] for v in (x, y) + zs)
-    flat = np.ravel_multi_index(cols, cards)
-    counts = np.bincount(flat, minlength=int(np.prod(cards))).reshape(cards).astype(float)
+    shape = tuple(bn.cardinality(v) for v in targets)
+    flat = row_codes(d.values.T, d.cardinalities, targets)
+    counts = np.bincount(flat, minlength=math.prod(shape)).reshape(shape).astype(float)
     return _mi_from_joint(counts)
 
 
@@ -323,13 +320,14 @@ def mutual_information(bn: DiscreteBayesNet, x: int, y: int, given=()) -> float:
 DIRICHLET = 4.0
 DIRAC_LOW = 2.0 / 3.0
 DIRAC_HIGH = 5.0 / 6.0
+# table draws per placement before injection gives up
+MAX_ATTEMPTS = 200
 
 
 @dataclass(frozen=True)
 class InjectionConfig:
     n_confounders: int = 2
     latent_cardinality: int = 2
-    max_attempts: int = 200
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -337,8 +335,6 @@ class InjectionConfig:
             raise ValueError("n_confounders must be >= 0")
         if self.latent_cardinality < 2:
             raise ValueError("latent domain needs at least two states")
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
 
 
 def _mixture_cpt(n_cfg: int, card: int, rng: np.random.Generator) -> np.ndarray:
@@ -383,7 +379,7 @@ def inject_confounders(bn: DiscreteBayesNet, cfg: InjectionConfig
     earlier latent. Each child's CPT is redrawn from the point-mass/Dirichlet
     mixture until the pair clears the original network's average dependence
     thresholds; a placement that cannot clear them within
-    ``cfg.max_attempts`` draws raises :class:`InjectionError`.
+    ``MAX_ATTEMPTS`` draws raises :class:`InjectionError`.
 
     Returns the augmented network and the truth list
     ``[(latent name, (child name, child name)), ...]``.
@@ -424,7 +420,7 @@ def inject_confounders(bn: DiscreteBayesNet, cfg: InjectionConfig
         ) - {a, b}
         given = tuple(sorted(observed_parents))
 
-        for attempt in range(cfg.max_attempts):
+        for attempt in range(MAX_ATTEMPTS):
             for child in (a, b):
                 card = out.cardinality(child)
                 n_cfg = math.prod(out.cardinality(p) for p in out.dag.parents(child))
@@ -438,7 +434,7 @@ def inject_confounders(bn: DiscreteBayesNet, cfg: InjectionConfig
             raise InjectionError(
                 f"confounder {name} on ({out.variables[a].name}, "
                 f"{out.variables[b].name}): no admissible tables in "
-                f"{cfg.max_attempts} draws"
+                f"{MAX_ATTEMPTS} draws"
             )
         used.update((a, b))
         truth.append((name, (out.variables[a].name, out.variables[b].name)))
@@ -507,10 +503,11 @@ def _precision_recall_f1(ok: int, not_ok: int, n_truth: int) -> tuple:
 def compare_cpdags(truth: Pdag, learned: Pdag) -> EvalReport:
     """Count link agreements between two equivalence-class graphs.
 
-    Observed nodes are aligned by name; latent nodes (per the graphs' latent
-    annotations) are aligned by their unordered child pair, each truth latent
-    claimed at most once. Unmatched latents keep their links, which then
-    surface as misses or excesses.
+    Observed nodes are aligned by name. Each truth latent (per the graphs'
+    latent annotations) keys its links by its own name; a learnt latent
+    claims a truth latent over the same unordered child pair, each truth
+    latent at most once, and takes its key. Unmatched latents keep their
+    links, which then surface as misses or excesses.
     """
     t_latent = {name for name, _ in truth.latents}
     l_latent = {name for name, _ in learned.latents}
@@ -519,12 +516,12 @@ def compare_cpdags(truth: Pdag, learned: Pdag) -> EvalReport:
     if t_obs != l_obs:
         raise ValueError("graphs disagree on the observed node set")
 
-    # shared identifier space: observed names, then matched latent pairs,
-    # then the unmatched latents of either side
+    # shared identifier space: observed names, truth latents, then the
+    # unmatched learnt latents
     t_pairs = {name: frozenset({truth.names[a], truth.names[b]}) for name, (a, b) in truth.latents}
     l_pairs = {name: frozenset({learned.names[a], learned.names[b]}) for name, (a, b) in learned.latents}
     unclaimed = dict(t_pairs)
-    t_matched = {name: f"lat:{sorted(pair)}" for name, pair in t_pairs.items()}
+    t_matched = {name: f"lat:{name}" for name in t_pairs}
     l_matched = {}
     for name, pair in sorted(l_pairs.items()):
         hit = next((tn for tn, tp in sorted(unclaimed.items()) if tp == pair), None)
@@ -671,7 +668,7 @@ def _run_rep(packed):
 
 def run_benchmark(bn: DiscreteBayesNet, sizes: list[int], reps: int,
                   injection: InjectionConfig, learner,
-                  h: int = 7, alpha: float = 0.05,
+                  h: int = DEFAULT_H, alpha: float = DEFAULT_ALPHA,
                   jobs: int = 1) -> tuple[str, list[str], list[str]]:
     """Grid over dataset sizes x repetitions.
 
@@ -685,6 +682,9 @@ def run_benchmark(bn: DiscreteBayesNet, sizes: list[int], reps: int,
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
+    for size in sizes:
+        if size < 1:
+            raise ValueError(f"dataset size {size} must be >= 1")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     check_probe_options(h, alpha)

@@ -20,9 +20,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .scoring import ScoreContext, fill_bic, is_independent
+from .scoring import DEFAULT_ALPHA, ScoreContext, fill_bic, is_independent
 
 __all__ = ["SeparatorQuery", "SeparatorResult", "check_probe_options", "find_separator"]
+
+# separator size cap unless the caller names one
+DEFAULT_H = 7
 
 
 def check_probe_options(h: int, alpha: float) -> None:
@@ -44,8 +47,8 @@ class SeparatorQuery:
 
     u: int
     v: int
-    h: int = 7
-    alpha: float = 0.05
+    h: int = DEFAULT_H
+    alpha: float = DEFAULT_ALPHA
     compulsory: frozenset[int] = frozenset()
     forbidden: frozenset[int] = frozenset()
 

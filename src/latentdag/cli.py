@@ -25,12 +25,12 @@ from .bench import (
     bn_from_json,
     run_benchmark,
 )
-from .ci import SeparatorQuery, find_separator
+from .ci import DEFAULT_H, SeparatorQuery, find_separator
 from .confounder import discover_confounders
 from .data import load_dataset
 from .graphs import Dag, d_separated, enumerate_trails
 from .learner import LearnerConfig, learn
-from .scoring import ScoreContext
+from .scoring import DEFAULT_ALPHA, ScoreContext
 
 __all__ = ["main"]
 
@@ -194,10 +194,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def probe_options(sp: argparse.ArgumentParser) -> None:
-        sp.add_argument("--h", type=int, default=7,
-                        help="max separating-set size (default 7)")
-        sp.add_argument("--alpha", type=float, default=0.05,
-                        help="independence risk level (default 0.05)")
+        sp.add_argument("--h", type=int, default=DEFAULT_H,
+                        help="max separating-set size (default %(default)s)")
+        sp.add_argument("--alpha", type=float, default=DEFAULT_ALPHA,
+                        help="independence risk level (default %(default)s)")
 
     def learner_options(sp: argparse.ArgumentParser) -> None:
         sp.add_argument("--max-parents", type=int, default=4, dest="max_parents")

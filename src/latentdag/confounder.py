@@ -31,11 +31,11 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .ci import SeparatorQuery, SeparatorResult, check_probe_options, find_separator
+from .ci import DEFAULT_H, SeparatorQuery, SeparatorResult, check_probe_options, find_separator
 from .data import Dataset
 from .graphs import Dag, Pdag, cpdag_of
 from .learner import LearnerConfig, learn
-from .scoring import ScoreContext, is_independent
+from .scoring import DEFAULT_ALPHA, ScoreContext, is_independent
 
 __all__ = [
     "Triangle",
@@ -51,9 +51,6 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
-
-DEFAULT_H = 7
-DEFAULT_ALPHA = 0.05
 
 
 @dataclass(frozen=True, order=True)

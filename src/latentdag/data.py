@@ -1,9 +1,11 @@
 """Categorical dataset handling: ingestion, projection, contingency counting.
 
-Everything downstream (scores, independence tests, the structure learners)
-consumes data exclusively through :class:`Dataset` and :func:`count`, so the
-layout conventions fixed here propagate to the whole package:
+Everything downstream (scores, independence tests, the structure learners,
+the benchmark's sampler) reads the data as tallies of :func:`row_codes`, so
+the layout conventions fixed here propagate to the whole package:
 
+* a dataset is stored once, one int64 row per variable, and
+  :attr:`Dataset.values` is the ``(rows, variables)`` view of that array;
 * state labels of a variable are indexed in sorted (lexicographic) order;
 * parent configurations are indexed lexicographically over the parents sorted
   by variable id, i.e. the first (smallest-id) parent is the most significant
@@ -14,7 +16,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -22,9 +25,9 @@ import numpy as np
 __all__ = [
     "VariableMeta",
     "Dataset",
-    "ContingencyTable",
     "load_dataset",
     "project",
+    "row_codes",
     "count",
     "BatchTally",
 ]
@@ -61,6 +64,11 @@ class Dataset:
     values:
         Integer array of shape ``(n_rows, n_variables)``; entry ``[r, i]`` is
         the state index of variable ``i`` in row ``r``.
+
+    The values are stored once, as a read-only C-contiguous int64 array of
+    shape ``(n_variables, n_rows)``; ``values`` is its transposed view, and
+    ``values.T`` the columns themselves. A producer that fills those columns
+    and passes their ``.T`` is not copied.
     """
 
     def __init__(self, variables: Sequence[VariableMeta], values: np.ndarray):
@@ -75,17 +83,18 @@ class Dataset:
         if len(set(names)) != len(names):
             raise ValueError("duplicate variable names")
         cards = np.array([v.cardinality for v in variables], dtype=np.int64)
-        if values.size:
-            if values.min() < 0:
+        cols = np.ascontiguousarray(values.T, dtype=np.int64)
+        if cols.size:
+            if cols.min() < 0:
                 raise ValueError("negative state index")
-            if (values.max(axis=0) >= cards).any():
-                bad = int(np.argmax(values.max(axis=0) >= cards))
+            over = cols.max(axis=1) >= cards
+            if over.any():
                 raise ValueError(
-                    f"state index out of range for variable {names[bad]!r}"
+                    f"state index out of range for variable {names[int(np.argmax(over))]!r}"
                 )
+        cols.setflags(write=False)
         self.variables: tuple[VariableMeta, ...] = tuple(variables)
-        self.values: np.ndarray = np.ascontiguousarray(values, dtype=np.int32)
-        self.values.setflags(write=False)
+        self.values: np.ndarray = cols.T
         self._cards: tuple[int, ...] = tuple(v.cardinality for v in variables)
         self._index: dict[str, int] = {n: i for i, n in enumerate(names)}
 
@@ -119,35 +128,6 @@ class Dataset:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Dataset({self.n_variables} variables, {self.n_rows} rows)"
-
-
-@dataclass
-class ContingencyTable:
-    """Joint counts of a child against the full parent-configuration grid.
-
-    ``counts[x, z]`` is the number of rows where the child takes state ``x``
-    and the (sorted) parents jointly take the ``z``-th lexicographic
-    configuration. Configurations never seen in the data are present with
-    count zero — the grid always covers the full Cartesian product.
-    """
-
-    child: int
-    parents: tuple[int, ...]
-    counts: np.ndarray  # shape (child cardinality, n parent configurations)
-    n_rows: int
-    parent_cards: tuple[int, ...] = field(default=())
-
-    def __post_init__(self) -> None:
-        if int(self.counts.sum()) != self.n_rows:
-            raise ValueError(
-                f"counts sum to {int(self.counts.sum())}, expected n_rows="
-                f"{self.n_rows}"
-            )
-
-    @property
-    def marginals(self) -> np.ndarray:
-        """Per-configuration totals ``N_z`` (sums over the child axis)."""
-        return self.counts.sum(axis=0)
 
 
 def load_dataset(path, delimiter: str = ",") -> Dataset:
@@ -196,11 +176,13 @@ def load_dataset(path, delimiter: str = ",") -> Dataset:
 
     if not rows:
         raise ValueError(f"{path}: no data rows after the header")
-    columns = list(zip(*rows))
+    # one column at a time, read straight off the rows: no second full set
+    # of cell references
     variables = []
-    encoded = np.empty((len(rows), len(header)), dtype=np.int32)
+    cols = np.empty((len(header), len(rows)), dtype=np.int64)
     for i, name in enumerate(header):
-        labels = sorted(set(columns[i]))
+        cell = itemgetter(i)
+        labels = sorted(set(map(cell, rows)))
         if len(labels) < 2:
             raise ValueError(
                 f"{path}: column {name!r} has a single state; "
@@ -208,9 +190,9 @@ def load_dataset(path, delimiter: str = ",") -> Dataset:
             )
         variables.append(VariableMeta(name, tuple(labels)))
         lookup = {lab: j for j, lab in enumerate(labels)}
-        encoded[:, i] = np.fromiter(map(lookup.__getitem__, columns[i]), np.int32,
-                                    count=len(rows))
-    return Dataset(variables, encoded)
+        cols[i] = np.fromiter(map(lookup.__getitem__, map(cell, rows)), np.int64,
+                              count=len(rows))
+    return Dataset(variables, cols.T)
 
 
 def project(d: Dataset, keep: Iterable[int | str]) -> Dataset:
@@ -222,43 +204,40 @@ def project(d: Dataset, keep: Iterable[int | str]) -> Dataset:
     ids = sorted({d._resolve(v) for v in keep})
     if not ids:
         raise ValueError("cannot project onto an empty variable set")
-    return Dataset([d.variables[i] for i in ids], d.values[:, ids])
+    # the kept columns, copied once into a new (variables, rows) array
+    return Dataset([d.variables[i] for i in ids], d.values.T[ids].T)
 
 
-def count(d: Dataset, child: int | str, parents: Iterable[int | str] = ()) -> ContingencyTable:
+def row_codes(cols: np.ndarray, cards: Sequence[int], variables: Iterable[int]) -> np.ndarray:
+    """Mixed-radix int64 code of each row over ``variables``, the first most
+    significant: the lexicographic configuration index, last variable
+    fastest. ``cols[x]`` holds variable x's states, which lie below
+    ``cards[x]``; with no variables every code is 0."""
+    code = np.zeros(cols.shape[1], dtype=np.int64)
+    for x in variables:
+        code *= cards[x]
+        code += cols[x]
+    return code
+
+
+def count(d: Dataset, child: int | str, parents: Iterable[int | str] = ()) -> np.ndarray:
     """Tally child states against every parent configuration.
 
-    The parent list is normalised to ascending variable id; the returned
-    table covers the full Cartesian product of parent domains even when some
-    configurations are unobserved (those columns count zero — the scoring
-    module relies on this when it sizes the penalty term).
+    Returns the int64 table ``counts[x, z]``: the number of rows where the
+    child takes state ``x`` and the parents, normalised to ascending variable
+    id, take their ``z``-th lexicographic configuration. The table covers the
+    full Cartesian product of parent domains even when some configurations
+    are unobserved (those columns count zero — the scoring module relies on
+    this when it sizes the penalty term).
     """
     ci = d._resolve(child)
     pids = sorted({d._resolve(p) for p in parents})
     if ci in pids:
         raise ValueError(f"child {d.variables[ci].name!r} cannot be its own parent")
     cards = d.cardinalities
-    child_card = cards[ci]
-    parent_cards = tuple(cards[p] for p in pids)
-
-    n_cfg = math.prod(parent_cards)
-
-    if pids:
-        cfg = np.ravel_multi_index(
-            tuple(d.values[:, p] for p in pids), parent_cards
-        )
-    else:
-        cfg = np.zeros(d.n_rows, dtype=np.int64)
-    flat = d.values[:, ci].astype(np.int64) * n_cfg + cfg
-    tallies = np.bincount(flat, minlength=child_card * n_cfg)
-    counts = tallies.reshape(child_card, n_cfg)
-    return ContingencyTable(
-        child=ci,
-        parents=tuple(pids),
-        counts=counts,
-        n_rows=d.n_rows,
-        parent_cards=parent_cards,
-    )
+    n_cells = math.prod(cards[v] for v in (ci, *pids))
+    tallies = np.bincount(row_codes(d.values.T, cards, (ci, *pids)), minlength=n_cells)
+    return tallies.reshape(cards[ci], -1)
 
 
 # Cap on the elements of one batch's row codes and of its joint tally, so a
@@ -270,25 +249,21 @@ class BatchTally:
     """Joint tallies of one base variable set with each of several extra
     variables, side by side in one bincount.
 
-    Holds the columns as int64 rows and workspace buffers sized once, so a
-    caller that tallies many batches (the exact learner's score table, each
-    separator step, each hill-climb target) allocates them once.
+    Reads the dataset's own int64 columns and holds workspace buffers sized
+    once, so a caller that tallies many batches (the exact learner's score
+    table, each separator step, each hill-climb target) allocates them once.
     """
 
     def __init__(self, d: Dataset):
         self.cards = d.cardinalities
-        self.cols = np.ascontiguousarray(d.values.T, dtype=np.int64)
+        self.cols = d.values.T
         self.batch_rows = max(1, min(d.n_variables, _BATCH_ELEMENTS // d.n_rows))
         self.codes = np.empty((self.batch_rows, d.n_rows), dtype=np.int64)
         self.scaled = np.empty(d.n_rows, dtype=np.int64)
 
     def code(self, variables: Iterable[int]) -> np.ndarray:
-        """Mixed-radix row code of ``variables``, the first most significant."""
-        code = np.zeros(self.cols.shape[1], dtype=np.int64)
-        for x in variables:
-            code *= self.cards[x]
-            code += self.cols[x]
-        return code
+        """:func:`row_codes` of ``variables`` over the dataset."""
+        return row_codes(self.cols, self.cards, variables)
 
     def joints(self, code: np.ndarray, n_cfg: int, ys: Sequence[int]):
         """Yield ``(chunk, joint)`` batches that cover the ascending ids ``ys``.

@@ -401,6 +401,9 @@ class Pdag:
         self.undirected.add(key)
 
     def _pair_key(self, u: int, v: int) -> tuple[int, int]:
+        for x in (u, v):
+            if not 0 <= x < self.n_nodes:
+                raise KeyError(f"node {x} out of range")
         if u == v:
             raise ValueError(f"self-link on {self.names[u]} is not allowed")
         return min(u, v), max(u, v)

@@ -14,7 +14,7 @@ route is the only one implemented, so the learner and the independence
 search share one memoised code path.
 
 :func:`drop_bic` is the one route by which a single family is tallied:
-one :func:`~latentdag.data.count` of ``(x, S)`` scores that family and,
+one :func:`~latentdag.data.count` table of ``(x, S)`` scores that family and,
 by summing over a member p's axis, each listed ``(x, S - {p})``. The hill
 climber lists every parent (its remove moves), :func:`f_bic` lists v (both
 families of its statistic) and :func:`bic` lists none. :func:`fill_bic`
@@ -42,6 +42,9 @@ from .data import BatchTally, Dataset, count
 __all__ = ["ScoreContext", "IndepVerdict", "log_likelihood", "bic", "fill_bic", "drop_bic",
            "f_bic", "chi2_critical", "is_independent"]
 
+# risk level of an independence test unless the caller names one
+DEFAULT_ALPHA = 0.05
+
 
 @dataclass(frozen=True)
 class IndepVerdict:
@@ -60,9 +63,10 @@ class IndepVerdict:
 class ScoreContext:
     """Memoised local-score evaluator bound to one dataset.
 
-    Lookups are cheap dict reads. The batch-tally workspace is made on first
-    use and kept for the context's lifetime. The memo holds scores, not
-    verdicts: each :func:`is_independent` call reads its two scores from it.
+    Lookups are cheap dict reads. The batch-tally workspace, which reads the
+    dataset's own columns, is kept for the context's lifetime. The memo holds
+    scores, not verdicts: each :func:`is_independent` call reads its two
+    scores from it.
     """
 
     def __init__(self, dataset: Dataset):
@@ -71,16 +75,7 @@ class ScoreContext:
         self.dataset = dataset
         self.log_n = math.log(dataset.n_rows)
         self._scores: dict[tuple[int, frozenset[int]], float] = {}
-        self._tally: BatchTally | None = None
-
-    @property
-    def tally(self) -> BatchTally:
-        if self._tally is None:
-            self._tally = BatchTally(self.dataset)
-        return self._tally
-
-    def cardinality(self, x: int) -> int:
-        return self.dataset.variables[x].cardinality
+        self.tally = BatchTally(dataset)
 
 
 def log_likelihood(counts: np.ndarray, axis: int) -> list[float]:
@@ -132,7 +127,7 @@ def bic(ctx: ScoreContext, x: int, z=()) -> float:
 def _memoise(ctx: ScoreContext, x: int, keys, tables: np.ndarray) -> None:
     """Score a stack of ``x``'s tables in :func:`~latentdag.data.count`'s
     layout, ``(child state, parent configuration)``, into the memo."""
-    dim = (ctx.cardinality(x) - 1) * tables.shape[2]
+    dim = (ctx.dataset.cardinalities[x] - 1) * tables.shape[2]
     for key, ll in zip(keys, log_likelihood(tables, axis=1)):
         ctx._scores[key] = ll - 0.5 * ctx.log_n * dim
 
@@ -213,7 +208,7 @@ def drop_bic(ctx: ScoreContext, x: int, parents, drops) -> np.ndarray:
     keys = [(x, full[1] - {p}) for p in drops]
     missing = [i for i, key in enumerate(keys) if key not in memo]
     if missing or full not in memo:
-        table = count(ctx.dataset, x, parents).counts
+        table = count(ctx.dataset, x, parents)
         if full not in memo:
             _memoise(ctx, x, [full], table[None])
         cards = ctx.dataset.cardinalities
@@ -229,9 +224,10 @@ def drop_bic(ctx: ScoreContext, x: int, parents, drops) -> np.ndarray:
 
 
 def _dof(ctx: ScoreContext, u: int, v: int, zset: frozenset[int]) -> int:
-    d = (ctx.cardinality(u) - 1) * (ctx.cardinality(v) - 1)
+    cards = ctx.dataset.cardinalities
+    d = (cards[u] - 1) * (cards[v] - 1)
     for x in zset:
-        d *= ctx.cardinality(x)
+        d *= cards[x]
     return d
 
 
@@ -262,7 +258,8 @@ def chi2_critical(dof: int, alpha: float) -> float:
     return float(chdtri(dof, alpha))
 
 
-def is_independent(ctx: ScoreContext, u: int, v: int, z=(), alpha: float = 0.05) -> IndepVerdict:
+def is_independent(ctx: ScoreContext, u: int, v: int, z=(),
+                   alpha: float = DEFAULT_ALPHA) -> IndepVerdict:
     """Full test: statistic below the critical value means independent.
 
     The statistic is :func:`f_bic`'s for the ordered pair (min, max), so

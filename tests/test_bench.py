@@ -308,16 +308,13 @@ class TestInjection:
             0: np.array([[0.5, 0.5]]), 1: eye.copy(), 2: eye.copy(),
         })
         with pytest.raises(InjectionError, match="no admissible tables"):
-            inject_confounders(bn, InjectionConfig(n_confounders=1, seed=3,
-                                                   max_attempts=25))
+            inject_confounders(bn, InjectionConfig(n_confounders=1, seed=3))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
             InjectionConfig(n_confounders=-1)
         with pytest.raises(ValueError):
             InjectionConfig(latent_cardinality=1)
-        with pytest.raises(ValueError):
-            InjectionConfig(max_attempts=0)
 
 
 class TestCompareConfounders:
@@ -408,6 +405,22 @@ class TestCompareCpdags:
         p2 = Pdag(2, names=["A", "B"])
         r = compare_cpdags(p1, p2)
         assert r.miss == 2 and r.xs == 0
+
+    def test_two_latents_over_one_pair_keep_their_own_links(self):
+        def pdag_with_latents(*names):
+            g = Dag.from_arcs(2 + len(names), [(2 + i, c) for i in range(len(names))
+                                               for c in (0, 1)],
+                              names=["A", "B", *names])
+            p = cpdag_of(g)
+            p.latents = [(name, (0, 1)) for name in names]
+            return p
+
+        truth = pdag_with_latents("L1", "L2")
+        r = compare_cpdags(truth, pdag_with_latents())
+        assert (r.cpdag_ok, r.miss, r.xs) == (0, 4, 0)
+        r = compare_cpdags(truth, pdag_with_latents("H1", "H2"))
+        assert r.cpdag_ok == 4
+        assert (r.miss, r.rev, r.type_err, r.xs) == (0, 0, 0, 0)
 
     def test_observed_mismatch_rejected(self):
         p1 = Pdag(2, names=["A", "B"])
@@ -525,6 +538,18 @@ class TestRunBenchmark:
         with pytest.raises(ValueError, match=message):
             run_benchmark(self.small_net(), [400], 1, InjectionConfig(seed=1),
                           LearnerConfig(max_parents=3), **kw)
+
+    @pytest.mark.parametrize("sizes, bad", [([-5], -5), ([200, 0], 0)])
+    def test_bad_sizes_rejected_before_injecting(self, monkeypatch, sizes, bad):
+        from latentdag import LearnerConfig, bench
+
+        def no_injection(*args):
+            raise AssertionError("injected before checking the sizes")
+
+        monkeypatch.setattr(bench, "inject_confounders", no_injection)
+        with pytest.raises(ValueError, match=f"dataset size {bad} must be >= 1"):
+            run_benchmark(self.small_net(), sizes, 1, InjectionConfig(seed=1),
+                          LearnerConfig(max_parents=3))
 
     def test_parallel_run_matches_serial(self):
         from pathlib import Path

@@ -270,6 +270,14 @@ class TestBenchmark:
         assert r.returncode == 2
         assert "error: jobs must be >= 1" in r.stderr
 
+    @pytest.mark.parametrize("sizes, bad", [("-5", -5), ("200,0", 0)])
+    def test_size_below_one_is_usage_error(self, workdir, sizes, bad):
+        r = run_cli("benchmark", "--bn", workdir / "bn7.json",
+                    "--sizes", sizes, "--reps", "1")
+        assert r.returncode == 2
+        assert f"error: dataset size {bad} must be >= 1" in r.stderr
+        assert "mean learn" not in r.stdout  # no size ran
+
     def test_empty_sizes_is_usage_error(self, workdir):
         r = run_cli("benchmark", "--bn", workdir / "bn7.json",
                     "--sizes", "", "--reps", "1")

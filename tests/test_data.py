@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latentdag import ContingencyTable, Dataset, VariableMeta, count, load_dataset, project
+from latentdag import Dataset, ScoreContext, VariableMeta, count, load_dataset, project
 from latentdag import data
-from latentdag.data import BatchTally
+from latentdag.data import BatchTally, row_codes
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -110,6 +110,22 @@ class TestLoadDataset:
             d.values[0, 0] = 1
 
 
+class TestStorage:
+    def test_values_view_int64_columns(self):
+        d = make_dataset([[0, 1, 0], [1, 0, 1]])
+        assert d.values.dtype == np.int64
+        assert d.values.shape == (3, 2)
+        assert d.values.T.flags.c_contiguous
+        assert list(d.column(1)) == [1, 0, 1]
+
+    def test_int64_columns_are_kept_without_a_copy(self):
+        # load_dataset and sample hand over (variables, rows) arrays this way
+        cols = np.array([[0, 1, 1], [1, 0, 1]], dtype=np.int64)
+        d = Dataset([VariableMeta(n, ("a", "b")) for n in "XY"], cols.T)
+        assert np.shares_memory(d.values, cols)
+        assert np.array_equal(d.values.T, cols)
+
+
 class TestProject:
     def test_identity(self):
         d = make_dataset([[0, 1, 0], [1, 0, 1]])
@@ -149,23 +165,23 @@ class TestProject:
         d = make_dataset(cols)
         direct = count(d, 0, [1])
         via_projection = count(project(d, [0, 1]), 0, [1])
-        assert np.array_equal(direct.counts, via_projection.counts)
+        assert np.array_equal(direct, via_projection)
 
 
 class TestCount:
     def test_marginal(self):
         d = make_dataset([[0, 0, 1, 1, 1]])
         t = count(d, 0, [])
-        assert t.counts.shape == (2, 1)
-        assert list(t.counts[:, 0]) == [2, 3]
-        assert list(t.marginals) == [5]
+        assert t.dtype == np.int64
+        assert t.shape == (2, 1)
+        assert list(t[:, 0]) == [2, 3]
 
     def test_hand_tally(self):
         # rows (x, z): (0,0) (0,0) (1,0) (1,1)
         d = make_dataset([[0, 0, 1, 1], [0, 0, 0, 1]])
         t = count(d, 0, [1])
-        assert np.array_equal(t.counts, np.array([[2, 0], [1, 1]]))
-        assert list(t.marginals) == [3, 1]
+        assert np.array_equal(t, np.array([[2, 0], [1, 1]]))
+        assert list(t.sum(axis=0)) == [3, 1]
 
     def test_unobserved_configs_present_with_zero(self):
         # parent has 3 states but only state 0 appears
@@ -174,16 +190,18 @@ class TestCount:
         vs = (VariableMeta("X", ("a", "b")), VariableMeta("Z", ("p", "q", "r")))
         d = Dataset(vs, np.array([x, z], dtype=np.int32).T)
         t = count(d, 0, [1])
-        assert t.counts.shape == (2, 3)
-        assert list(t.marginals) == [3, 0, 0]
+        assert t.shape == (2, 3)
+        assert list(t.sum(axis=0)) == [3, 0, 0]
 
     def test_parents_normalized_to_ascending_ids(self):
         rng = np.random.default_rng(7)
         d = make_dataset([list(rng.integers(0, 2, 30)) for _ in range(3)])
         a = count(d, 0, [2, 1])
         b = count(d, 0, [1, 2])
-        assert a.parents == b.parents == (1, 2)
-        assert np.array_equal(a.counts, b.counts)
+        assert np.array_equal(a, b)
+        # parent 1 is the most significant digit of the configuration
+        x, z1, z2 = d.values.T
+        assert np.array_equal(a, np.bincount(x * 4 + z1 * 2 + z2, minlength=8).reshape(2, 4))
 
     def test_child_in_parents_rejected(self):
         d = make_dataset([[0, 1], [1, 0]])
@@ -197,8 +215,9 @@ class TestCount:
                           list(rng.integers(0, 4, 200))])
         for child, parents in [(0, []), (1, [0]), (2, [0, 1]), (0, [1, 2])]:
             t = count(d, child, parents)
-            assert t.counts.sum() == 200
-            assert np.array_equal(t.counts.sum(axis=0), t.marginals)
+            assert t.shape == (d.cardinalities[child],
+                               math.prod(d.cardinalities[p] for p in parents))
+            assert t.sum() == 200
 
     def test_config_order_last_parent_fastest(self):
         # z1 in {0,1}, z2 in {0,1}; configs ordered (0,0),(0,1),(1,0),(1,1)
@@ -212,18 +231,37 @@ class TestCount:
               VariableMeta("Z2", ("u", "v")))
         d = Dataset(vs, np.array([x, z1, z2], dtype=np.int32).T)
         t = count(d, 0, [1, 2])
-        assert list(t.marginals) == [1, 1, 1, 1]
-        assert np.array_equal(t.counts[0], [1, 1, 1, 1])
+        assert list(t.sum(axis=0)) == [1, 1, 1, 1]
+        assert np.array_equal(t[0], [1, 1, 1, 1])
 
 
-class TestContingencyTable:
-    def test_invariants_checked(self):
-        with pytest.raises(ValueError):
-            ContingencyTable(
-                child=0, parents=(1,),
-                counts=np.array([[1, 2], [3, 4]]), n_rows=99,
-                parent_cards=(2,),
-            )
+@st.composite
+def code_cases(draw):
+    """Columns of 1 to 5 states and an ordered list of distinct variables
+    (possibly empty)."""
+    n_vars = draw(st.integers(1, 5))
+    cards = draw(st.lists(st.integers(1, 5), min_size=n_vars, max_size=n_vars))
+    n_rows = draw(st.integers(0, 40))
+    cols = [draw(st.lists(st.integers(0, c - 1), min_size=n_rows, max_size=n_rows))
+            for c in cards]
+    variables = draw(st.permutations(range(n_vars)).flatmap(
+        lambda p: st.integers(0, n_vars).map(lambda k: list(p[:k]))))
+    return np.array(cols, dtype=np.int64).reshape(n_vars, n_rows), cards, variables
+
+
+class TestRowCodes:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(code_cases())
+    def test_equals_ravel_multi_index(self, case):
+        cols, cards, variables = case
+        code = row_codes(cols, cards, variables)
+        assert code.dtype == np.int64
+        if variables:
+            want = np.ravel_multi_index(tuple(cols[x] for x in variables),
+                                        tuple(cards[x] for x in variables))
+        else:
+            want = np.zeros(cols.shape[1], dtype=np.int64)
+        assert np.array_equal(code, want)
 
 
 @st.composite
@@ -251,6 +289,13 @@ class TestBatchTally:
               for i, c in enumerate(cards)]
         d = Dataset(vs, np.array(cols, dtype=np.int32).T)
         n_cfg = math.prod(cards[p] for p in base)
+
+        def table(y):
+            """(y, base) counts from numpy's own lexicographic index."""
+            flat = np.ravel_multi_index(tuple(d.values[:, v] for v in (y, *base)),
+                                        tuple(cards[v] for v in (y, *base)))
+            return np.bincount(flat, minlength=cards[y] * n_cfg).reshape(cards[y], n_cfg)
+
         seen = []
         with mock.patch.object(data, "_BATCH_ELEMENTS", cap):
             tally = BatchTally(d)
@@ -263,5 +308,9 @@ class TestBatchTally:
                     assert not grid[:, cards[y]:].any()  # padding counts zero
                     assert np.array_equal(grid.sum(axis=1),
                                           np.bincount(code, minlength=n_cfg))
-                    assert np.array_equal(grid[:, :cards[y]].T, count(d, y, base).counts)
+                    assert np.array_equal(grid[:, :cards[y]].T, table(y))
         assert seen == ys
+
+    def test_reads_the_dataset_columns_without_a_copy(self):
+        d = make_dataset([[0, 1, 0, 1], [1, 1, 0, 0]])
+        assert np.shares_memory(ScoreContext(d).tally.cols, d.values)

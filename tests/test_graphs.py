@@ -364,6 +364,14 @@ class TestPdag:
         with pytest.raises(ValueError):
             p.add_undirected(0, 1)
 
+    @pytest.mark.parametrize("method", ["add_directed", "add_undirected"])
+    @pytest.mark.parametrize("u, v, bad", [(0, 5, 5), (-1, 1, -1)])
+    def test_node_ids_range_checked(self, method, u, v, bad):
+        p = Pdag(2, names=["A", "B"])
+        with pytest.raises(KeyError, match=f"node {bad} out of range"):
+            getattr(p, method)(u, v)
+        assert not p.directed and not p.undirected
+
     def test_json_schema_fields(self):
         p = cpdag_of(confounded_pair_graph())
         blob = json.loads(p.to_json())

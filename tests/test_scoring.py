@@ -76,7 +76,7 @@ class TestLogLikelihood:
             ctx, _, cards = random_context(rng, min_rows=50, max_rows=2000)
             x = int(rng.integers(4))
             z = [v for v in range(4) if v != x and rng.random() < 0.6]
-            table = count(ctx.dataset, x, z).counts.astype(float)
+            table = count(ctx.dataset, x, z).astype(float)
             want = (single_table_log_likelihood(table, 0)
                     - 0.5 * ctx.log_n * (cards[x] - 1) * table.shape[1])
             assert bic(ctx, x, z) == want
