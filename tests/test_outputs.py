@@ -1,5 +1,6 @@
 """Pinned output bytes: the metric CSVs of two fixed `latentdag benchmark`
-runs, one per learner, must keep their SHA-256.
+runs, one per learner, and the injected networks and truth lists of six
+fixed `inject_confounders` calls must keep their SHA-256.
 
 A refactor that keeps every output byte-identical leaves these hashes alone.
 A change meant to alter the outputs re-records them here, with the reason in
@@ -7,11 +8,13 @@ the change log.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
 
 from latentdag import cli
+from latentdag.bench import InjectionConfig, bn_from_json, bn_to_json, inject_confounders
 
 ASSETS = Path(__file__).resolve().parents[1] / "assets"
 
@@ -34,3 +37,27 @@ def test_benchmark_csv_bytes_are_pinned(args, digest, tmp_path, capsys):
         f"the metric CSV of `latentdag benchmark {' '.join(map(str, args))}` changed "
         f"(SHA-256 {got}). If the change of output is intended, re-record the hash "
         "here and give the reason in CHANGES.md.\n" + out.read_text())
+
+
+# seeds as the benchmark grid derives them for repetitions 0-2
+INJECTIONS = [
+    ("net20", 1, "c16287b6b73f1a1b23b4aa954764925622f3e9cbb3fca159729f40c10075664c"),
+    ("net20", 2, "c1529ae51e3b4c04f596d2598dc8ebd5376a0e5d08d4e1e6d5fdabfe81c741b0"),
+    ("net20", 3, "b4cc69c587a77498125e121cf3c5ecc80c7529e7c289c595cc56d85b4512b4fb"),
+    ("child", 1, "e61e9a92460bdf136bfdf197722b57a8e0f4c0cbbc307413ccaed396e1509b22"),
+    ("child", 2, "c6bb087cf9ed65b0a6dd75524a0900cf969ae26b7448a7073f86935d122c0013"),
+    ("child", 3, "18e62614b6d47daeb4d620b6920c48c2ba3953d1f617b80ad1dd99c22e53f54f"),
+]
+
+
+@pytest.mark.parametrize("net, r, digest", INJECTIONS,
+                         ids=[f"{net}-r{r}" for net, r, _ in INJECTIONS])
+def test_injected_network_bytes_are_pinned(net, r, digest):
+    # an MI drift that flips one admissibility decision changes the redrawn
+    # tables, the chosen pairs or both
+    bn = bn_from_json((ASSETS / f"{net}.json").read_text())
+    injected, truth = inject_confounders(bn, InjectionConfig(seed=1_000_003 * r))
+    got = hashlib.sha256((bn_to_json(injected) + json.dumps(truth)).encode()).hexdigest()
+    assert got == digest, (
+        f"inject_confounders on {net}.json with seed {1_000_003 * r} changed its "
+        f"network or truth list (SHA-256 {got}); truth is now {truth}")
