@@ -35,7 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chdtri
 
 from .data import BatchTally, Dataset, count
 
@@ -251,6 +250,9 @@ def f_bic(ctx: ScoreContext, u: int, v: int, z=()) -> IndepVerdict:
 
 def chi2_critical(dof: int, alpha: float) -> float:
     """Upper-tail critical value: the x with chi-square survival(x) = alpha."""
+    # imported here: scipy.special is most of a cold package import
+    from scipy.special import chdtri
+
     if dof < 1:
         raise ValueError("dof must be >= 1")
     if not 0.0 < alpha < 1.0:

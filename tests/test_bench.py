@@ -1,6 +1,7 @@
 """Generative models, confounder injection and benchmark evaluation."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -155,6 +156,11 @@ class TestSampling:
         d = sample(bn, 5000, seed=6)
         assert np.array_equal(d.values[:, 0], d.values[:, 1])
 
+    def test_negative_row_count_is_named(self):
+        with pytest.raises(ValueError, match="row count must be >= 0, got -1"):
+            sample(diamond_bn(), -1)
+        assert sample(diamond_bn(), 0).n_rows == 0
+
     def test_empirical_conditionals_approach_the_tables(self):
         bn = diamond_bn()
         d = sample(bn, 100_000, seed=7)
@@ -176,6 +182,12 @@ class TestJointMarginal:
                 want[tuple(cfg[t] for t in targets)] += p
             np.testing.assert_allclose(got, want, atol=1e-12)
             assert got.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_bad_targets_are_named(self):
+        with pytest.raises(ValueError, match="node id 0 is named twice"):
+            joint_marginal(diamond_bn(), (0, 0))
+        with pytest.raises(ValueError, match="node id 4 is outside 0..3"):
+            joint_marginal(diamond_bn(), (1, 4))
 
 
 class TestMutualInformation:
@@ -200,11 +212,44 @@ class TestMutualInformation:
         from latentdag.bench import _elimination_plan
         bn = chain_bn(24, hi=0.85)
         assert bn.joint_size() > 10_000_000
-        _, peak = _elimination_plan(bn, (0, 1))
-        assert peak <= 8
+        # nodes 2..23 descend from the targets: none takes part
+        assert _elimination_plan(bn, (0, 1)) == ([], 4)
+        order, _ = _elimination_plan(bn, (5,))
+        assert sorted(order) == [0, 1, 2, 3, 4]
         h15 = -(0.15 * np.log(0.15) + 0.85 * np.log(0.85))
         assert mutual_information(bn, 0, 1) == pytest.approx(
             np.log(2) - h15, abs=1e-12)
+
+    def test_pruned_elimination_matches_oracle_on_random_nets(self):
+        from latentdag.bench import _ancestral
+        rng = np.random.default_rng(11)
+        n = 8
+        pruned = 0
+        for _ in range(5):
+            cards = [int(c) for c in rng.integers(2, 4, n)]
+            arcs = [(u, v) for v in range(n) for u in range(v) if rng.random() < 0.3]
+            bn = random_bn(cards, arcs, rng)
+            joint = exact_joint(cards, arcs, {v: bn.cpts[v].tolist() for v in range(n)})
+            for _ in range(6):
+                x, y, *zs = (int(v) for v in rng.choice(n, size=2 + int(rng.integers(0, 3)),
+                                                        replace=False))
+                pruned += len(_ancestral(bn, (x, y, *zs))) < n
+                got = mutual_information(bn, x, y, zs)
+                want = mi_from_exact_joint(joint, cards, x, y, zs)
+                assert got == pytest.approx(want, abs=1e-12)
+        # the seed gives queries whose ancestral set leaves nodes out
+        assert pruned >= 20
+
+    def test_bad_ids_are_named_before_elimination(self):
+        bn = diamond_bn()
+        with pytest.raises(ValueError, match="node id 99 is outside 0..3"):
+            mutual_information(bn, 0, 99)
+        with pytest.raises(ValueError, match="node id -1 is outside 0..3"):
+            mutual_information(bn, 0, 1, (-1,))
+        with pytest.raises(ValueError, match="node id 1 is named twice"):
+            mutual_information(bn, 1, 1)
+        with pytest.raises(ValueError, match="node id 2 is named twice"):
+            mutual_information(bn, 0, 2, (2, 3))
 
     def test_plugin_route_past_the_factor_ceiling(self, monkeypatch):
         import latentdag.bench as bench_mod
@@ -236,6 +281,18 @@ class TestDependenceThresholds:
             1: np.array([[0.8, 0.2], [0.2, 0.8]]),
         })
         assert dependence_thresholds(bn) == (0.0, 0.0)
+
+
+def random_bn(cards, arcs, rng):
+    """Network over ``arcs`` whose CPT rows are Dirichlet(1) draws."""
+    n = len(cards)
+    vs = [VariableMeta(f"V{i}", tuple(f"s{j}" for j in range(c))) for i, c in enumerate(cards)]
+    g = Dag.from_arcs(n, arcs)
+    cpts = {}
+    for x in range(n):
+        n_cfg = math.prod(cards[p] for p in g.parents(x))
+        cpts[x] = rng.dirichlet(np.ones(cards[x]), size=n_cfg)
+    return DiscreteBayesNet(vs, g, cpts)
 
 
 def chain_bn(n=6, hi=0.8):

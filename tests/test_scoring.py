@@ -369,14 +369,19 @@ class TestFillBic:
             assert ctx._scores[(x, frozenset(parents))] == bic(fresh, x, parents)
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats takes most of a cold import; the package needs only
-    # scipy.special
+def test_import_leaves_scipy_unloaded():
+    # scipy.special is most of a cold import and only chi2_critical needs
+    # it, so it loads on that function's first call
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in [str(src), os.environ.get("PYTHONPATH", "")] if p))
-    r = subprocess.run(
-        [sys.executable, "-c",
-         "import latentdag, sys; assert 'scipy.stats' not in sys.modules"],
-        capture_output=True, text=True, env=env, timeout=120)
+    script = (
+        "import sys\n"
+        "import latentdag, latentdag.cli\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert not loaded, loaded\n"
+        "assert latentdag.chi2_critical(1, 0.05) == 3.8414588206941285\n"
+    )
+    r = subprocess.run([sys.executable, "-c", script],
+                       capture_output=True, text=True, env=env, timeout=120)
     assert r.returncode == 0, r.stderr
