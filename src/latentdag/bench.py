@@ -15,6 +15,7 @@ from __future__ import annotations
 import concurrent.futures
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -41,11 +42,11 @@ __all__ = [
     "run_benchmark",
 ]
 
-# elimination factors past this many cells take the sampled (plug-in)
-# mutual-information path. The peak is that of the elimination over the
-# targets' ancestral set, so a query whose whole-network elimination would
-# pass the ceiling may still be exact; on the shipped assets no query comes
-# near it (largest peak 64 cells on net20, 3,240 on child)
+# mutual information gives up its single elimination pass over the targets'
+# ancestral set at the first factor past this many cells and takes the
+# sampled (plug-in) route. A query whose whole-network elimination would pass
+# it may still be exact; on the shipped assets no query comes near it
+# (largest factor 64 cells on net20, 3,240 on child)
 EXACT_JOINT_CEILING = 10_000_000
 PLUGIN_SAMPLE_ROWS = 100_000
 _PLUGIN_SEED = 0xA5
@@ -78,6 +79,8 @@ class DiscreteBayesNet:
             self.dag = self.dag.copy()
             self.dag.names = names
         for x in range(self.dag.n_nodes):
+            if x not in self.cpts:
+                raise ValueError(f"variable {names[x]!r} has no entry in 'cpts'")
             self.cpts[x] = np.asarray(self.cpts[x], dtype=float)
             card = self.variables[x].cardinality
             n_cfg = math.prod(self.variables[p].cardinality for p in self.dag.parents(x))
@@ -98,9 +101,6 @@ class DiscreteBayesNet:
 
     def cardinality(self, x: int) -> int:
         return self.variables[x].cardinality
-
-    def joint_size(self) -> int:
-        return math.prod(v.cardinality for v in self.variables)
 
     def id_of(self, name: str) -> int:
         for i, v in enumerate(self.variables):
@@ -134,11 +134,18 @@ def bn_to_json(bn: DiscreteBayesNet) -> str:
 
 def bn_from_json(text: str) -> DiscreteBayesNet:
     doc = json.loads(text)
-    for key in ("variables", "arcs", "cpts"):
+    if not isinstance(doc, dict):
+        raise ValueError(f"network JSON must be an object, not {type(doc).__name__}")
+    for key, kind in (("variables", list), ("arcs", list), ("cpts", dict)):
         if key not in doc:
             raise ValueError(f"network JSON has no {key!r} key")
+        if not isinstance(doc[key], kind):
+            raise ValueError(f"network JSON's {key!r} must be a {kind.__name__}, "
+                             f"not {type(doc[key]).__name__}")
     variables = []
     for i, v in enumerate(doc["variables"]):
+        if not isinstance(v, dict):
+            raise ValueError(f"variable number {i} is not an object: {v!r}")
         for attr in ("name", "states"):
             if attr not in v:
                 who = repr(v["name"]) if "name" in v else f"number {i}"
@@ -152,8 +159,10 @@ def bn_from_json(text: str) -> DiscreteBayesNet:
         return idx[name]
 
     dag = Dag(len(variables), [v.name for v in variables])
-    for u, v in doc["arcs"]:
-        dag.add_arc(declared(u, "'arcs'"), declared(v, "'arcs'"))
+    for arc in doc["arcs"]:
+        if not (isinstance(arc, list) and len(arc) == 2):
+            raise ValueError(f"'arcs' entry {arc!r} is not a [from, to] pair")
+        dag.add_arc(declared(arc[0], "'arcs'"), declared(arc[1], "'arcs'"))
     cpts = {}
     for name, flat in doc["cpts"].items():
         x = declared(name, "'cpts'")
@@ -162,9 +171,6 @@ def bn_from_json(text: str) -> DiscreteBayesNet:
         if flat.size % card:
             raise ValueError(f"CPT of {name!r} has {flat.size} entries, not a multiple of {card}")
         cpts[x] = flat.reshape(-1, card)
-    for x, v in enumerate(variables):
-        if x not in cpts:
-            raise ValueError(f"variable {v.name!r} has no entry in 'cpts'")
     return DiscreteBayesNet(variables=variables, dag=dag, cpts=cpts)
 
 
@@ -194,19 +200,6 @@ def sample(bn: DiscreteBayesNet, n: int, seed: int = 0) -> Dataset:
 # ---------------------------------------------------------------------------
 # exact inference (variable elimination) and mutual information
 
-def _multiply(factors: list[tuple[tuple[int, ...], np.ndarray]],
-              cards: dict[int, int]) -> tuple[tuple[int, ...], np.ndarray]:
-    all_vars = tuple(sorted({v for vars_, _ in factors for v in vars_}))
-    shape = tuple(cards[v] for v in all_vars)
-    out = np.ones(shape)
-    for vars_, tab in factors:
-        expand = [slice(None) if v in vars_ else np.newaxis for v in all_vars]
-        # permute tab axes into all_vars order first
-        perm = tuple(sorted(range(len(vars_)), key=lambda i: vars_[i]))
-        out = out * np.transpose(tab, perm)[tuple(expand)]
-    return all_vars, out
-
-
 def _check_targets(bn: DiscreteBayesNet, targets: tuple[int, ...]) -> None:
     """Reject, by id, a target outside the network or named twice."""
     seen: set[int] = set()
@@ -224,80 +217,56 @@ def _ancestral(bn: DiscreteBayesNet, targets: tuple[int, ...]) -> list[int]:
     return sorted(set(targets).union(*(bn.dag.ancestors(t) for t in targets)))
 
 
-def _elimination_plan(bn: DiscreteBayesNet, targets: tuple[int, ...]
-                      ) -> tuple[list[int], int]:
-    """Greedy variable-elimination order for P(targets), and its cost.
+def _eliminate(bn: DiscreteBayesNet, targets: tuple[int, ...],
+               ceiling: float = math.inf) -> np.ndarray | None:
+    """P(targets), axes in the given order, by variable elimination over the
+    targets' ancestral set; None at the first factor past ``ceiling`` cells.
 
-    Only the targets' ancestral set takes part. Each step sums out the
-    variable whose merged factor, less that variable, has the fewest cells
-    (lowest id on ties). Returns the order and the largest factor, in cells,
-    that running it builds: the exact route is taken only while that stays
-    affordable.
+    Each round sums out the variable whose merged factor, less that variable,
+    has the fewest cells (lowest id on ties); the last round multiplies what
+    is left. Factors keep their axes in ascending id order, and each product
+    is sized before it is built. Every CPT enters one of those products, so
+    no smaller factor can pass the ceiling first.
     """
     nodes = _ancestral(bn, targets)
     cards = {x: bn.cardinality(x) for x in nodes}
 
     def cells(vs) -> int:
-        size = 1
-        for v in vs:
-            size *= cards[v]
-        return size
+        return math.prod([cards[v] for v in vs])
 
-    factors = [frozenset(bn.dag.parents(x)) | {x} for x in nodes]
-    peak = max(cells(f) for f in factors)
-    order: list[int] = []
-    to_eliminate = set(nodes) - set(targets)
-    while to_eliminate:
-        best_y, best_size = None, None
-        for y in sorted(to_eliminate):
-            union: set[int] = set()
-            for f in factors:
-                if y in f:
-                    union |= f
-            size = cells(union - {y})
-            if best_size is None or size < best_size:
-                best_y, best_size = y, size
-        merged = frozenset().union(*(f for f in factors if best_y in f))
-        peak = max(peak, cells(merged))
-        factors = [f for f in factors if best_y not in f]
-        factors.append(merged - {best_y})
-        order.append(best_y)
-        to_eliminate.discard(best_y)
-    peak = max(peak, cells(frozenset().union(*factors)))
-    return order, peak
-
-
-def _eliminate(bn: DiscreteBayesNet, targets: tuple[int, ...],
-               order: list[int]) -> np.ndarray:
-    """P(targets), axes in the given order, summing out ``order`` in turn
-    from the factors of the targets' ancestral set."""
-    nodes = _ancestral(bn, targets)
-    cards = {x: bn.cardinality(x) for x in nodes}
-    factors: list[tuple[tuple[int, ...], np.ndarray]] = []
+    factors = []
     for x in nodes:
-        ps = tuple(sorted(bn.dag.parents(x)))
-        shape = tuple(cards[p] for p in ps) + (cards[x],)
-        factors.append((ps + (x,), bn.cpts[x].reshape(shape)))
+        family = sorted(bn.dag.parents(x)) + [x]
+        axes = tuple(sorted(family))
+        tab = bn.cpts[x].reshape([cards[v] for v in family])
+        factors.append((axes, tab.transpose([family.index(v) for v in axes])))
 
-    for y in order:
-        rel = [f for f in factors if y in f[0]]
-        rest = [f for f in factors if y not in f[0]]
-        vars_, tab = _multiply(rel, cards)
-        tab = tab.sum(axis=vars_.index(y))
-        vars_ = tuple(v for v in vars_ if v != y)
-        factors = rest + [(vars_, tab)]
+    def merged_scope(y) -> set[int]:
+        """The variables of the factors that hold y; of all of them for None."""
+        return set().union(*[a for a, _ in factors if y is None or y in a])
 
-    vars_, tab = _multiply(factors, cards)
-    # reorder axes to the caller's target order
-    perm = tuple(vars_.index(t) for t in targets)
-    return np.transpose(tab, perm)
+    hidden = sorted(set(nodes) - set(targets))
+    while True:
+        y = min(hidden, default=None, key=lambda v: cells(merged_scope(v) - {v}))
+        merged = [f for f in factors if y is None or y in f[0]]
+        axes = tuple(sorted(merged_scope(y)))
+        if cells(axes) > ceiling:
+            return None
+        out = np.ones([cards[v] for v in axes])
+        for a, tab in merged:
+            out = out * tab[tuple([slice(None) if v in a else None for v in axes])]
+        if y is None:
+            return np.transpose(out, [axes.index(t) for t in targets])
+        factors = [f for f in factors if y not in f[0]]
+        factors.append((tuple(v for v in axes if v != y), out.sum(axis=axes.index(y))))
+        hidden.remove(y)
 
 
 def joint_marginal(bn: DiscreteBayesNet, targets: tuple[int, ...]) -> np.ndarray:
     """Exact P(targets) with axes in the given order, by variable elimination
     (greedy smallest-intermediate-factor order)."""
     _check_targets(bn, targets)
-    return _eliminate(bn, targets, _elimination_plan(bn, targets)[0])
+    return _eliminate(bn, targets)
 
 
 def _mi_from_joint(j: np.ndarray) -> float:
@@ -320,19 +289,19 @@ def _mi_from_joint(j: np.ndarray) -> float:
 def mutual_information(bn: DiscreteBayesNet, x: int, y: int, given=()) -> float:
     """I(x; y | given) under the network's distribution.
 
-    Exact via variable elimination over the ancestors of x, y and
-    ``given`` while that elimination's largest intermediate factor stays
-    within ``EXACT_JOINT_CEILING`` cells (a sparse 20-node network passes
-    easily even though its full joint would not); beyond that, a plug-in
-    estimate from a fixed-seed auxiliary sample of ``PLUGIN_SAMPLE_ROWS``
-    rows. An id outside the network, or named twice, raises ``ValueError``.
+    Exact via one variable-elimination pass over the ancestors of x, y and
+    ``given`` (a sparse 20-node network passes easily even though its full
+    joint would not). The pass gives up at the first factor past
+    ``EXACT_JOINT_CEILING`` cells, and the answer is then a plug-in estimate
+    from a fixed-seed auxiliary sample of ``PLUGIN_SAMPLE_ROWS`` rows. An id
+    outside the network, or named twice, raises ``ValueError``.
     """
     zs = tuple(sorted(set(int(v) for v in given)))
     targets = (x, y) + zs
     _check_targets(bn, targets)
-    order, peak = _elimination_plan(bn, targets)
-    if peak <= EXACT_JOINT_CEILING:
-        return _mi_from_joint(_eliminate(bn, targets, order))
+    joint = _eliminate(bn, targets, EXACT_JOINT_CEILING)
+    if joint is not None:
+        return _mi_from_joint(joint)
     d = sample(bn, PLUGIN_SAMPLE_ROWS, seed=_PLUGIN_SEED)
     shape = tuple(bn.cardinality(v) for v in targets)
     flat = row_codes(d.values.T, d.cardinalities, targets)
@@ -505,13 +474,8 @@ def compare_confounders(truth: list[tuple[str, tuple[str, str]]],
         learned = [
             (name, (names[a], names[b])) for name, (a, b) in learned.latents
         ]
-    remaining = [frozenset(pair) for _, pair in truth]
-    ok = 0
-    for _, pair in learned:
-        key = frozenset(pair)
-        if key in remaining:
-            remaining.remove(key)
-            ok += 1
+    ok = sum((Counter(frozenset(pair) for _, pair in truth)
+              & Counter(frozenset(pair) for _, pair in learned)).values())
     not_ok = len(learned) - ok
     precision, recall, f1 = _precision_recall_f1(ok, not_ok, len(truth))
     return EvalReport(ok=ok, not_ok=not_ok, precision=precision, recall=recall, f1=f1)
@@ -655,8 +619,8 @@ def _truth_pdag(net: DiscreteBayesNet,
 def _run_rep(packed):
     """One repetition: inject once, then sample/learn/evaluate every size.
 
-    Top-level so process pools can pickle it. Returns (rep, rows) where each
-    row is a flat metric dict, or (rep, message) on injection failure.
+    Top-level so process pools can pickle it. Returns the rows, each a flat
+    metric dict, or the message on injection failure.
     """
     from .confounder import discover_confounders
 
@@ -665,7 +629,7 @@ def _run_rep(packed):
     try:
         injected, truth = inject_confounders(bn, inj)
     except InjectionError as exc:
-        return rep, str(exc)
+        return str(exc)
 
     observed = [v.name for v in bn.variables]
     tp = _truth_pdag(injected, truth)
@@ -690,7 +654,7 @@ def _run_rep(packed):
             "learn_s": result.learn_seconds,
             "post_s": result.post_seconds,
         })
-    return rep, rows
+    return rows
 
 
 def run_benchmark(bn: DiscreteBayesNet, sizes: list[int], reps: int,
@@ -716,26 +680,15 @@ def run_benchmark(bn: DiscreteBayesNet, sizes: list[int], reps: int,
         raise ValueError("jobs must be >= 1")
     check_probe_options(h, alpha)
     packed = [(bn, r, sizes, injection, learner, h, alpha) for r in range(reps)]
-    outcomes: dict[int, list[dict] | str] = {}
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            for rep, out in pool.map(_run_rep, packed):
-                outcomes[rep] = out
+            outcomes = list(pool.map(_run_rep, packed))
     else:
-        for item in packed:
-            rep, out = _run_rep(item)
-            outcomes[rep] = out
+        outcomes = [_run_rep(item) for item in packed]
 
-    failures = [f"repetition {r}: injection failed: {msg}"
-                for r, msg in sorted(outcomes.items())
-                if isinstance(msg, str)]
-    per_size: dict[int, list[dict]] = {s: [] for s in sizes}
-    for r in sorted(outcomes):
-        out = outcomes[r]
-        if isinstance(out, str):
-            continue
-        for row in out:
-            per_size[row["size"]].append(row)
+    failures = [f"repetition {r}: injection failed: {out}"
+                for r, out in enumerate(outcomes) if isinstance(out, str)]
+    done = [out for out in outcomes if not isinstance(out, str)]
 
     def fmt(v) -> str:
         return "na" if v is None else f"{v:.4f}"
@@ -743,7 +696,7 @@ def run_benchmark(bn: DiscreteBayesNet, sizes: list[int], reps: int,
     lines = ["size,ok,nok,precision,recall,f1,cpdag_ok,miss,rev,type,xs"]
     times = []
     for size in sizes:
-        rows = per_size[size]
+        rows = [row for out in done for row in out if row["size"] == size]
         if not rows:
             continue
         n = len(rows)

@@ -8,19 +8,18 @@ treat it exactly that way.
 
 Each step scores its candidates from one batched tally: :func:`fill_bic`
 returns ``bic(u, Z ∪ {v, y})`` and ``bic(u, Z ∪ {y})`` for every candidate
-y as two arrays, and the step takes all statistics as one array expression,
-in :func:`~latentdag.scoring.f_bic`'s association, so each is the float
+y as two arrays, and the step takes all statistics at once through the
+formula :func:`~latentdag.scoring.f_bic` uses, so each is the float
 ``f_bic`` gives.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .scoring import DEFAULT_ALPHA, ScoreContext, fill_bic, is_independent
+from .scoring import DEFAULT_ALPHA, ScoreContext, _dof, _statistic, fill_bic, is_independent
 
 __all__ = ["SeparatorQuery", "SeparatorResult", "check_probe_options", "find_separator"]
 
@@ -95,10 +94,9 @@ def find_separator(q: SeparatorQuery, ctx: ScoreContext) -> SeparatorResult:
         if not cands:
             break  # candidate pool exhausted before the budget
         with_v, without_v = fill_bic(ctx, q.u, z | {q.v}, cands, drop=q.v)
-        # f_bic's statistic for every candidate y, in f_bic's association
-        dof = ((cards[q.u] - 1) * (cards[q.v] - 1) * math.prod(cards[x] for x in z)
-               * np.array([cards[y] for y in cands]))
-        stats = 2.0 * (with_v - without_v + 0.5 * ctx.log_n * dof)
+        # f_bic's statistic for every candidate y
+        dof = _dof(ctx, q.u, q.v, z) * np.array([cards[y] for y in cands])
+        stats = _statistic(ctx, with_v, without_v, dof)
         i = int(np.argmin(stats))  # the first minimum: ties keep the lowest id
         best, best_stat = cands[i], float(stats[i])
         z.add(best)

@@ -66,12 +66,14 @@ class Dag:
         return g
 
     def add_node(self, name: str | None = None) -> int:
-        """Append a fresh isolated node and return its id."""
+        """Append a fresh isolated node and return its id; a name already
+        taken raises ``ValueError`` and leaves the graph as it was."""
         i = self.n_nodes
-        self.n_nodes += 1
-        self.names.append(name if name is not None else f"X{i}")
-        if len(set(self.names)) != len(self.names):
+        name = name if name is not None else f"X{i}"
+        if name in self.names:
             raise ValueError(f"duplicate node name {name!r}")
+        self.n_nodes += 1
+        self.names.append(name)
         self._parents.append(set())
         self._children.append(set())
         return i

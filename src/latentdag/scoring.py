@@ -222,12 +222,19 @@ def drop_bic(ctx: ScoreContext, x: int, parents, drops) -> np.ndarray:
     return np.array([memo[key] for key in keys], dtype=np.float64)
 
 
-def _dof(ctx: ScoreContext, u: int, v: int, zset: frozenset[int]) -> int:
+def _dof(ctx: ScoreContext, u: int, v: int, zset) -> int:
+    """(|dom u| - 1) * (|dom v| - 1) * the product of |dom x| over ``zset``."""
     cards = ctx.dataset.cardinalities
     d = (cards[u] - 1) * (cards[v] - 1)
     for x in zset:
         d *= cards[x]
     return d
+
+
+def _statistic(ctx: ScoreContext, with_v, without_v, dof):
+    """The statistic of the module docstring from u's scores with and without
+    v; elementwise when the arguments are arrays."""
+    return 2.0 * (with_v - without_v + 0.5 * ctx.log_n * dof)
 
 
 def f_bic(ctx: ScoreContext, u: int, v: int, z=()) -> IndepVerdict:
@@ -242,9 +249,7 @@ def f_bic(ctx: ScoreContext, u: int, v: int, z=()) -> IndepVerdict:
         raise ValueError("u and v may not appear in the conditioning set")
     dof = _dof(ctx, u, v, zset)
     drop_bic(ctx, u, zset | {v}, (v,))
-    stat = 2.0 * (
-        bic(ctx, u, zset | {v}) - bic(ctx, u, zset) + 0.5 * ctx.log_n * dof
-    )
+    stat = _statistic(ctx, bic(ctx, u, zset | {v}), bic(ctx, u, zset), dof)
     return IndepVerdict(statistic=stat, dof=dof)
 
 

@@ -124,6 +124,26 @@ class TestBayesNetModel:
         with pytest.raises(ValueError, match="variable number 2 has no 'name' field"):
             bn_from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: 5, "network JSON must be an object, not int"),
+        (lambda doc: {**doc, "arcs": 3}, "network JSON's 'arcs' must be a list, not int"),
+        (lambda doc: {**doc, "cpts": [0.5, 0.5]}, "network JSON's 'cpts' must be a dict, not list"),
+        (lambda doc: {**doc, "arcs": [["A"]]}, r"'arcs' entry \['A'\] is not a \[from, to\] pair"),
+        (lambda doc: {**doc, "variables": "AB"},
+         "network JSON's 'variables' must be a list, not str"),
+        (lambda doc: {**doc, "variables": ["A"]}, "variable number 0 is not an object: 'A'"),
+    ], ids=["not-an-object", "arcs-not-a-list", "cpts-not-an-object", "arc-not-a-pair",
+            "variables-not-a-list", "variable-not-an-object"])
+    def test_json_of_the_wrong_shape_is_named(self, edit, message):
+        doc = edit(json.loads(bn_to_json(diamond_bn())))
+        with pytest.raises(ValueError, match=message):
+            bn_from_json(json.dumps(doc))
+
+    def test_missing_cpt_is_named_by_the_model(self):
+        vs = [VariableMeta(nm, ("s0", "s1")) for nm in "AB"]
+        with pytest.raises(ValueError, match="variable 'A' has no entry in 'cpts'"):
+            DiscreteBayesNet(vs, Dag(2, ["A", "B"]), {})
+
     def test_copy_is_deep(self):
         bn = diamond_bn()
         c = bn.copy()
@@ -209,13 +229,14 @@ class TestMutualInformation:
         # 24 binary nodes in a chain: the full joint has 2^24 cells but the
         # elimination never builds a factor beyond a handful of cells, so
         # the answer must be exact, not sampled
-        from latentdag.bench import _elimination_plan
+        from latentdag.bench import EXACT_JOINT_CEILING, _ancestral, _eliminate
         bn = chain_bn(24, hi=0.85)
-        assert bn.joint_size() > 10_000_000
-        # nodes 2..23 descend from the targets: none takes part
-        assert _elimination_plan(bn, (0, 1)) == ([], 4)
-        order, _ = _elimination_plan(bn, (5,))
-        assert sorted(order) == [0, 1, 2, 3, 4]
+        assert 2 ** bn.n_nodes > EXACT_JOINT_CEILING
+        # nodes 2..23 descend from the targets: none takes part, and the
+        # largest factor is the 4-cell table of node 1
+        assert _eliminate(bn, (0, 1), ceiling=4).shape == (2, 2)
+        assert _eliminate(bn, (0, 1), ceiling=3) is None
+        assert _ancestral(bn, (5,)) == [0, 1, 2, 3, 4, 5]
         h15 = -(0.15 * np.log(0.15) + 0.85 * np.log(0.85))
         assert mutual_information(bn, 0, 1) == pytest.approx(
             np.log(2) - h15, abs=1e-12)
@@ -607,6 +628,30 @@ class TestRunBenchmark:
         with pytest.raises(ValueError, match=f"dataset size {bad} must be >= 1"):
             run_benchmark(self.small_net(), sizes, 1, InjectionConfig(seed=1),
                           LearnerConfig(max_parents=3))
+
+    def test_one_failed_injection_leaves_the_others_in_the_table(self, monkeypatch):
+        from latentdag import LearnerConfig, bench
+        bn = self.small_net()
+        inj = InjectionConfig(n_confounders=1, seed=5)
+        cfg = LearnerConfig(max_parents=3)
+        kept = [bench._run_rep((bn, r, [500], inj, cfg, bench.DEFAULT_H, bench.DEFAULT_ALPHA))[0]
+                for r in (0, 2)]
+        inject = bench.inject_confounders
+
+        def fail_repetition_1(net, cfg_):
+            if cfg_.seed == inj.seed + 1_000_003 * 2:
+                raise InjectionError("no admissible tables")
+            return inject(net, cfg_)
+
+        monkeypatch.setattr(bench, "inject_confounders", fail_repetition_1)
+        csv, failures, timing = run_benchmark(bn, [500], 3, inj, cfg, jobs=1)
+        assert failures == ["repetition 1: injection failed: no admissible tables"]
+        assert len(timing) == 1 and timing[0].endswith("over 2 repetitions")
+        header, row = csv.split("\n")
+        got = dict(zip(header.split(","), row.split(",")))
+        # means over repetitions 0 and 2 only
+        for key in ("ok", "nok", "cpdag_ok", "miss", "rev", "type", "xs"):
+            assert got[key] == f"{(kept[0][key] + kept[1][key]) / 2:.4f}", key
 
     def test_parallel_run_matches_serial(self):
         from pathlib import Path

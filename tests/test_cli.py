@@ -264,6 +264,14 @@ class TestBenchmark:
         assert r.returncode == 2
         assert "error: network JSON has no 'arcs' key" in r.stderr
 
+    def test_network_json_of_the_wrong_shape_is_usage_error(self, workdir):
+        bad = workdir / "five.json"
+        bad.write_text("5")
+        r = run_cli("benchmark", "--bn", bad, "--sizes", "300", "--reps", "1")
+        assert r.returncode == 2
+        assert "error: network JSON must be an object, not int" in r.stderr
+        assert "Traceback" not in r.stderr
+
     def test_negative_jobs_is_usage_error(self, workdir):
         r = run_cli("benchmark", "--bn", workdir / "bn7.json",
                     "--sizes", "300", "--reps", "1", "--jobs", "-4")

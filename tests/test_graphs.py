@@ -69,6 +69,21 @@ class TestDagMutation:
         assert g.n_nodes == 3
         assert g.names[2] == "Z"
 
+    def test_duplicate_node_name_leaves_graph_unchanged(self):
+        g = Dag.from_arcs(2, [(0, 1)], names=["A", "B"])
+        with pytest.raises(ValueError, match="duplicate node name 'A'"):
+            g.add_node("A")
+        assert g.n_nodes == 2
+        assert g.names == ["A", "B"]
+        assert g.arcs() == [(0, 1)]
+        assert g.add_node("C") == 2
+        assert g.names == ["A", "B", "C"] and g.parents(2) == set()
+        # the default name is checked too
+        g = Dag(2, ["X2", "B"])
+        with pytest.raises(ValueError, match="duplicate node name 'X2'"):
+            g.add_node()
+        assert g.n_nodes == 2 and g.names == ["X2", "B"]
+
     def test_copy_is_independent(self):
         g = Dag.from_arcs(2, [(0, 1)])
         h = g.copy()

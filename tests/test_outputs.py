@@ -1,6 +1,8 @@
 """Pinned output bytes: the metric CSVs of two fixed `latentdag benchmark`
-runs, one per learner, and the injected networks and truth lists of six
-fixed `inject_confounders` calls must keep their SHA-256.
+runs, one per learner, the injected networks and truth lists of six fixed
+`inject_confounders` calls, and the mutual-information floats and joint
+marginals the injection screening computes on both assets must keep their
+SHA-256.
 
 A refactor that keeps every output byte-identical leaves these hashes alone.
 A change meant to alter the outputs re-records them here, with the reason in
@@ -13,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from latentdag import cli
+from latentdag import bench, cli
 from latentdag.bench import InjectionConfig, bn_from_json, bn_to_json, inject_confounders
 
 ASSETS = Path(__file__).resolve().parents[1] / "assets"
@@ -61,3 +63,36 @@ def test_injected_network_bytes_are_pinned(net, r, digest):
     assert got == digest, (
         f"inject_confounders on {net}.json with seed {1_000_003 * r} changed its "
         f"network or truth list (SHA-256 {got}); truth is now {truth}")
+
+
+# every I(x; y) and I(x; y | given) that dependence_thresholds computes, as
+# float.hex() in call order, then the bytes of a few exact joint marginals
+MI_FLOATS = [
+    ("net20", [(10,), (18, 14), (4, 15, 19)], "2f8a8f22a5be212735800fe2df785f0401116811e1f8da50955fd403c3f5ae6d"),
+    ("child", [(6,), (13, 12), (9, 10, 4), (1, 2, 3, 4, 5)], "d9b2c529c0d75be3c918cbce5f2c5311292685f4749498772bf4da8ac13db061"),
+]
+
+
+@pytest.mark.parametrize("net, targets, digest", MI_FLOATS,
+                         ids=[net for net, _, _ in MI_FLOATS])
+def test_mutual_information_floats_are_pinned(net, targets, digest, monkeypatch):
+    # the injection pins catch only an MI drift that flips a decision; this
+    # one catches any change in the last bit
+    bn = bn_from_json((ASSETS / f"{net}.json").read_text())
+    mis = []
+    exact = bench.mutual_information
+
+    def recorded(*args):
+        mis.append(exact(*args))
+        return mis[-1]
+
+    monkeypatch.setattr(bench, "mutual_information", recorded)
+    bench.dependence_thresholds(bn)
+    h = hashlib.sha256(" ".join(v.hex() for v in mis).encode())
+    for t in targets:
+        h.update(bench.joint_marginal(bn, t).tobytes())
+    got = h.hexdigest()
+    assert len(mis) > 0
+    assert got == digest, (
+        f"the {len(mis)} mutual-information floats of dependence_thresholds on "
+        f"{net}.json, or its joint marginals over {targets}, changed (SHA-256 {got})")
