@@ -150,7 +150,14 @@ def bn_from_json(text: str) -> DiscreteBayesNet:
             if attr not in v:
                 who = repr(v["name"]) if "name" in v else f"number {i}"
                 raise ValueError(f"variable {who} has no {attr!r} field")
-        variables.append(VariableMeta(v["name"], tuple(v["states"])))
+        name, states = v["name"], v["states"]
+        if not isinstance(name, str):
+            raise ValueError(f"variable number {i} has a 'name' that is not a string: {name!r}")
+        if not (isinstance(states, list)
+                and all(isinstance(s, (str, int, float)) for s in states)):
+            raise ValueError(f"variable {name!r} has 'states' that are not a list of "
+                             f"labels: {states!r}")
+        variables.append(VariableMeta(name, tuple(states)))
     idx = {v.name: i for i, v in enumerate(variables)}
 
     def declared(name, field: str) -> int:
@@ -160,8 +167,9 @@ def bn_from_json(text: str) -> DiscreteBayesNet:
 
     dag = Dag(len(variables), [v.name for v in variables])
     for arc in doc["arcs"]:
-        if not (isinstance(arc, list) and len(arc) == 2):
-            raise ValueError(f"'arcs' entry {arc!r} is not a [from, to] pair")
+        if not (isinstance(arc, list) and len(arc) == 2
+                and all(isinstance(a, str) for a in arc)):
+            raise ValueError(f"'arcs' entry {arc!r} is not a [from, to] pair of names")
         dag.add_arc(declared(arc[0], "'arcs'"), declared(arc[1], "'arcs'"))
     cpts = {}
     for name, flat in doc["cpts"].items():

@@ -13,6 +13,10 @@ Two engines behind one config:
   the sink it picks for each subset (a strictly better sink replaces a
   smaller one, so exact ties keep the smallest id); the graph is rebuilt
   by peeling the recorded sinks. Feasible up to 20 nodes with k <= 4.
+  Step (1) splits its branches (the subsets by smallest member) across the
+  usable CPUs, through ``fork``, into one array in shared memory; the table
+  is bit-identical at every worker count, and built serially on one CPU or
+  where ``fork`` is missing or unsafe.
 * ``learn_hill_climb`` — add/remove/reverse local search with best-improvement
   moves and seeded random restarts. The climber keeps n x n arrays of add
   and remove deltas and recomputes a node's column only when its parent set
@@ -34,6 +38,8 @@ keeps one memo of scores from learning through the probes.
 from __future__ import annotations
 
 import math
+import mmap
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +77,10 @@ class LocalScoreTable:
     the parent mask with ``x``'s own bit removed (bits above ``x`` shift down
     one slot, as :func:`_drop_bit` does); sets of more than ``k`` parents
     hold ``-inf``. :func:`learn_exact` turns its table into running maxima.
+    :func:`build_local_scores` fills the array in anonymous shared memory,
+    from one process per usable CPU (one on a single CPU, or where ``fork``
+    is missing or unsafe); its bits do not depend on the number of
+    processes.
     """
 
     def __init__(self, n: int, k: int, scores: np.ndarray):
@@ -99,18 +109,111 @@ def build_local_scores(ctx: ScoreContext, k: int) -> LocalScoreTable:
     state) table of the family, so each score is the float a separate tally
     of that family would give. The scores fill the dense arrays of
     :class:`LocalScoreTable`, hence at most ``EXACT_MAX_NODES`` variables.
+
+    Branch ``y`` holds the subsets of two or more members whose smallest
+    member is ``y``. The branches are split over the usable CPUs, and each
+    share but the first is scored in a process forked for it, all into one
+    array in shared memory. Every family is scored from one subset, in the
+    same steps in whichever process, so the table is bit-identical at every
+    worker count. It is built serially on one CPU, where ``fork`` is
+    missing or unsafe (in a daemonic process, or beside other threads), and
+    below ``_FORK_MIN_SUBSETS`` subsets, where a fork costs more than it
+    saves.
     """
     n = ctx.dataset.n_variables
     if n > EXACT_MAX_NODES:
         raise ValueError(f"exact mode handles at most {EXACT_MAX_NODES} variables, got {n}")
     t = _Tallies(ctx, k)
-    _visit(t, (), 0, 1)
+    # the empty-parent families, one per single-member subset
+    _score(t, (), 0, 1)
+    # branch y's subset count; with k = 0 there are no branches
+    sizes = [sum(math.comb(n - 1 - y, d) for d in range(1, k + 1))
+             for y in range(n - 1 if k else 0)]
+    shares = _shares(sizes, _workers(n + sum(sizes)))
+    if len(shares) == 1:
+        _run_share(t, shares[0])
+    else:
+        _fork_shares(t, shares)
     return LocalScoreTable(n, k, t.scores)
+
+
+# Tables of fewer subsets are built serially. On 2 cores a second worker
+# paid off from about 400 subsets at 50 rows, and from about 1,000 in a
+# process holding 400 MB, whose fork copies more page tables.
+_FORK_MIN_SUBSETS = 1500
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _workers(n_subsets: int) -> int:
+    """How many processes build a table of ``n_subsets`` subsets."""
+    if n_subsets < _FORK_MIN_SUBSETS:
+        return 1
+    cpus = _usable_cpus()
+    if cpus < 2:
+        return 1
+    import multiprocessing
+    import threading
+    # daemonic processes may not have children, and a forked child could
+    # inherit a lock that another thread of this process holds
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon or threading.active_count() > 1):
+        return 1
+    return cpus
+
+
+def _shares(sizes: list[int], workers: int) -> list[list[int]]:
+    """Split the branches, whose subset counts are ``sizes``, into at most
+    ``workers`` non-empty shares: longest processing time first, each branch
+    to the lightest share so far (the first on ties)."""
+    shares: list[list[int]] = [[] for _ in range(max(1, min(workers, len(sizes))))]
+    loads = [0] * len(shares)
+    for y in sorted(range(len(sizes)), key=lambda y: -sizes[y]):
+        i = loads.index(min(loads))
+        shares[i].append(y)
+        loads[i] += sizes[y]
+    return shares
+
+
+def _fork_shares(t: _Tallies, shares: list[list[int]]) -> None:
+    """Score ``shares[0]`` in this process and each other share in a forked
+    child; every child writes into the shared ``t.scores``."""
+    import multiprocessing
+    fork = multiprocessing.get_context("fork")
+    procs = []
+    try:
+        for share in shares[1:]:
+            p = fork.Process(target=_run_share, args=(t, share), name="latentdag-score-table")
+            p.start()
+            procs.append(p)
+        _run_share(t, shares[0])
+    except BaseException:
+        for p in procs:
+            p.terminate()
+        raise
+    finally:
+        for p in procs:
+            p.join()
+    failed = [(share, p.exitcode) for share, p in zip(shares[1:], procs) if p.exitcode]
+    if failed:
+        raise RuntimeError("score table worker failed: " + ", ".join(
+            f"branches {share} exited with code {code}" for share, code in failed))
+
+
+def _run_share(t: _Tallies, share: list[int]) -> None:
+    for y in share:
+        _enter(t, (), 0, 1, y)
 
 
 class _Tallies:
     """State of one :func:`build_local_scores` call: the shared batch tally,
-    the prefix codes and the score array being filled."""
+    the prefix codes and the score array being filled, which lives in
+    anonymous shared memory so that forked workers write into it."""
 
     def __init__(self, ctx: ScoreContext, k: int):
         d = ctx.dataset
@@ -121,12 +224,33 @@ class _Tallies:
         self.tally = ctx.tally
         # row code of the current prefix at each depth; depth 0 is empty
         self.prefix_codes = np.zeros((k + 1, d.n_rows), dtype=np.int64)
-        self.scores = np.full((self.n, 1 << (self.n - 1)), -np.inf)
+        shape = (self.n, 1 << (self.n - 1))
+        self.scores = np.frombuffer(mmap.mmap(-1, 8 * shape[0] * shape[1]),
+                                    dtype=np.float64).reshape(shape)
+        self.scores.fill(-np.inf)
 
 
 def _visit(t: _Tallies, prefix: tuple[int, ...], mask: int, n_cfg: int) -> None:
     """Score the families of every subset ``prefix + (y,)``, y above the
     prefix, then recurse into those subsets that can take another member."""
+    _score(t, prefix, mask, n_cfg)
+    if len(prefix) < t.k:
+        for y in range(prefix[-1] + 1, t.n - 1):
+            _enter(t, prefix, mask, n_cfg, y)
+
+
+def _enter(t: _Tallies, prefix: tuple[int, ...], mask: int, n_cfg: int, y: int) -> None:
+    """Extend the prefix's row code by ``y`` and visit ``prefix + (y,)``."""
+    depth = len(prefix)
+    child_code = t.prefix_codes[depth + 1]
+    np.multiply(t.prefix_codes[depth], t.cards[y], out=child_code)
+    child_code += t.tally.cols[y]
+    _visit(t, prefix + (y,), mask | (1 << y), n_cfg * t.cards[y])
+
+
+def _score(t: _Tallies, prefix: tuple[int, ...], mask: int, n_cfg: int) -> None:
+    """Score the families of every subset ``prefix + (y,)``, y above the
+    prefix, from batch tallies of the prefix's row code."""
     depth = len(prefix)
     first = prefix[-1] + 1 if prefix else 0
     cards = t.cards
@@ -157,14 +281,6 @@ def _visit(t: _Tallies, prefix: tuple[int, ...], mask: int, n_cfg: int) -> None:
             rest = _drop_bit(mask ^ (1 << x), x)
             for y, ll in zip(ys, lls):
                 row[rest | 1 << (y - 1)] = ll - penalty * (n_cfg // cx * cards[y])
-
-    if depth == t.k:
-        return
-    child_code = t.prefix_codes[depth + 1]
-    for y in range(first, t.n - 1):
-        np.multiply(code, cards[y], out=child_code)
-        child_code += t.tally.cols[y]
-        _visit(t, prefix + (y,), mask | (1 << y), n_cfg * cards[y])
 
 
 def _popcounts(n_bits: int) -> np.ndarray:

@@ -132,8 +132,17 @@ class TestBayesNetModel:
         (lambda doc: {**doc, "variables": "AB"},
          "network JSON's 'variables' must be a list, not str"),
         (lambda doc: {**doc, "variables": ["A"]}, "variable number 0 is not an object: 'A'"),
+        (lambda doc: {**doc, "arcs": [[["A"], "B"]]},
+         r"'arcs' entry \[\['A'\], 'B'\] is not a \[from, to\] pair of names"),
+        (lambda doc: {**doc, "variables": [{"name": "A", "states": 3}]},
+         "variable 'A' has 'states' that are not a list of labels: 3"),
+        (lambda doc: {**doc, "variables": [{"name": "A", "states": [["x"], ["y"]]}]},
+         r"variable 'A' has 'states' that are not a list of labels: \[\['x'\], \['y'\]\]"),
+        (lambda doc: {**doc, "variables": [{"name": ["A"], "states": ["x", "y"]}]},
+         r"variable number 0 has a 'name' that is not a string: \['A'\]"),
     ], ids=["not-an-object", "arcs-not-a-list", "cpts-not-an-object", "arc-not-a-pair",
-            "variables-not-a-list", "variable-not-an-object"])
+            "variables-not-a-list", "variable-not-an-object", "arc-name-not-a-string",
+            "states-not-a-list", "state-not-a-label", "name-not-a-string"])
     def test_json_of_the_wrong_shape_is_named(self, edit, message):
         doc = edit(json.loads(bn_to_json(diamond_bn())))
         with pytest.raises(ValueError, match=message):
@@ -653,16 +662,20 @@ class TestRunBenchmark:
         for key in ("ok", "nok", "cpdag_ok", "miss", "rev", "type", "xs"):
             assert got[key] == f"{(kept[0][key] + kept[1][key]) / 2:.4f}", key
 
-    def test_parallel_run_matches_serial(self):
+    def test_parallel_run_matches_serial(self, monkeypatch):
         from pathlib import Path
 
-        from latentdag import LearnerConfig, bn_from_json
+        from latentdag import LearnerConfig, bn_from_json, learner
         net = Path(__file__).resolve().parent.parent / "assets" / "net20.json"
         bn = bn_from_json(net.read_text(encoding="utf-8"))
         inj = InjectionConfig(seed=0)
-        cfg = LearnerConfig(mode="hill_climb")
-        serial, fail1, _ = run_benchmark(bn, [1000], 2, inj, cfg, jobs=1)
-        parallel, fail2, _ = run_benchmark(bn, [1000], 2, inj, cfg, jobs=2)
-        assert "\n1000," in serial  # a scored row, not just the header
-        assert parallel == serial
-        assert fail2 == fail1
+        # exact mode on 20 variables forks the score table's workers, here
+        # from inside each of the pool's workers too
+        monkeypatch.setattr(learner, "_usable_cpus", lambda: 2)
+        for mode in ("hill_climb", "exact"):
+            cfg = LearnerConfig(mode=mode)
+            serial, fail1, _ = run_benchmark(bn, [1000], 2, inj, cfg, jobs=1)
+            parallel, fail2, _ = run_benchmark(bn, [1000], 2, inj, cfg, jobs=2)
+            assert "\n1000," in serial  # a scored row, not just the header
+            assert parallel == serial
+            assert fail2 == fail1

@@ -272,6 +272,20 @@ class TestBenchmark:
         assert "error: network JSON must be an object, not int" in r.stderr
         assert "Traceback" not in r.stderr
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"variables": [{"name": "A", "states": ["x", "y"]}], "arcs": [[["A"], "A"]],
+          "cpts": {}}, "error: 'arcs' entry [['A'], 'A'] is not a [from, to] pair of names"),
+        ({"variables": [{"name": "A", "states": 3}], "arcs": [], "cpts": {}},
+         "error: variable 'A' has 'states' that are not a list of labels: 3"),
+    ], ids=["arc-name-not-a-string", "states-not-a-list"])
+    def test_network_json_with_bad_entries_is_usage_error(self, workdir, doc, message):
+        bad = workdir / "bad_entry.json"
+        bad.write_text(json.dumps(doc))
+        r = run_cli("benchmark", "--bn", bad, "--sizes", "300", "--reps", "1")
+        assert r.returncode == 2
+        assert message in r.stderr
+        assert "Traceback" not in r.stderr
+
     def test_negative_jobs_is_usage_error(self, workdir):
         r = run_cli("benchmark", "--bn", workdir / "bn7.json",
                     "--sizes", "300", "--reps", "1", "--jobs", "-4")

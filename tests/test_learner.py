@@ -256,6 +256,106 @@ class TestLocalScoreTable:
         assert tbl.node_scores == per_family_scores(d, 4)
 
 
+def forced_workers(monkeypatch, workers):
+    """Build tables with ``workers`` processes, whatever the table's size
+    and the machine's CPU count; return the list of share counts forked."""
+    monkeypatch.setattr(learner, "_usable_cpus", lambda: workers)
+    monkeypatch.setattr(learner, "_FORK_MIN_SUBSETS", 0)
+    forked = []
+    fork_shares = learner._fork_shares
+
+    def spy(t, shares):
+        forked.append(len(shares))
+        fork_shares(t, shares)
+
+    monkeypatch.setattr(learner, "_fork_shares", spy)
+    return forked
+
+
+def child_sample(n_rows, seed):
+    assets = Path(__file__).resolve().parents[1] / "assets"
+    return sample(bn_from_json((assets / "child.json").read_text()), n_rows, seed=seed)
+
+
+def mixed_sample(seed, n=13, n_rows=1500):
+    rng = np.random.default_rng(seed)
+    cards = [int(c) for c in rng.integers(2, 6, size=n)]
+    return make_dataset(
+        [rng.choice(c, n_rows, p=rng.dirichlet(np.ones(c))) for c in cards], cards)
+
+
+class TestForkedTable:
+    @pytest.mark.parametrize("make", [lambda: child_sample(5000, 1), lambda: mixed_sample(310)],
+                             ids=["child-5k", "mixed-13"])
+    def test_bits_equal_at_every_worker_count(self, monkeypatch, make):
+        d = make()
+        bits = {}
+        for workers in (1, 2, 3):
+            forked = forced_workers(monkeypatch, workers)
+            bits[workers] = build_local_scores(ScoreContext(d), 4).scores.view(np.int64)
+            assert forked == ([] if workers == 1 else [workers])
+        assert np.array_equal(bits[1], bits[2])
+        assert np.array_equal(bits[1], bits[3])
+
+    def test_split_covers_each_branch_once(self):
+        sizes = [5035, 4047, 3212, 2516, 1940, 1470, 1091, 790, 556, 378, 246, 151]
+        for workers in (1, 2, 3, 5, 20):
+            shares = learner._shares(sizes, workers)
+            assert len(shares) == min(workers, len(sizes))
+            assert sorted(y for share in shares for y in share) == list(range(len(sizes)))
+        assert learner._shares([], 3) == [[]]
+
+    def test_small_tables_stay_in_process(self, monkeypatch):
+        monkeypatch.setattr(learner, "_usable_cpus", lambda: 4)
+        assert learner._workers(learner._FORK_MIN_SUBSETS - 1) == 1
+        assert learner._workers(learner._FORK_MIN_SUBSETS) == 4
+        monkeypatch.setattr(learner, "_usable_cpus", lambda: 1)
+        assert learner._workers(10 ** 6) == 1
+
+    def test_no_fork_beside_another_thread(self, monkeypatch):
+        import threading
+        monkeypatch.setattr(learner, "_usable_cpus", lambda: 4)
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait, args=(10,))
+        other.start()
+        try:
+            assert learner._workers(10 ** 6) == 1
+        finally:
+            stop.set()
+            other.join(10)
+        assert not other.is_alive()
+        assert learner._workers(10 ** 6) == 4
+
+    def test_no_worker_outlives_a_built_table(self, monkeypatch):
+        import multiprocessing
+        forced_workers(monkeypatch, 3)
+        tbl = build_local_scores(ScoreContext(mixed_sample(311)), 4)
+        assert np.isfinite(tbl.scores[:, 0]).all()
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("where", ["child", "parent"])
+    def test_a_failed_share_fails_the_table(self, monkeypatch, where):
+        import multiprocessing
+        import os
+        forced_workers(monkeypatch, 3)
+        run_share = learner._run_share
+        parent = os.getpid()
+
+        def failing(t, share):
+            if (os.getpid() == parent) == (where == "parent"):
+                raise ArithmeticError("share failed on purpose")
+            run_share(t, share)
+
+        monkeypatch.setattr(learner, "_run_share", failing)
+        expected = ("score table worker failed: branches .* exited with code 1"
+                    if where == "child" else "share failed on purpose")
+        got = []
+        with pytest.raises((RuntimeError, ArithmeticError), match=expected):
+            got.append(build_local_scores(ScoreContext(mixed_sample(312)), 4))
+        assert got == []
+        assert multiprocessing.active_children() == []
+
+
 def moves_per_candidate(g, k):
     """Every add, remove and reverse move that keeps ``g`` acyclic and every
     parent set within ``k``, as ``(kind, u, v)`` on the arc ``u -> v``, from

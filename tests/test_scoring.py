@@ -371,7 +371,8 @@ class TestFillBic:
 
 def test_import_leaves_scipy_unloaded():
     # scipy.special is most of a cold import and only chi2_critical needs
-    # it, so it loads on that function's first call
+    # it, so it loads on that function's first call; multiprocessing loads
+    # only when a score table is large enough to fork for
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in [str(src), os.environ.get("PYTHONPATH", "")] if p))
@@ -380,6 +381,7 @@ def test_import_leaves_scipy_unloaded():
         "import latentdag, latentdag.cli\n"
         "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "assert not loaded, loaded\n"
+        "assert 'multiprocessing' not in sys.modules\n"
         "assert latentdag.chi2_critical(1, 0.05) == 3.8414588206941285\n"
     )
     r = subprocess.run([sys.executable, "-c", script],
