@@ -13,6 +13,7 @@ average common-parent pair of the original network. That screening keeps
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import json
 import math
 from collections import Counter
@@ -624,15 +625,15 @@ def _truth_pdag(net: DiscreteBayesNet,
     return p
 
 
-def _run_rep(packed):
-    """One repetition: inject once, then sample/learn/evaluate every size.
+def _run_rep(bn: DiscreteBayesNet, sizes: list[int], injection: InjectionConfig, learner,
+             h: int, alpha: float, rep: int):
+    """Repetition ``rep``: inject once, then sample/learn/evaluate every size.
 
     Top-level so process pools can pickle it. Returns the rows, each a flat
     metric dict, or the message on injection failure.
     """
     from .confounder import discover_confounders
 
-    bn, rep, sizes, injection, learner, h, alpha = packed
     inj = replace(injection, seed=injection.seed + 1_000_003 * (rep + 1))
     try:
         injected, truth = inject_confounders(bn, inj)
@@ -667,8 +668,8 @@ def _run_rep(packed):
 
 def run_benchmark(bn: DiscreteBayesNet, sizes: list[int], reps: int,
                   injection: InjectionConfig, learner,
-                  h: int = DEFAULT_H, alpha: float = DEFAULT_ALPHA,
-                  jobs: int = 1) -> tuple[str, list[str], list[str]]:
+                  h: int = DEFAULT_H, alpha: float = DEFAULT_ALPHA
+                  ) -> tuple[str, list[str], list[str]]:
     """Grid over dataset sizes x repetitions.
 
     Each repetition injects confounders into a fresh copy of ``bn`` (seeded
@@ -678,21 +679,26 @@ def run_benchmark(bn: DiscreteBayesNet, sizes: list[int], reps: int,
     per-repetition means, precision/recall/f1 are pooled over repetitions.
     Wall-clock timings stay out of the table so identical seeds give
     byte-identical files.
+
+    The repetitions run in a pool of one process per usable CPU, at most one
+    per repetition, or in this process when that is one. Pool workers build
+    their score tables serially, so the grid keeps to the usable CPUs.
     """
+    from .learner import _usable_cpus
+
     if reps < 1:
         raise ValueError("reps must be >= 1")
     for size in sizes:
         if size < 1:
             raise ValueError(f"dataset size {size} must be >= 1")
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
     check_probe_options(h, alpha)
-    packed = [(bn, r, sizes, injection, learner, h, alpha) for r in range(reps)]
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_run_rep, packed))
+    run_rep = functools.partial(_run_rep, bn, sizes, injection, learner, h, alpha)
+    workers = min(reps, _usable_cpus())
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(run_rep, range(reps)))
     else:
-        outcomes = [_run_rep(item) for item in packed]
+        outcomes = list(map(run_rep, range(reps)))
 
     failures = [f"repetition {r}: injection failed: {out}"
                 for r, out in enumerate(outcomes) if isinstance(out, str)]

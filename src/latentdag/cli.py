@@ -166,7 +166,6 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
         learner=_learner_config(args),
         h=args.h,
         alpha=args.alpha,
-        jobs=args.jobs,
     )
     for line in failures:
         print(f"warning: {line}", file=sys.stderr)
@@ -244,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     bm.add_argument("--out", default=None, help="metric table path (stdout if omitted)")
     bm.add_argument("--sizes", default="5000,20000,50000")
     bm.add_argument("--reps", type=int, default=10)
-    bm.add_argument("--jobs", type=int, default=1)
     bm.add_argument("--confounders", type=int, default=2)
     bm.add_argument("--latent-card", type=int, default=2, dest="latent_card")
     probe_options(bm)

@@ -80,8 +80,9 @@ class Dataset:
                 f"{len(variables)} variables but {values.shape[1]} value columns"
             )
         names = [v.name for v in variables]
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate variable names")
+        repeated = _repeated(names)
+        if repeated is not None:
+            raise ValueError(f"duplicate variable name {repeated!r}")
         cards = np.array([v.cardinality for v in variables], dtype=np.int64)
         cols = np.ascontiguousarray(values.T, dtype=np.int64)
         if cols.size:
@@ -130,6 +131,16 @@ class Dataset:
         return f"Dataset({self.n_variables} variables, {self.n_rows} rows)"
 
 
+def _repeated(names: Sequence[str]) -> str | None:
+    """The first name in ``names`` that an earlier one repeats, if any."""
+    seen = set()
+    for name in names:
+        if name in seen:
+            return name
+        seen.add(name)
+    return None
+
+
 def load_dataset(path, delimiter: str = ",") -> Dataset:
     """Read a delimited text file (header row required) into a :class:`Dataset`.
 
@@ -150,6 +161,9 @@ def load_dataset(path, delimiter: str = ",") -> Dataset:
                 raise ValueError(f"{path}: empty file (missing header)") from None
             if any(not h.strip() for h in header):
                 raise ValueError(f"{path}: blank column name in header")
+            repeated = _repeated(header)
+            if repeated is not None:
+                raise ValueError(f"{path}: duplicate column name {repeated!r}")
             rows: list[list[str]] = []
             for lineno, row in enumerate(reader, start=2):
                 if not row:

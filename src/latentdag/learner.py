@@ -15,8 +15,10 @@ Two engines behind one config:
   by peeling the recorded sinks. Feasible up to 20 nodes with k <= 4.
   Step (1) splits its branches (the subsets by smallest member) across the
   usable CPUs, through ``fork``, into one array in shared memory; the table
-  is bit-identical at every worker count, and built serially on one CPU or
-  where ``fork`` is missing or unsafe.
+  is bit-identical at every worker count, and built serially on one CPU,
+  where ``fork`` is missing or unsafe, or in a process that
+  ``multiprocessing`` started: the outermost layer with independent work
+  takes the CPUs, and nothing inside it forks again.
 * ``learn_hill_climb`` — add/remove/reverse local search with best-improvement
   moves and seeded random restarts. The climber keeps n x n arrays of add
   and remove deltas and recomputes a node's column only when its parent set
@@ -78,9 +80,9 @@ class LocalScoreTable:
     one slot, as :func:`_drop_bit` does); sets of more than ``k`` parents
     hold ``-inf``. :func:`learn_exact` turns its table into running maxima.
     :func:`build_local_scores` fills the array in anonymous shared memory,
-    from one process per usable CPU (one on a single CPU, or where ``fork``
-    is missing or unsafe); its bits do not depend on the number of
-    processes.
+    from one process per usable CPU (one on a single CPU, where ``fork`` is
+    missing or unsafe, or in a ``multiprocessing`` child); its bits do not
+    depend on the number of processes.
     """
 
     def __init__(self, n: int, k: int, scores: np.ndarray):
@@ -92,7 +94,7 @@ class LocalScoreTable:
     def node_scores(self) -> list[dict[int, float]]:
         """Each node's stored families as ``{full parent mask: score}``, the
         mask over all variables (bit ``i`` = variable ``i``)."""
-        idx = np.flatnonzero(_popcounts(self.n - 1) <= self.k)
+        idx = np.flatnonzero(_popcounts(max(self.n - 1, 0)) <= self.k)
         return [dict(zip(_insert_bit(idx, x).tolist(), self.scores[x, idx].tolist()))
                 for x in range(self.n)]
 
@@ -116,13 +118,16 @@ def build_local_scores(ctx: ScoreContext, k: int) -> LocalScoreTable:
     array in shared memory. Every family is scored from one subset, in the
     same steps in whichever process, so the table is bit-identical at every
     worker count. It is built serially on one CPU, where ``fork`` is
-    missing or unsafe (in a daemonic process, or beside other threads), and
-    below ``_FORK_MIN_SUBSETS`` subsets, where a fork costs more than it
-    saves.
+    missing or unsafe (beside other threads), in a process that
+    ``multiprocessing`` started (a benchmark repetition in its pool, say,
+    whose pool already holds the CPUs), and below ``_FORK_MIN_SUBSETS``
+    subsets, where a fork costs more than it saves.
     """
     n = ctx.dataset.n_variables
     if n > EXACT_MAX_NODES:
         raise ValueError(f"exact mode handles at most {EXACT_MAX_NODES} variables, got {n}")
+    if n == 0:
+        return LocalScoreTable(0, k, np.empty((0, 0)))
     t = _Tallies(ctx, k)
     # the empty-parent families, one per single-member subset
     _score(t, (), 0, 1)
@@ -159,10 +164,11 @@ def _workers(n_subsets: int) -> int:
         return 1
     import multiprocessing
     import threading
-    # daemonic processes may not have children, and a forked child could
-    # inherit a lock that another thread of this process holds
+    # a process that multiprocessing started is one of several doing work in
+    # parallel already, and a forked child could inherit a lock that another
+    # thread of this process holds
     if ("fork" not in multiprocessing.get_all_start_methods()
-            or multiprocessing.current_process().daemon or threading.active_count() > 1):
+            or multiprocessing.parent_process() is not None or threading.active_count() > 1):
         return 1
     return cpus
 
@@ -321,6 +327,8 @@ def learn_exact(d: Dataset, cfg: LearnerConfig = LearnerConfig(),
         )
     k = min(cfg.max_parents, n - 1) if n > 1 else 0
     bps = build_local_scores(_context(d, ctx), k).scores
+    if n == 0:
+        return Dag(0, [])
 
     # bps[x][T] becomes x's best stored score inside T: running maxima over
     # supersets, a row at a time so that the row stays in cache across bits

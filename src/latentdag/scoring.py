@@ -243,6 +243,10 @@ def f_bic(ctx: ScoreContext, u: int, v: int, z=()) -> IndepVerdict:
     Both families of u come from one tally of (u, z ∪ {v}) when either is
     missing from the memo."""
     zset = frozenset(int(x) for x in z)
+    n = ctx.dataset.n_variables
+    for x in (u, v, *zset):
+        if not 0 <= x < n:
+            raise KeyError(f"variable id {x} out of range")
     if u == v:
         raise ValueError("u and v must differ")
     if u in zset or v in zset:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -609,8 +610,8 @@ class TestRunBenchmark:
         assert recall == "na"
 
     @pytest.mark.parametrize("kw, message", [
-        ({"jobs": 0}, "jobs must be >= 1"),
-        ({"jobs": -4}, "jobs must be >= 1"),
+        ({"reps": 0}, "reps must be >= 1"),
+        ({"reps": -4}, "reps must be >= 1"),
         ({"h": -3}, "h must be >= 0"),
         ({"alpha": 7.0}, "alpha must lie strictly between 0 and 1"),
         ({"alpha": 0.0}, "alpha must lie strictly between 0 and 1"),
@@ -623,8 +624,8 @@ class TestRunBenchmark:
 
         monkeypatch.setattr(bench, "inject_confounders", no_injection)
         with pytest.raises(ValueError, match=message):
-            run_benchmark(self.small_net(), [400], 1, InjectionConfig(seed=1),
-                          LearnerConfig(max_parents=3), **kw)
+            run_benchmark(self.small_net(), [400], injection=InjectionConfig(seed=1),
+                          learner=LearnerConfig(max_parents=3), **{"reps": 1, **kw})
 
     @pytest.mark.parametrize("sizes, bad", [([-5], -5), ([200, 0], 0)])
     def test_bad_sizes_rejected_before_injecting(self, monkeypatch, sizes, bad):
@@ -639,12 +640,14 @@ class TestRunBenchmark:
                           LearnerConfig(max_parents=3))
 
     def test_one_failed_injection_leaves_the_others_in_the_table(self, monkeypatch):
-        from latentdag import LearnerConfig, bench
+        from latentdag import LearnerConfig, bench, learner
         bn = self.small_net()
         inj = InjectionConfig(n_confounders=1, seed=5)
         cfg = LearnerConfig(max_parents=3)
-        kept = [bench._run_rep((bn, r, [500], inj, cfg, bench.DEFAULT_H, bench.DEFAULT_ALPHA))[0]
+        kept = [bench._run_rep(bn, [500], inj, cfg, bench.DEFAULT_H, bench.DEFAULT_ALPHA, r)[0]
                 for r in (0, 2)]
+        # one CPU: the repetitions run in this process, under the patch below
+        monkeypatch.setattr(learner, "_usable_cpus", lambda: 1)
         inject = bench.inject_confounders
 
         def fail_repetition_1(net, cfg_):
@@ -653,7 +656,7 @@ class TestRunBenchmark:
             return inject(net, cfg_)
 
         monkeypatch.setattr(bench, "inject_confounders", fail_repetition_1)
-        csv, failures, timing = run_benchmark(bn, [500], 3, inj, cfg, jobs=1)
+        csv, failures, timing = run_benchmark(bn, [500], 3, inj, cfg)
         assert failures == ["repetition 1: injection failed: no admissible tables"]
         assert len(timing) == 1 and timing[0].endswith("over 2 repetitions")
         header, row = csv.split("\n")
@@ -662,20 +665,62 @@ class TestRunBenchmark:
         for key in ("ok", "nok", "cpdag_ok", "miss", "rev", "type", "xs"):
             assert got[key] == f"{(kept[0][key] + kept[1][key]) / 2:.4f}", key
 
-    def test_parallel_run_matches_serial(self, monkeypatch):
+    @staticmethod
+    def net20():
         from pathlib import Path
 
-        from latentdag import LearnerConfig, bn_from_json, learner
+        from latentdag import bn_from_json
         net = Path(__file__).resolve().parent.parent / "assets" / "net20.json"
-        bn = bn_from_json(net.read_text(encoding="utf-8"))
+        return bn_from_json(net.read_text(encoding="utf-8"))
+
+    def test_parallel_run_matches_serial(self, monkeypatch):
+        from latentdag import LearnerConfig, learner
+        bn = self.net20()
         inj = InjectionConfig(seed=0)
-        # exact mode on 20 variables forks the score table's workers, here
-        # from inside each of the pool's workers too
-        monkeypatch.setattr(learner, "_usable_cpus", lambda: 2)
         for mode in ("hill_climb", "exact"):
             cfg = LearnerConfig(mode=mode)
-            serial, fail1, _ = run_benchmark(bn, [1000], 2, inj, cfg, jobs=1)
-            parallel, fail2, _ = run_benchmark(bn, [1000], 2, inj, cfg, jobs=2)
-            assert "\n1000," in serial  # a scored row, not just the header
-            assert parallel == serial
-            assert fail2 == fail1
+            runs = []
+            # one CPU runs the repetitions here, two in a pool of two
+            for cpus in (1, 2):
+                monkeypatch.setattr(learner, "_usable_cpus", lambda cpus=cpus: cpus)
+                runs.append(run_benchmark(bn, [1000], 2, inj, cfg)[:2])
+            assert "\n1000," in runs[0][0]  # a scored row, not just the header
+            assert runs[1] == runs[0]
+
+    @pytest.mark.skipif(multiprocessing.get_all_start_methods()[0] != "fork",
+                        reason="pool workers inherit the spies only when forked")
+    def test_pool_workers_build_their_tables_serially(self, monkeypatch, tmp_path):
+        import os
+
+        from latentdag import LearnerConfig, ScoreContext, build_local_scores, learner, sample
+        bn = self.net20()
+        monkeypatch.setattr(learner, "_usable_cpus", lambda: 2)
+        log = tmp_path / "calls"
+        workers, fork_shares = learner._workers, learner._fork_shares
+
+        def note(call):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()} {call}\n")
+
+        def workers_spy(n_subsets):
+            got = workers(n_subsets)
+            note(f"workers {got}")
+            return got
+
+        def fork_shares_spy(t, shares):
+            note(f"fork {len(shares)}")
+            fork_shares(t, shares)
+
+        monkeypatch.setattr(learner, "_workers", workers_spy)
+        monkeypatch.setattr(learner, "_fork_shares", fork_shares_spy)
+        csv, _, _ = run_benchmark(bn, [1000], 2, InjectionConfig(seed=0),
+                                  LearnerConfig(mode="exact"))
+        assert "\n1000," in csv
+        # one serial table per repetition, each in a pool worker
+        calls = [line.split(" ", 1) for line in log.read_text().splitlines()]
+        assert [call for _, call in calls] == ["workers 1", "workers 1"]
+        assert str(os.getpid()) not in {pid for pid, _ in calls}
+        # the same table built in this process forks two shares
+        log.unlink()
+        build_local_scores(ScoreContext(sample(bn, 1000, seed=0)), 4)
+        assert log.read_text() == f"{os.getpid()} workers 2\n{os.getpid()} fork 2\n"

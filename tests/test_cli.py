@@ -110,6 +110,13 @@ class TestDiscover:
         assert r.returncode == 2
         assert "error:" in r.stderr
 
+    def test_duplicate_column_is_usage_error(self, workdir):
+        path = workdir / "duplicate.csv"
+        path.write_text("A,A\nx,y\ny,x\n", encoding="utf-8")
+        r = run_cli("discover", "--input", path)
+        assert r.returncode == 2
+        assert r.stderr == f"error: {path}: duplicate column name 'A'\n"
+
     @pytest.mark.parametrize("flags", [("--alpha", "7"), ("--h", "-3")])
     def test_bad_probe_option_is_usage_error(self, workdir, flags):
         # the chain's learnt DAG has no triangle, so no probe would run
@@ -286,11 +293,18 @@ class TestBenchmark:
         assert message in r.stderr
         assert "Traceback" not in r.stderr
 
-    def test_negative_jobs_is_usage_error(self, workdir):
-        r = run_cli("benchmark", "--bn", workdir / "bn7.json",
-                    "--sizes", "300", "--reps", "1", "--jobs", "-4")
-        assert r.returncode == 2
-        assert "error: jobs must be >= 1" in r.stderr
+    def test_learner_error_in_a_pooled_repetition_is_usage_error(self, monkeypatch, capsys):
+        import multiprocessing
+
+        from latentdag import cli, learner
+        # two CPUs: the two repetitions run in a pool of two workers
+        monkeypatch.setattr(learner, "_usable_cpus", lambda: 2)
+        net = Path(__file__).resolve().parent.parent / "assets" / "net20.json"
+        rc = cli.main(["benchmark", "--bn", str(net), "--mode", "exact", "--max-parents", "5",
+                       "--sizes", "300", "--reps", "2"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: exact mode caps max_parents at 4, got 5\n"
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("sizes, bad", [("-5", -5), ("200,0", 0)])
     def test_size_below_one_is_usage_error(self, workdir, sizes, bad):

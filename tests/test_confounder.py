@@ -288,6 +288,23 @@ class TestDiscoverEndToEnd:
         with pytest.raises(ValueError, match=message):
             discover_confounders(planted_dataset(n=200), h=h, alpha=alpha)
 
+    @pytest.mark.parametrize("asset, mode", [("net20", "hill_climb"), ("child", "exact")])
+    def test_row_order_does_not_matter(self, asset, mode):
+        """Every tally is an integer count, blind to the order of the rows,
+        so a permuted sample gives the same CPDAG byte for byte."""
+        from pathlib import Path
+
+        from latentdag import InjectionConfig, bn_from_json, inject_confounders
+        path = Path(__file__).resolve().parent.parent / "assets" / f"{asset}.json"
+        bn = bn_from_json(path.read_text(encoding="utf-8"))
+        injected, _ = inject_confounders(bn, InjectionConfig(seed=3))
+        d = project(sample(injected, 2000, seed=3), [v.name for v in bn.variables])
+        shuffled = Dataset(d.variables, d.values[np.random.default_rng(3).permutation(2000)])
+        cfg = LearnerConfig(mode=mode)
+        want = discover_confounders(d, cfg).cpdag
+        assert want.directed or want.undirected
+        assert discover_confounders(shuffled, cfg).cpdag.to_json() == want.to_json()
+
     def test_hidden_cause_footprint_forms_reliably(self):
         """The confounded pair stays adjacent in the learnt DAG, and the
         observed parent of the arc's tail closes a clique around the pair.

@@ -66,6 +66,12 @@ class TestLoadDataset:
         with pytest.raises(ValueError, match="single"):
             load_dataset(path)
 
+    def test_duplicate_column_named(self, tmp_path):
+        path = write(tmp_path, "A,B,A,B\na,x,a,x\nb,y,b,y\n")
+        with pytest.raises(ValueError) as err:
+            load_dataset(path)
+        assert str(err.value) == f"{path}: duplicate column name 'A'"
+
     def test_header_only_rejected(self, tmp_path):
         path = write(tmp_path, "A,B\n")
         with pytest.raises(ValueError, match="no data rows"):
@@ -124,6 +130,12 @@ class TestStorage:
         d = Dataset([VariableMeta(n, ("a", "b")) for n in "XY"], cols.T)
         assert np.shares_memory(d.values, cols)
         assert np.array_equal(d.values.T, cols)
+
+
+    def test_duplicate_variable_named(self):
+        vs = [VariableMeta(n, ("a", "b")) for n in ("X", "Y", "Y")]
+        with pytest.raises(ValueError, match="^duplicate variable name 'Y'$"):
+            Dataset(vs, np.zeros((2, 3), dtype=np.int64))
 
 
 class TestProject:

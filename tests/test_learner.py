@@ -1,6 +1,7 @@
 """Structure learners vs. exhaustive enumeration and known structures."""
 
 import itertools
+import json
 from pathlib import Path
 
 import numpy as np
@@ -312,6 +313,13 @@ class TestForkedTable:
         monkeypatch.setattr(learner, "_usable_cpus", lambda: 1)
         assert learner._workers(10 ** 6) == 1
 
+    def test_no_fork_inside_a_multiprocessing_child(self, monkeypatch):
+        import concurrent.futures
+        monkeypatch.setattr(learner, "_usable_cpus", lambda: 4)
+        assert learner._workers(10 ** 6) == 4
+        with concurrent.futures.ProcessPoolExecutor(max_workers=1) as pool:
+            assert pool.submit(learner._workers, 10 ** 6).result(timeout=60) == 1
+
     def test_no_fork_beside_another_thread(self, monkeypatch):
         import threading
         monkeypatch.setattr(learner, "_usable_cpus", lambda: 4)
@@ -593,6 +601,19 @@ class TestDispatch:
         for run in (learn_exact, learn_hill_climb, discover_confounders):
             with pytest.raises(ValueError, match="no rows"):
                 run(d, LearnerConfig(max_parents=2))
+
+    def test_zero_variables_give_the_empty_graph(self):
+        d = Dataset([], np.zeros((5, 0), dtype=np.int64))
+        assert build_local_scores(ScoreContext(d), 0).node_scores == []
+        assert learn_exact(d).n_nodes == 0
+        assert learn_hill_climb(d).n_nodes == 0
+        for mode in ("exact", "hill_climb"):
+            cfg = LearnerConfig(mode=mode)
+            assert learn(d, cfg).n_nodes == 0
+            result = discover_confounders(d, cfg)
+            assert result.cpdag.to_json() == json.dumps(
+                {"nodes": [], "directed": [], "undirected": [], "latents": []}, indent=2)
+            assert result.latents == []
 
 
 class TestMinimalIMap:

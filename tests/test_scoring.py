@@ -17,11 +17,13 @@ from hypothesis import strategies as st
 from latentdag import (
     Dataset,
     ScoreContext,
+    SeparatorQuery,
     VariableMeta,
     bic,
     chi2_critical,
     count,
     f_bic,
+    find_separator,
     is_independent,
 )
 from latentdag import data, scoring
@@ -191,6 +193,18 @@ class TestFBic:
         ctx = make_context([[0, 1], [1, 0], [0, 1]][:2])
         with pytest.raises(ValueError):
             f_bic(ctx, 0, 1, (0,))
+
+    @pytest.mark.parametrize("probe, bad", [
+        (lambda ctx: f_bic(ctx, 0, 7), 7),
+        (lambda ctx: f_bic(ctx, -1, 2), -1),
+        (lambda ctx: is_independent(ctx, 0, 1, (9,)), 9),
+        (lambda ctx: find_separator(SeparatorQuery(u=0, v=1, compulsory={9}), ctx), 9),
+        (lambda ctx: bic(ctx, 0, (9,)), 9),
+    ], ids=["f_bic", "f_bic-negative", "is_independent", "find_separator", "bic"])
+    def test_out_of_range_id_is_named(self, probe, bad):
+        ctx = make_context([[0, 1, 0, 1], [0, 0, 1, 1], [1, 0, 0, 1]])
+        with pytest.raises(KeyError, match=f"variable id {bad} out of range"):
+            probe(ctx)
 
 
 class TestChi2Critical:
