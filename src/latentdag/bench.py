@@ -12,7 +12,6 @@ average common-parent pair of the original network. That screening keeps
 
 from __future__ import annotations
 
-import concurrent.futures
 import functools
 import json
 import math
@@ -375,6 +374,22 @@ def dependence_thresholds(bn: DiscreteBayesNet) -> tuple[float, float]:
     return float(np.mean(mis)), float(np.mean(cmis))
 
 
+# the last network inject_confounders screened: its content and thresholds
+_last_thresholds: tuple[tuple, tuple[float, float]] | None = None
+
+
+def _thresholds_of(bn: DiscreteBayesNet) -> tuple[float, float]:
+    """``dependence_thresholds(bn)``, computed again only when the network's
+    variables, arcs or table bytes differ from the last one's."""
+    global _last_thresholds
+    cpts = (bn.cpts[x] for x in range(bn.n_nodes))
+    key = (tuple(bn.variables), tuple(bn.dag.arcs()),
+           tuple((c.dtype.str, c.shape, c.tobytes()) for c in cpts))
+    if _last_thresholds is None or _last_thresholds[0] != key:
+        _last_thresholds = (key, dependence_thresholds(bn))
+    return _last_thresholds[1]
+
+
 def inject_confounders(bn: DiscreteBayesNet, cfg: InjectionConfig
                        ) -> tuple[DiscreteBayesNet, list[tuple[str, tuple[str, str]]]]:
     """Add ``cfg.n_confounders`` latent common causes to a copy of ``bn``.
@@ -384,7 +399,9 @@ def inject_confounders(bn: DiscreteBayesNet, cfg: InjectionConfig
     earlier latent. Each child's CPT is redrawn from the point-mass/Dirichlet
     mixture until the pair clears the original network's average dependence
     thresholds; a placement that cannot clear them within
-    ``MAX_ATTEMPTS`` draws raises :class:`InjectionError`.
+    ``MAX_ATTEMPTS`` draws raises :class:`InjectionError`. The thresholds of
+    the last network seen are kept, so repeated injections into one network
+    compute them once.
 
     Returns the augmented network and the truth list
     ``[(latent name, (child name, child name)), ...]``.
@@ -393,7 +410,7 @@ def inject_confounders(bn: DiscreteBayesNet, cfg: InjectionConfig
         return bn.copy(), []
 
     n_obs = bn.n_nodes
-    thr_mi, thr_cmi = dependence_thresholds(bn)
+    thr_mi, thr_cmi = _thresholds_of(bn)
     rng = np.random.default_rng(cfg.seed)
 
     out = bn.copy()
@@ -682,7 +699,10 @@ def run_benchmark(bn: DiscreteBayesNet, sizes: list[int], reps: int,
 
     The repetitions run in a pool of one process per usable CPU, at most one
     per repetition, or in this process when that is one. Pool workers build
-    their score tables serially, so the grid keeps to the usable CPUs.
+    their score tables serially, so the grid keeps to the usable CPUs. The
+    first failed repetition in index order raises its error as soon as it
+    and every repetition before it are done; the pool's workers are then
+    stopped, so no other repetition runs on.
     """
     from .learner import _usable_cpus
 
@@ -695,8 +715,11 @@ def run_benchmark(bn: DiscreteBayesNet, sizes: list[int], reps: int,
     run_rep = functools.partial(_run_rep, bn, sizes, injection, learner, h, alpha)
     workers = min(reps, _usable_cpus())
     if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run_rep, range(reps)))
+        import multiprocessing
+
+        # leaving the block terminates the workers, busy or not
+        with multiprocessing.Pool(workers) as pool:
+            outcomes = list(pool.imap(run_rep, range(reps)))
     else:
         outcomes = list(map(run_rep, range(reps)))
 

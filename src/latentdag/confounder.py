@@ -116,12 +116,10 @@ def enumerate_triangles(g: Dag) -> list[Triangle]:
                 continue
             for z in range(y + 1, g.n_nodes):
                 if g.adjacent(x, z) and g.adjacent(y, z):
+                    # out-degrees inside the clique are 2, 1 and 0
                     trio = (x, y, z)
-                    outdeg = {t: sum(1 for o in trio if o != t and g.has_arc(t, o)) for t in trio}
-                    source = next(t for t in trio if outdeg[t] == 2)
-                    sink = next(t for t in trio if outdeg[t] == 0)
-                    middle = next(t for t in trio if outdeg[t] == 1)
-                    out.append(Triangle(source, middle, sink))
+                    out.append(Triangle(*sorted(
+                        trio, key=lambda t: sum(g.has_arc(t, o) for o in trio), reverse=True)))
     return sorted(out)
 
 
@@ -145,49 +143,39 @@ def classify_triangle(t: Triangle, ctx: ScoreContext, h: int = DEFAULT_H,
                       alpha: float = DEFAULT_ALPHA) -> TriangleClassification:
     """Decide whether the triangle bears a confounder footprint.
 
-    Each of the three node pairs is probed with the remaining node barred
-    from the conditioning set. The verdict is a confounder only when exactly
-    one pair qualifies, that pair sits in a slot with a known footprint, and
-    the two other pairs admitted no separator at all.
+    Each of the three node pairs (B, C) is probed with the remaining node A
+    barred from the conditioning set. The verdict is a confounder only when
+    exactly one pair qualifies, that pair sits in a slot with a known
+    footprint, and the two other pairs admitted no separator at all.
     """
     src, mid, snk = t.source, t.middle, t.sink
-    pair_third = {
-        (snk, src): mid,  # PARENT_SIDE slot: B = sink, C = source, A = middle
-        (mid, snk): src,  # CHILD_SIDE slot:  B = middle, C = sink, A = source
-        (src, mid): snk,  # footprint not acted on
+    # probed pair (B, C) -> (barred node A, the slot's footprint)
+    slots = {
+        (snk, src): (mid, TriangleVerdict.PARENT_SIDE),
+        (mid, snk): (src, TriangleVerdict.CHILD_SIDE),
+        (src, mid): (snk, None),
     }
-    results: dict[tuple[int, int], tuple[SeparatorResult, bool]] = {}
-    for pair, third in pair_third.items():
-        results[pair] = _probe_pair(ctx, pair[0], pair[1], third, h, alpha)
+    results = {(b, c): _probe_pair(ctx, b, c, a, h, alpha)
+               for (b, c), (a, _) in slots.items()}
 
     cls = TriangleClassification(triangle=t, verdict=TriangleVerdict.GENUINE)
-    cls.pair_results = {
-        pair: (res.found, qual) for pair, (res, qual) in results.items()
-    }
+    cls.pair_results = {pair: (res.found, qual) for pair, (res, qual) in results.items()}
     qualifying = [pair for pair, (_, qual) in results.items() if qual]
     if len(qualifying) != 1:
         return cls
     pair = qualifying[0]
-    others_separated = any(
-        results[p][0].found for p in pair_third if p != pair
-    )
-    if others_separated:
+    if any(results[p][0].found for p in slots if p != pair):
         return cls
-
-    if pair == (snk, src):
-        cls.verdict = TriangleVerdict.PARENT_SIDE
-        cls.latent_children = (mid, snk)  # (A, B)
-        cls.outside = src
-    elif pair == (mid, snk):
-        cls.verdict = TriangleVerdict.CHILD_SIDE
-        cls.latent_children = (src, mid)  # (A, B)
-        cls.outside = snk
-    else:
+    a, footprint = slots[pair]
+    if footprint is None:
         log.info(
             "triangle %s: separable pair (source, middle) has no actionable "
             "footprint; reported genuine", t
         )
         return cls
+    cls.verdict = footprint
+    cls.latent_children = (a, pair[0])
+    cls.outside = pair[1]
     cls.witness = results[pair][0].z
     return cls
 
@@ -213,8 +201,6 @@ def confirm_child_side(c: TriangleClassification, g: Dag, ctx: ScoreContext,
     sink = c.outside
     candidates = sorted((g.parents(b) - {a}) | (g.children(b) - {sink}))
     for d_node in candidates:
-        if d_node == sink:
-            continue
         res = find_separator(
             SeparatorQuery(u=d_node, v=sink, h=h, alpha=alpha,
                            compulsory=frozenset({a})), ctx
@@ -241,10 +227,8 @@ def recreate_latents(g: Dag, accepted: list[TriangleClassification]) -> Augmente
         if c.verdict is TriangleVerdict.GENUINE or c.latent_children is None:
             raise ValueError("recreate_latents expects accepted confounder triangles")
         a, b = c.latent_children
-        out = c.outside
-        has_ab = aug.has_arc(a, b)
-        has_bc = aug.has_arc(b, out) or aug.has_arc(out, b)
-        if not (has_ab and has_bc):
+        bc = (b, c.outside) if aug.has_arc(b, c.outside) else (c.outside, b)
+        if not (aug.has_arc(a, b) and aug.has_arc(*bc)):
             log.warning(
                 "triangle %s overlaps an earlier rewiring; skipped", c.triangle
             )
@@ -253,10 +237,7 @@ def recreate_latents(g: Dag, accepted: list[TriangleClassification]) -> Augmente
         name = f"L{len(latents) + 1}"
         lid = aug.add_node(name)
         aug.remove_arc(a, b)
-        if aug.has_arc(b, out):
-            aug.remove_arc(b, out)
-        else:
-            aug.remove_arc(out, b)
+        aug.remove_arc(*bc)
         aug.add_arc(lid, a)
         aug.add_arc(lid, b)
         latents.append((name, (a, b)))

@@ -62,8 +62,8 @@ class Dataset:
         Per-column metadata. Column order defines the variable ids used by
         every other module (0-based).
     values:
-        Integer array of shape ``(n_rows, n_variables)``; entry ``[r, i]`` is
-        the state index of variable ``i`` in row ``r``.
+        Integer (or bool) array of shape ``(n_rows, n_variables)``; entry
+        ``[r, i]`` is the state index of variable ``i`` in row ``r``.
 
     The values are stored once, as a read-only C-contiguous int64 array of
     shape ``(n_variables, n_rows)``; ``values`` is its transposed view, and
@@ -73,6 +73,8 @@ class Dataset:
 
     def __init__(self, variables: Sequence[VariableMeta], values: np.ndarray):
         values = np.asarray(values)
+        if values.dtype.kind not in "biu":
+            raise ValueError(f"values must be integer state indices, not dtype {values.dtype}")
         if values.ndim != 2:
             raise ValueError("values must be a 2-D array (rows x variables)")
         if values.shape[1] != len(variables):
@@ -153,7 +155,9 @@ def load_dataset(path, delimiter: str = ",") -> Dataset:
     except TypeError as exc:
         raise ValueError(f"bad delimiter {delimiter!r}: {exc}") from None
     try:
-        with open(path, "r", newline="", encoding="utf-8") as fh:
+        # utf-8-sig drops a leading byte-order mark, which would otherwise
+        # stick to the first column's name
+        with open(path, "r", newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh, delimiter=delimiter)
             try:
                 header = next(reader)

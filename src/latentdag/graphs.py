@@ -2,9 +2,9 @@
 v-structures, CPDAG completion and Markov-equivalence testing.
 
 Nodes are integers ``0..n-1``; an optional name list travels with each graph
-for serialization. d-separation is decided by a linear-time reachability
-sweep over (node, entry-direction) states; a literal trail-enumeration
-counterpart lives in the test suite as an independent oracle.
+for serialization. d-separation is decided by reachability in the moral
+graph of the ancestral set; a literal trail-enumeration counterpart lives in
+the test suite as an independent oracle.
 """
 
 from __future__ import annotations
@@ -35,16 +35,8 @@ class Dag:
     """
 
     def __init__(self, n_nodes: int, names: Sequence[str] | None = None):
-        if n_nodes < 0:
-            raise ValueError("n_nodes must be >= 0")
-        if names is not None:
-            names = list(names)
-            if len(names) != n_nodes:
-                raise ValueError("names length must equal n_nodes")
-            if len(set(names)) != len(names):
-                raise ValueError("duplicate node names")
         self.n_nodes = n_nodes
-        self.names: list[str] = names if names is not None else [f"X{i}" for i in range(n_nodes)]
+        self.names = _node_names(n_nodes, names)
         self._parents: list[set[int]] = [set() for _ in range(n_nodes)]
         self._children: list[set[int]] = [set() for _ in range(n_nodes)]
 
@@ -210,6 +202,20 @@ class Dag:
         return cls.from_arcs(len(names), _pairs(doc, "arcs", names), names)
 
 
+def _node_names(n_nodes: int, names: Sequence[str] | None) -> list[str]:
+    """The checked node names of an ``n_nodes``-node graph; X0, X1, ... by default."""
+    if n_nodes < 0:
+        raise ValueError("n_nodes must be >= 0")
+    if names is None:
+        return [f"X{i}" for i in range(n_nodes)]
+    names = list(names)
+    if len(names) != n_nodes:
+        raise ValueError("names length must equal n_nodes")
+    if len(set(names)) != n_nodes:
+        raise ValueError("duplicate node names")
+    return names
+
+
 def _graph_doc(text: str) -> tuple[dict, list[str]]:
     """Parse a graph JSON document into the object and its node names."""
     doc = json.loads(text)
@@ -311,9 +317,10 @@ def d_separated(g: Dag, u: int | Iterable[int], v: int | Iterable[int],
                 z: Iterable[int] = ()) -> bool:
     """Decide whether every trail between ``u`` and ``v`` is blocked by ``z``.
 
-    Uses the standard reachability formulation: walk (node, entry-direction)
-    states, where a trail may pass through a non-collider not in ``z`` and
-    through a collider whose node or descendant lies in ``z``.
+    Uses the moral-graph criterion (Lauritzen, Dawid, Larsen & Leimer,
+    Networks 1990): ``z`` d-separates ``u`` and ``v`` iff no path joins them
+    in the moral graph of the ancestors of ``u``, ``v`` and ``z`` once ``z``
+    is removed.
     """
     us, vs, zs = _as_set(u), _as_set(v), _as_set(z)
     for s in (us, vs, zs):
@@ -322,37 +329,29 @@ def d_separated(g: Dag, u: int | Iterable[int], v: int | Iterable[int],
     if us & vs or us & zs or vs & zs:
         raise ValueError("u, v and z must be pairwise disjoint")
 
-    # nodes that can open a collider: z and the ancestors of z
-    opens = set(zs)
-    for x in zs:
-        opens |= g.ancestors(x)
+    # one walk up the parents collects the ancestors and their moral links:
+    # each node to its parents, and each node's parents to each other (a
+    # parent listed among its own neighbours is harmless)
+    moral: dict[int, set[int]] = {x: set() for x in us | vs | zs}
+    stack = list(moral)
+    while stack:
+        x = stack.pop()
+        ps = g._parents[x]
+        moral[x] |= ps
+        for p in ps:
+            if p not in moral:
+                stack.append(p)
+            moral.setdefault(p, set()).update(ps, (x,))
 
-    for src in us:
-        # state (node, arrived_from_child): True when we entered against the
-        # arc (moving up); the start behaves like an up-entry so both parents
-        # and children of src are explored.
-        frontier: list[tuple[int, bool]] = [(src, True)]
-        visited: set[tuple[int, bool]] = set()
-        while frontier:
-            node, up = frontier.pop()
-            if (node, up) in visited:
-                continue
-            visited.add((node, up))
-            if node != src and node not in zs and node in vs:
+    seen = set(us)
+    stack = list(us)
+    while stack:
+        for y in moral[stack.pop()]:
+            if y in vs:
                 return False
-            if up:
-                if node not in zs:
-                    for p in g._parents[node]:
-                        frontier.append((p, True))
-                    for c in g._children[node]:
-                        frontier.append((c, False))
-            else:
-                if node not in zs:
-                    for c in g._children[node]:
-                        frontier.append((c, False))
-                if node in opens:
-                    for p in g._parents[node]:
-                        frontier.append((p, True))
+            if y not in seen and y not in zs:
+                seen.add(y)
+                stack.append(y)
     return True
 
 
@@ -380,13 +379,7 @@ class Pdag:
 
     def __init__(self, n_nodes: int, names: Sequence[str] | None = None):
         self.n_nodes = n_nodes
-        self.names: list[str] = (
-            list(names) if names is not None else [f"X{i}" for i in range(n_nodes)]
-        )
-        if len(self.names) != n_nodes:
-            raise ValueError("names length must equal n_nodes")
-        if len(set(self.names)) != n_nodes:
-            raise ValueError("duplicate node names")
+        self.names = _node_names(n_nodes, names)
         self.directed: set[tuple[int, int]] = set()
         self.undirected: set[tuple[int, int]] = set()
         self.latents: list[tuple[str, tuple[int, int]]] = []

@@ -371,6 +371,27 @@ class TestInjection:
         _, t2 = inject_confounders(bn, cfg)
         assert t1 == t2
 
+    def test_thresholds_computed_once_per_network(self, monkeypatch):
+        from latentdag import bench
+        thresholds, calls = bench.dependence_thresholds, []
+
+        def counted(net):
+            calls.append(net)
+            return thresholds(net)
+
+        monkeypatch.setattr(bench, "dependence_thresholds", counted)
+        monkeypatch.setattr(bench, "_last_thresholds", None)
+        bn = chain_bn()
+        cfg = InjectionConfig(n_confounders=1, seed=1)
+        want = inject_confounders(bn, cfg)[1]
+        # an equal network, even another copy, reuses them
+        assert inject_confounders(bn.copy(), cfg)[1] == want
+        assert len(calls) == 1
+        # the same shapes with other table entries do not
+        bn.cpts[2] = bn.cpts[2][::-1].copy()
+        inject_confounders(bn, cfg)
+        assert len(calls) == 2
+
     def test_admissibility_holds_post_hoc(self):
         bn = chain_bn()
         thr_mi, thr_cmi = dependence_thresholds(bn)
@@ -724,3 +745,27 @@ class TestRunBenchmark:
         log.unlink()
         build_local_scores(ScoreContext(sample(bn, 1000, seed=0)), 4)
         assert log.read_text() == f"{os.getpid()} workers 2\n{os.getpid()} fork 2\n"
+
+    @pytest.mark.skipif(multiprocessing.get_all_start_methods()[0] != "fork",
+                        reason="pool workers inherit the patched injection only when forked")
+    def test_failed_repetition_stops_the_grid(self, monkeypatch, tmp_path):
+        import time
+
+        from latentdag import LearnerConfig, bench, learner
+        monkeypatch.setattr(learner, "_usable_cpus", lambda: 2)
+        inj = InjectionConfig(seed=0)
+
+        def fail_first_or_sleep(net, cfg_):
+            rep = cfg_.seed // 1_000_003 - 1
+            if rep == 0:
+                raise ValueError("repetition 0 failed")
+            (tmp_path / f"rep{rep}").write_text("")
+            time.sleep(1)
+            raise InjectionError("slept")
+
+        monkeypatch.setattr(bench, "inject_confounders", fail_first_or_sleep)
+        with pytest.raises(ValueError, match="repetition 0 failed"):
+            run_benchmark(self.small_net(), [200], 8, inj, LearnerConfig(max_parents=3))
+        # the pool stops while the first repetitions a worker took still sleep
+        assert len(list(tmp_path.iterdir())) < 4
+        assert multiprocessing.active_children() == []

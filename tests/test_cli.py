@@ -166,6 +166,13 @@ class TestSepset:
         assert r.returncode == 0
         assert "no separator found within the size budget" in r.stdout
 
+    def test_byte_order_mark_leaves_the_first_name_alone(self, workdir):
+        path = workdir / "chain-bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + (workdir / "chain.csv").read_bytes())
+        r = run_cli("sepset", "--input", path, "--u", "U", "--v", "V")
+        assert r.returncode == 0, r.stderr
+        assert "separator found: [Z]" in r.stdout
+
     def test_unknown_column_is_usage_error(self, workdir):
         r = run_cli("sepset", "--input", workdir / "chain.csv",
                     "--u", "U", "--v", "Q")

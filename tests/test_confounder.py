@@ -180,10 +180,10 @@ class TestConfirmations:
             confirm_child_side(c, self.triangle_graph(), ctx)
 
 
-def accepted_classification(tri, children, outside):
+def accepted_classification(tri, children, outside, verdict=TriangleVerdict.PARENT_SIDE):
     return TriangleClassification(
         triangle=tri,
-        verdict=TriangleVerdict.PARENT_SIDE,
+        verdict=verdict,
         latent_children=children,
         outside=outside,
         witness=frozenset(),
@@ -213,6 +213,16 @@ class TestRecreateLatents:
         assert r.dag.has_arc(lid, 2) and r.dag.has_arc(lid, 3)
         assert r.dag.has_arc(0, 2) and r.dag.has_arc(1, 3)  # rest untouched
         assert r.cpdag.latents == [("L1", (2, 3))]
+
+    def test_child_side_rewiring_drops_the_arc_out_of_b(self):
+        # A -> B -> C, A -> C, D -> B (ids A=0, B=1, C=2, D=3)
+        g = Dag.from_arcs(4, [(0, 1), (1, 2), (0, 2), (3, 1)], names=["A", "B", "C", "D"])
+        c = accepted_classification(Triangle(0, 1, 2), children=(0, 1), outside=2,
+                                    verdict=TriangleVerdict.CHILD_SIDE)
+        r = recreate_latents(g, [c])
+        assert r.latents == [("L1", (0, 1))] and r.conflicts == []
+        lid = r.dag.names.index("L1")
+        assert r.dag.arcs() == sorted([(0, 2), (3, 1), (lid, 0), (lid, 1)])
 
     def test_two_disjoint_rewirings_numbered_canonically(self):
         arcs = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]

@@ -109,6 +109,19 @@ class TestLoadDataset:
         with pytest.raises(ValueError, match="byte 0xff at offset 40004"):
             load_dataset(path)
 
+    def test_byte_order_mark_is_not_part_of_the_first_name(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes("\ufeffX,Y\na,x\nb,y\n".encode())
+        d = load_dataset(path)
+        assert [v.name for v in d.variables] == ["X", "Y"]
+        assert d.id_of("X") == 0
+
+    def test_bad_byte_offset_counts_the_byte_order_mark(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes("\ufeffX,Y\na,x\n".encode() + b"\xff,y\n")
+        with pytest.raises(ValueError, match="byte 0xff at offset 11"):
+            load_dataset(path)
+
     def test_values_are_read_only(self, tmp_path):
         path = write(tmp_path, "X\na\nb\n")
         d = load_dataset(path)
@@ -131,6 +144,20 @@ class TestStorage:
         assert np.shares_memory(d.values, cols)
         assert np.array_equal(d.values.T, cols)
 
+
+    @pytest.mark.parametrize("values, dtype", [
+        (np.array([[0.7, 1.2], [1.9, 0.0]]), "float64"),
+        (np.array([["0", "1"]]), "<U1"),
+    ])
+    def test_non_integer_values_are_named(self, values, dtype):
+        vs = [VariableMeta(n, ("a", "b")) for n in "XY"]
+        with pytest.raises(ValueError, match=f"not dtype {dtype}$"):
+            Dataset(vs, values)
+
+    def test_bool_values_are_state_indices(self):
+        vs = [VariableMeta(n, ("a", "b")) for n in "XY"]
+        d = Dataset(vs, np.array([[True, False], [False, False]]))
+        assert d.values.tolist() == [[1, 0], [0, 0]]
 
     def test_duplicate_variable_named(self):
         vs = [VariableMeta(n, ("a", "b")) for n in ("X", "Y", "Y")]

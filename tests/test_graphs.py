@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from latentdag import (
     Dag,
@@ -220,6 +222,20 @@ class TestDSeparation:
                             assert d_separated(g, u, v, set(z)) == \
                                 brute_force_dsep(n, arcs, u, v, set(z))
 
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(st.data())
+    def test_sets_match_brute_force_over_every_pair(self, data):
+        # each node lands in u, v, z or none of them
+        n = data.draw(st.integers(2, 7))
+        order = data.draw(st.permutations(range(n)))
+        arcs = [(order[i], order[j]) for i, j in itertools.combinations(range(n), 2)
+                if data.draw(st.booleans())]
+        role = data.draw(st.lists(st.sampled_from("uvz-"), min_size=n, max_size=n))
+        us, vs, zs = ({x for x in range(n) if role[x] == r} for r in "uvz")
+        assume(us and vs)
+        want = all(brute_force_dsep(n, arcs, u, v, zs) for u in us for v in vs)
+        assert d_separated(Dag.from_arcs(n, arcs), us, vs, zs) == want
+
 
 class TestTrails:
     def test_all_simple_trails_enumerated(self):
@@ -392,3 +408,14 @@ class TestPdag:
         blob = json.loads(p.to_json())
         assert set(blob) == {"nodes", "directed", "undirected", "latents"}
         assert blob["nodes"] == ["C", "D", "L", "A", "B"]
+
+
+@pytest.mark.parametrize("cls", [Dag, Pdag])
+@pytest.mark.parametrize("n, names, message", [
+    (-1, None, "n_nodes must be >= 0"),
+    (2, ["A"], "names length must equal n_nodes"),
+    (2, ["A", "A"], "duplicate node names"),
+])
+def test_bad_node_list_is_named(cls, n, names, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        cls(n, names)

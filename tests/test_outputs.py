@@ -1,8 +1,8 @@
 """Pinned output bytes: the metric CSVs of two fixed `latentdag benchmark`
 runs, one per learner, the injected networks and truth lists of six fixed
-`inject_confounders` calls, and the mutual-information floats and joint
-marginals the injection screening computes on both assets must keep their
-SHA-256.
+`inject_confounders` calls, the mutual-information floats and joint
+marginals the injection screening computes on both assets, and the triangle
+classifications and CPDAG of six fixed discoveries must keep their SHA-256.
 
 A refactor that keeps every output byte-identical leaves these hashes alone.
 A change meant to alter the outputs re-records them here, with the reason in
@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from latentdag import bench, cli
+from latentdag import LearnerConfig, bench, cli, discover_confounders, project, sample
 from latentdag.bench import InjectionConfig, bn_from_json, bn_to_json, inject_confounders
 
 ASSETS = Path(__file__).resolve().parents[1] / "assets"
@@ -96,3 +96,52 @@ def test_mutual_information_floats_are_pinned(net, targets, digest, monkeypatch)
     assert got == digest, (
         f"the {len(mis)} mutual-information floats of dependence_thresholds on "
         f"{net}.json, or its joint marginals over {targets}, changed (SHA-256 {got})")
+
+
+# 2,000 rows sampled with the injection's seed. The net20 runs give a
+# confirmed PARENT_SIDE (seed 3), an unconfirmed one (35) and a confirmed
+# CHILD_SIDE (94); the child runs give GENUINE triangles only.
+DISCOVERIES = [
+    ("net20", "hill_climb", 3,
+     "e7a76346927bd6a1385fb7165b800c419184903daec8c7f2cae5d240510c8977"),
+    ("net20", "hill_climb", 35,
+     "ee5083b6b45af5a522f585484580f6be5e2d0fc2480a83b0492dd9f10742ab68"),
+    ("net20", "hill_climb", 94,
+     "0cdc7872ed946d064a1e480725ac7080af4486bcc1b7640e99b967f20ab25269"),
+    ("child", "exact", 7,
+     "3b003ace53a412c79cc5390ee7aa9562d62a7f5dcc4564945fcfebbeff779e09"),
+    ("child", "exact", 21,
+     "dd193e54310fdbc3c40c3a77fc4bc60695512e2babbbc18246bd3339663e18cf"),
+    ("child", "exact", 26,
+     "607ef54b849369818a14ba65fcdbbe18074824270563258b76fc3cbc59851fee"),
+]
+
+
+def _classification_doc(c) -> dict:
+    def listed(xs):
+        return None if xs is None else sorted(xs)
+
+    return {
+        "triangle": list(c.triangle.nodes),
+        "verdict": c.verdict.value,
+        "latent_children": None if c.latent_children is None else list(c.latent_children),
+        "outside": c.outside,
+        "witness": listed(c.witness),
+        "support": None if c.support is None else [c.support[0], listed(c.support[1])],
+        "pair_results": [[list(pair), found, qual]
+                         for pair, (found, qual) in c.pair_results.items()],
+    }
+
+
+@pytest.mark.parametrize("net, mode, seed, digest", DISCOVERIES,
+                         ids=[f"{net}-s{seed}" for net, _, seed, _ in DISCOVERIES])
+def test_discovery_classifications_are_pinned(net, mode, seed, digest):
+    bn = bn_from_json((ASSETS / f"{net}.json").read_text())
+    injected, _ = inject_confounders(bn, InjectionConfig(seed=seed))
+    d = project(sample(injected, 2000, seed=seed), [v.name for v in bn.variables])
+    res = discover_confounders(d, LearnerConfig(mode=mode))
+    doc = json.dumps([_classification_doc(c) for c in res.classifications])
+    got = hashlib.sha256((doc + res.cpdag.to_json()).encode()).hexdigest()
+    assert got == digest, (
+        f"the triangle classifications or CPDAG of a {mode} discovery on {net}.json "
+        f"(seed {seed}) changed (SHA-256 {got}):\n{doc}\n{res.cpdag.to_json()}")
