@@ -9,16 +9,22 @@ Two engines behind one config:
   bincount by :class:`~latentdag.data.BatchTally`, the batch tally the
   probes and the climber share), straight into one dense array per node
   indexed by the parent mask, (2) running maxima over supersets in those
-  same arrays, and (3) dynamic programming over node subsets that records
-  the sink it picks for each subset (a strictly better sink replaces a
-  smaller one, so exact ties keep the smallest id); the graph is rebuilt
-  by peeling the recorded sinks. Feasible up to 20 nodes with k <= 4.
-  Step (1) splits its branches (the subsets by smallest member) across the
-  usable CPUs, through ``fork``, into one array in shared memory; the table
-  is bit-identical at every worker count, and built serially on one CPU,
-  where ``fork`` is missing or unsafe, or in a process that
-  ``multiprocessing`` started: the outermost layer with independent work
-  takes the CPUs, and nothing inside it forks again.
+  same arrays, one node's row at a time, and (3) dynamic programming over
+  node subsets, layer by popcount, that keeps only each subset's best
+  score (a strictly better sink replaces a smaller one, so exact ties keep
+  the smallest id); the graph is rebuilt by peeling sinks, each subset's
+  sink re-derived as the smallest member whose candidate attains its best.
+  Feasible up to 20 nodes with k <= 4. One decision per call sets the
+  processes for all three steps: the usable CPUs, or one on a single CPU,
+  where ``fork`` is missing or unsafe, in a process that
+  ``multiprocessing`` started (the outermost layer with independent work
+  takes the CPUs, and nothing inside it forks again), and below
+  ``_FORK_MIN_SUBSETS`` table subsets. Step (1) splits its branches (the
+  subsets by smallest member) over them, and step (2) its rows, through
+  ``fork`` into arrays in shared memory; step (3) splits on the top node
+  into at most two processes, and steps (2) and (3) run in one below
+  ``_FORK_MIN_DP_NODES`` nodes. Every array is bit-identical at every
+  worker count.
 * ``learn_hill_climb`` — add/remove/reverse local search with best-improvement
   moves and seeded random restarts. The climber keeps n x n arrays of add
   and remove deltas and recomputes a node's column only when its parent set
@@ -41,6 +47,7 @@ from __future__ import annotations
 
 import math
 import mmap
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -64,6 +71,11 @@ class LearnerConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("max_parents", "restarts", "seed"):
+            value = getattr(self, name)
+            # bool is an int subclass, but True parents or restarts is a slip
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.max_parents < 1:
             raise ValueError("max_parents must be >= 1")
         if self.restarts < 1:
@@ -78,11 +90,12 @@ class LocalScoreTable:
     ``scores`` is an ``(n, 2**(n-1))`` float64 array. Row ``x`` is indexed by
     the parent mask with ``x``'s own bit removed (bits above ``x`` shift down
     one slot, as :func:`_drop_bit` does); sets of more than ``k`` parents
-    hold ``-inf``. :func:`learn_exact` turns its table into running maxima.
-    :func:`build_local_scores` fills the array in anonymous shared memory,
-    from one process per usable CPU (one on a single CPU, where ``fork`` is
-    missing or unsafe, or in a ``multiprocessing`` child); its bits do not
-    depend on the number of processes.
+    hold ``-inf``. :func:`build_local_scores` fills the array in anonymous
+    shared memory, from one process per usable CPU (one on a single CPU,
+    where ``fork`` is missing or unsafe, or in a ``multiprocessing`` child).
+    :func:`learn_exact` then turns it, in place, into running maxima over
+    supersets, its rows split over the same processes. The bits of both
+    do not depend on the number of processes.
     """
 
     def __init__(self, n: int, k: int, scores: np.ndarray):
@@ -99,7 +112,7 @@ class LocalScoreTable:
                 for x in range(self.n)]
 
 
-def build_local_scores(ctx: ScoreContext, k: int) -> LocalScoreTable:
+def build_local_scores(ctx: ScoreContext, k: int, workers: int | None = None) -> LocalScoreTable:
     """Score all (node, parent set <= k) families from one tally per subset.
 
     Every variable subset T with 1 <= |T| <= k + 1 is tallied once, and the
@@ -121,7 +134,8 @@ def build_local_scores(ctx: ScoreContext, k: int) -> LocalScoreTable:
     missing or unsafe (beside other threads), in a process that
     ``multiprocessing`` started (a benchmark repetition in its pool, say,
     whose pool already holds the CPUs), and below ``_FORK_MIN_SUBSETS``
-    subsets, where a fork costs more than it saves.
+    subsets, where a fork costs more than it saves. ``workers``, when given,
+    replaces that decision (:func:`learn_exact` makes it once per call).
     """
     n = ctx.dataset.n_variables
     if n > EXACT_MAX_NODES:
@@ -131,21 +145,28 @@ def build_local_scores(ctx: ScoreContext, k: int) -> LocalScoreTable:
     t = _Tallies(ctx, k)
     # the empty-parent families, one per single-member subset
     _score(t, (), 0, 1)
-    # branch y's subset count; with k = 0 there are no branches
-    sizes = [sum(math.comb(n - 1 - y, d) for d in range(1, k + 1))
-             for y in range(n - 1 if k else 0)]
-    shares = _shares(sizes, _workers(n + sum(sizes)))
+    sizes = _branch_sizes(n, k)
+    shares = _shares(sizes, _workers(n + sum(sizes)) if workers is None else workers)
     if len(shares) == 1:
         _run_share(t, shares[0])
     else:
-        _fork_shares(t, shares)
+        _fork_shares(lambda share: _run_share(t, share), shares, "score table", "branches")
     return LocalScoreTable(n, k, t.scores)
+
+
+def _branch_sizes(n: int, k: int) -> list[int]:
+    """Branch y's subset count, for each y; with k = 0 there are no branches."""
+    return [sum(math.comb(n - 1 - y, d) for d in range(1, k + 1))
+            for y in range(n - 1 if k else 0)]
 
 
 # Tables of fewer subsets are built serially. On 2 cores a second worker
 # paid off from about 400 subsets at 50 rows, and from about 1,000 in a
 # process holding 400 MB, whose fork copies more page tables.
 _FORK_MIN_SUBSETS = 1500
+# The DP over fewer nodes runs in one process. On 2 cores its two forked
+# stages together broke even at about 16 nodes and saved 40% at 18.
+_FORK_MIN_DP_NODES = 17
 
 
 def _usable_cpus() -> int:
@@ -186,18 +207,20 @@ def _shares(sizes: list[int], workers: int) -> list[list[int]]:
     return shares
 
 
-def _fork_shares(t: _Tallies, shares: list[list[int]]) -> None:
-    """Score ``shares[0]`` in this process and each other share in a forked
-    child; every child writes into the shared ``t.scores``."""
+def _fork_shares(run, shares: list, stage: str, unit: str) -> None:
+    """Call ``run(shares[0])`` in this process and ``run(share)`` for each
+    other share in a forked child, which writes its results into shared
+    memory. A child that fails fails the call, naming ``stage`` and the
+    child's ``unit`` and share; a failure here stops the children first."""
     import multiprocessing
     fork = multiprocessing.get_context("fork")
     procs = []
     try:
         for share in shares[1:]:
-            p = fork.Process(target=_run_share, args=(t, share), name="latentdag-score-table")
+            p = fork.Process(target=run, args=(share,), name=f"latentdag {stage}")
             p.start()
             procs.append(p)
-        _run_share(t, shares[0])
+        run(shares[0])
     except BaseException:
         for p in procs:
             p.terminate()
@@ -207,8 +230,8 @@ def _fork_shares(t: _Tallies, shares: list[list[int]]) -> None:
             p.join()
     failed = [(share, p.exitcode) for share, p in zip(shares[1:], procs) if p.exitcode]
     if failed:
-        raise RuntimeError("score table worker failed: " + ", ".join(
-            f"branches {share} exited with code {code}" for share, code in failed))
+        raise RuntimeError(f"{stage} worker failed: " + ", ".join(
+            f"{unit} {share} exited with code {code}" for share, code in failed))
 
 
 def _run_share(t: _Tallies, share: list[int]) -> None:
@@ -290,11 +313,13 @@ def _score(t: _Tallies, prefix: tuple[int, ...], mask: int, n_cfg: int) -> None:
 
 
 def _popcounts(n_bits: int) -> np.ndarray:
-    v = np.arange(1 << n_bits, dtype=np.uint32)
-    v = v - ((v >> 1) & 0x55555555)
-    v = (v & 0x33333333) + ((v >> 2) & 0x33333333)
-    v = (v + (v >> 4)) & 0x0F0F0F0F
-    return ((v * 0x01010101) >> 24).astype(np.uint8)
+    """Popcount of every mask below ``1 << n_bits``, built by doubling (the
+    upper half counts one more than the lower), so that no temporary is
+    wider than the uint8 result."""
+    counts = np.zeros(1, dtype=np.uint8)
+    for _ in range(n_bits):
+        counts = np.concatenate([counts, counts + 1])
+    return counts
 
 
 def _drop_bit(masks, x: int):
@@ -326,48 +351,44 @@ def learn_exact(d: Dataset, cfg: LearnerConfig = LearnerConfig(),
             f"exact mode caps max_parents at {EXACT_MAX_PARENTS}, got {cfg.max_parents}"
         )
     k = min(cfg.max_parents, n - 1) if n > 1 else 0
-    bps = build_local_scores(_context(d, ctx), k).scores
+    # one decision for the table, the maxima and the layers
+    workers = _workers(n + sum(_branch_sizes(n, k)))
+    bps = build_local_scores(_context(d, ctx), k, workers).scores
     if n == 0:
         return Dag(0, [])
+    if n < _FORK_MIN_DP_NODES:
+        workers = 1
 
     # bps[x][T] becomes x's best stored score inside T: running maxima over
-    # supersets, a row at a time so that the row stays in cache across bits
-    for arr in bps:
-        for b in range(n - 1):
-            view = arr.reshape(-1, 2, 1 << b)
-            np.maximum(view[:, 1, :], view[:, 0, :], out=view[:, 1, :])
+    # supersets, each row on its own, so the rows split over the workers
+    shares = _shares([1] * n, workers)
+    if len(shares) == 1:
+        _superset_maxima(bps, shares[0])
+    else:
+        _fork_shares(lambda rows: _superset_maxima(bps, rows), shares, "superset maxima", "rows")
 
-    # best score of each variable subset, and the sink that attains it. The
-    # parent masks j over the other n - 1 variables, by popcount then value,
-    # serve both the layers and the peel below.
-    full = 1 << n
+    # best score of each variable subset, in shared memory for the layers'
+    # second process
     popcnt = _popcounts(n - 1)
-    masks = np.argsort(popcnt, kind="stable").astype(np.int32)
-    starts = np.searchsorted(popcnt[masks], np.arange(n + 1))
-    dp = np.full(full, -np.inf)
+    dp = np.frombuffer(mmap.mmap(-1, 8 << n), dtype=np.float64)
+    dp.fill(-np.inf)
     dp[0] = 0.0
-    sink = np.zeros(full, dtype=np.uint8)
-    for s in range(1, n + 1):
-        js = masks[starts[s - 1]:starts[s]]
-        for x in range(n):
-            prev = _insert_bit(js, x)
-            sel = prev | 1 << x
-            cand = dp[prev] + bps[x][js]
-            # only a strictly larger candidate wins, so on exact ties the
-            # smallest sink keeps the subset
-            win = cand > dp[sel]
-            sel = sel[win]
-            dp[sel] = cand[win]
-            sink[sel] = x
+    if workers == 1 or n < 2:
+        _layers(dp, bps, popcnt)
+    else:
+        _fork_layers(dp, bps, popcnt)
 
-    # peel the recorded sinks. A sink's parents are the first stored set in
-    # the remaining variables, by fewest members then smallest mask, whose
-    # running maximum equals the best there; that set scores the best itself.
-    stored = masks[:starts[k + 1]]
+    # peel the sinks: a subset's sink is the smallest x whose candidate
+    # attains its best, the one the layers kept. A sink's parents are the
+    # first stored set in the remaining variables, by fewest members then
+    # smallest mask, whose running maximum equals the best there; that set
+    # scores the best itself.
+    stored = np.concatenate([np.flatnonzero(popcnt == size) for size in range(k + 1)])
     g = Dag(n, [v.name for v in d.variables])
-    mask = full - 1
+    mask = (1 << n) - 1
     while mask:
-        x = int(sink[mask])
+        x = next(x for x in range(n) if mask >> x & 1 and dp[mask ^ 1 << x]
+                 + bps[x][_drop_bit(mask ^ 1 << x, x)] == dp[mask])
         mask ^= 1 << x
         within = _drop_bit(mask, x)
         fits = stored[stored & ~within == 0]
@@ -376,6 +397,80 @@ def learn_exact(d: Dataset, cfg: LearnerConfig = LearnerConfig(),
             if pmask >> p & 1:
                 g.add_arc(p, x)
     return g
+
+
+def _superset_maxima(bps: np.ndarray, rows) -> None:
+    """Turn each row of ``rows`` into running maxima over supersets, a row
+    at a time so that the row stays in cache across bits."""
+    for x in rows:
+        for b in range(len(bps) - 1):
+            view = bps[x].reshape(-1, 2, 1 << b)
+            np.maximum(view[:, 1, :], view[:, 0, :], out=view[:, 1, :])
+
+
+def _layers(dp: np.ndarray, bps: np.ndarray, popcnt: np.ndarray,
+            top: bool | None = None, sync=None) -> None:
+    """Fill ``dp`` layer by layer, by popcount: each subset of layer s takes
+    the best of ``dp[T - {x}] + bps[x][T - {x}]`` over its members x.
+
+    ``top`` None fills every subset. Otherwise only those with (True) or
+    without (False) node n - 1 are filled, and ``sync()`` runs between
+    layers; the fill stops where it returns a false value. A subset without
+    node n - 1 reads only others without it, while one with it reads,
+    through x = n - 1, the previous layer of the others. Parent masks j
+    below ``1 << (n - 2)`` lack node n - 1 for every x < n - 1, so each half
+    takes a contiguous slice of the ascending j; each subset sees its
+    members in ascending order either way.
+    """
+    n = len(bps)
+    for s in range(1, n + 1):
+        js = np.flatnonzero(popcnt == s - 1)
+        if top is None:
+            spans = [(x, js) for x in range(n)]
+        else:
+            if s > 1 and not sync():
+                return
+            cut = int(np.searchsorted(js, 1 << (n - 2)))
+            spans = [(x, js[cut:] if top else js[:cut]) for x in range(n - 1)]
+            if top:
+                spans.append((n - 1, js))
+        for x, j in spans:
+            prev = _insert_bit(j, x)
+            sel = prev | 1 << x
+            cand = dp[prev] + bps[x][j]
+            # numpy's maximum returns its second argument on ties, so only a
+            # strictly larger candidate replaces the best so far, and the
+            # smallest sink keeps an exact tie
+            np.maximum(cand, dp[sel], out=cand)
+            dp[sel] = cand
+
+
+def _fork_layers(dp: np.ndarray, bps: np.ndarray, popcnt: np.ndarray) -> None:
+    """Run :func:`_layers` in two processes, split on node n - 1: a forked
+    child fills the subsets without it, and this process the others.
+    Between layers the child writes a byte to a pipe and this process reads
+    one, so it waits only for the child's previous layer; an end of file
+    means the child failed, and the join reports its exit code. The split
+    uses at most two processes, whatever the worker count."""
+    n = len(bps)
+    shares = [f"with node {n - 1}", f"without node {n - 1}"]
+    r, w = os.pipe()
+    write_end = [w]
+
+    def run(share: str) -> None:
+        if share == shares[1]:
+            _layers(dp, bps, popcnt, False, lambda: os.write(w, b"\0"))
+        else:
+            # without this process's write end, the child's exit closes
+            # the pipe
+            os.close(write_end.pop())
+            _layers(dp, bps, popcnt, True, lambda: os.read(r, 1))
+
+    try:
+        _fork_shares(run, shares, "DP layer", "subsets")
+    finally:
+        for fd in (r, *write_end):
+            os.close(fd)
 
 
 def _random_start(adj: np.ndarray, k: int, rng: np.random.Generator) -> None:

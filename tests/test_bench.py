@@ -713,9 +713,12 @@ class TestRunBenchmark:
     def test_pool_workers_build_their_tables_serially(self, monkeypatch, tmp_path):
         import os
 
-        from latentdag import LearnerConfig, ScoreContext, build_local_scores, learner, sample
+        from latentdag import (LearnerConfig, ScoreContext, build_local_scores, learn_exact,
+                               learner, sample)
         bn = self.net20()
         monkeypatch.setattr(learner, "_usable_cpus", lambda: 2)
+        # the DP's own size floor cannot be what keeps it in one process
+        monkeypatch.setattr(learner, "_FORK_MIN_DP_NODES", 0)
         log = tmp_path / "calls"
         workers, fork_shares = learner._workers, learner._fork_shares
 
@@ -728,23 +731,30 @@ class TestRunBenchmark:
             note(f"workers {got}")
             return got
 
-        def fork_shares_spy(t, shares):
-            note(f"fork {len(shares)}")
-            fork_shares(t, shares)
+        def fork_shares_spy(run, shares, stage, unit):
+            note(f"fork {stage} {len(shares)}")
+            fork_shares(run, shares, stage, unit)
 
         monkeypatch.setattr(learner, "_workers", workers_spy)
         monkeypatch.setattr(learner, "_fork_shares", fork_shares_spy)
         csv, _, _ = run_benchmark(bn, [1000], 2, InjectionConfig(seed=0),
                                   LearnerConfig(mode="exact"))
         assert "\n1000," in csv
-        # one serial table per repetition, each in a pool worker
+        # one worker decision per repetition, each in a pool worker, and no
+        # fork there: neither the table nor the DP's maxima or layers
         calls = [line.split(" ", 1) for line in log.read_text().splitlines()]
         assert [call for _, call in calls] == ["workers 1", "workers 1"]
         assert str(os.getpid()) not in {pid for pid, _ in calls}
-        # the same table built in this process forks two shares
+        # in this process the same table forks two shares, and learning
+        # forks each of its three stages
         log.unlink()
-        build_local_scores(ScoreContext(sample(bn, 1000, seed=0)), 4)
-        assert log.read_text() == f"{os.getpid()} workers 2\n{os.getpid()} fork 2\n"
+        d = sample(bn, 1000, seed=0)
+        build_local_scores(ScoreContext(d), 4)
+        assert log.read_text() == f"{os.getpid()} workers 2\n{os.getpid()} fork score table 2\n"
+        log.unlink()
+        learn_exact(d)
+        assert [line.split(" ", 1)[1] for line in log.read_text().splitlines()] == [
+            "workers 2", "fork score table 2", "fork superset maxima 2", "fork DP layer 2"]
 
     @pytest.mark.skipif(multiprocessing.get_all_start_methods()[0] != "fork",
                         reason="pool workers inherit the patched injection only when forked")

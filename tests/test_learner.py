@@ -99,6 +99,20 @@ def random_instance(rng, n_rows=2000, n=4):
     return sample(bn, n_rows, seed=int(rng.integers(2**31)))
 
 
+def identical_columns():
+    """Five copies of one column."""
+    col = np.random.default_rng(42).integers(0, 2, (300, 1))
+    return make_dataset(list(np.tile(col, (1, 5)).T))
+
+
+def recoded_pair():
+    """V0, V1, their recoding V2 = 2 V0 + V1, and a noisy XOR V3 of both."""
+    rng = np.random.default_rng(11)
+    a, b = rng.integers(0, 2, 2000), rng.integers(0, 2, 2000)
+    x = np.where(rng.random(2000) < 0.8, a ^ b, rng.integers(0, 2, 2000))
+    return make_dataset([a, b, 2 * a + b, x], [2, 2, 4, 2])
+
+
 class TestExact:
     def test_independent_columns_give_empty_graph(self):
         rng = np.random.default_rng(0)
@@ -156,9 +170,7 @@ class TestExact:
         # every tree over copies scores the same: the smallest sink wins at
         # each subset, and the parent set with fewest members, then the
         # smallest mask
-        col = np.random.default_rng(42).integers(0, 2, (300, 1))
-        d = make_dataset(list(np.tile(col, (1, 5)).T))
-        g = learn_exact(d, LearnerConfig(max_parents=3))
+        g = learn_exact(identical_columns(), LearnerConfig(max_parents=3))
         assert g.arcs() == [(1, 0), (2, 1), (3, 2), (4, 3)]
 
     def test_ties_between_two_pairs_of_copies(self):
@@ -173,11 +185,7 @@ class TestExact:
     def test_ties_between_parent_sets_of_different_sizes(self):
         # V2 = 2 V0 + V1 recodes {V0, V1}, so V3, a noisy XOR of V0 and V1,
         # scores the same with either parent set: the one-member set wins
-        rng = np.random.default_rng(11)
-        a, b = rng.integers(0, 2, 2000), rng.integers(0, 2, 2000)
-        x = np.where(rng.random(2000) < 0.8, a ^ b, rng.integers(0, 2, 2000))
-        d = make_dataset([a, b, 2 * a + b, x], [2, 2, 4, 2])
-        g = learn_exact(d, LearnerConfig(max_parents=2))
+        g = learn_exact(recoded_pair(), LearnerConfig(max_parents=2))
         assert g.arcs() == [(0, 2), (2, 1), (2, 3)]
 
     def test_deterministic(self):
@@ -258,16 +266,18 @@ class TestLocalScoreTable:
 
 
 def forced_workers(monkeypatch, workers):
-    """Build tables with ``workers`` processes, whatever the table's size
-    and the machine's CPU count; return the list of share counts forked."""
+    """Build tables and learn with ``workers`` processes, whatever the size
+    and the machine's CPU count; return the (stage, share count) of each
+    fork."""
     monkeypatch.setattr(learner, "_usable_cpus", lambda: workers)
     monkeypatch.setattr(learner, "_FORK_MIN_SUBSETS", 0)
+    monkeypatch.setattr(learner, "_FORK_MIN_DP_NODES", 0)
     forked = []
     fork_shares = learner._fork_shares
 
-    def spy(t, shares):
-        forked.append(len(shares))
-        fork_shares(t, shares)
+    def spy(run, shares, stage, unit):
+        forked.append((stage, len(shares)))
+        fork_shares(run, shares, stage, unit)
 
     monkeypatch.setattr(learner, "_fork_shares", spy)
     return forked
@@ -294,7 +304,7 @@ class TestForkedTable:
         for workers in (1, 2, 3):
             forked = forced_workers(monkeypatch, workers)
             bits[workers] = build_local_scores(ScoreContext(d), 4).scores.view(np.int64)
-            assert forked == ([] if workers == 1 else [workers])
+            assert forked == ([] if workers == 1 else [("score table", workers)])
         assert np.array_equal(bits[1], bits[2])
         assert np.array_equal(bits[1], bits[3])
 
@@ -360,6 +370,123 @@ class TestForkedTable:
         got = []
         with pytest.raises((RuntimeError, ArithmeticError), match=expected):
             got.append(build_local_scores(ScoreContext(mixed_sample(312)), 4))
+        assert got == []
+        assert multiprocessing.active_children() == []
+
+
+def recorded_sink_dp(bps, n):
+    """The layer loop as it stood with a sink array: a strictly larger
+    candidate records its sink, so exact ties keep the smallest."""
+    dp = np.full(1 << n, -np.inf)
+    dp[0] = 0.0
+    sink = np.zeros(1 << n, dtype=np.uint8)
+    popcnt = learner._popcounts(n - 1)
+    for s in range(1, n + 1):
+        js = np.flatnonzero(popcnt == s - 1)
+        for x in range(n):
+            prev = learner._insert_bit(js, x)
+            cand = dp[prev] + bps[x][js]
+            win = cand > dp[prev | 1 << x]
+            dp[(prev | 1 << x)[win]] = cand[win]
+            sink[(prev | 1 << x)[win]] = x
+    return dp, sink
+
+
+def peel_recorded_sinks(bps, sink, n, k):
+    """Arcs peeled from recorded sinks; parents as :func:`learn_exact`
+    picks them, the first stored set by fewest members then smallest mask
+    whose running maximum equals the best."""
+    popcnt = learner._popcounts(n - 1)
+    stored = np.concatenate([np.flatnonzero(popcnt == size) for size in range(k + 1)])
+    arcs = []
+    mask = (1 << n) - 1
+    while mask:
+        x = int(sink[mask])
+        mask ^= 1 << x
+        within = learner._drop_bit(mask, x)
+        fits = stored[stored & ~within == 0]
+        pmask = learner._insert_bit(int(fits[np.argmax(bps[x][fits] == bps[x][within])]), x)
+        arcs += [(p, x) for p in range(n) if pmask >> p & 1]
+    return sorted(arcs)
+
+
+def smallest_attaining_sinks(dp, bps, n):
+    """Each nonempty subset's smallest member x with dp[T - x] +
+    bps[x][T - x] == dp[T], over every subset at once."""
+    masks = np.arange(1, 1 << n)
+    sink = np.full(len(masks), -1)
+    for x in reversed(range(n)):
+        has = np.flatnonzero(masks >> x & 1)
+        prev = masks[has] ^ 1 << x
+        hit = dp[prev] + bps[x][learner._drop_bit(prev, x)] == dp[masks[has]]
+        sink[has[hit]] = x
+    return sink
+
+
+class TestForkedDp:
+    @pytest.mark.parametrize("make, k", [
+        (lambda: child_sample(5000, 1), 4), (lambda: mixed_sample(310), 4),
+        (identical_columns, 3), (recoded_pair, 2),
+    ], ids=["child-5k", "mixed-13", "identical-columns", "recoded-pair"])
+    def test_bits_equal_at_every_worker_count(self, monkeypatch, make, k):
+        d = make()
+        n = d.n_variables
+        arcs, bits = {}, {}
+        layers, seen = learner._layers, []
+
+        def spy(dp, bps, *rest):
+            seen.append((dp, bps))
+            layers(dp, bps, *rest)
+
+        monkeypatch.setattr(learner, "_layers", spy)
+        for workers in (1, 2, 3):
+            forked = forced_workers(monkeypatch, workers)
+            seen.clear()
+            arcs[workers] = learn_exact(d, LearnerConfig(max_parents=k)).arcs()
+            assert forked == ([] if workers == 1 else [
+                ("score table", workers), ("superset maxima", workers), ("DP layer", 2)])
+            # this process fills the DP once, in shared memory
+            (dp, bps), = seen
+            bits[workers] = dp.view(np.int64).copy()
+        assert arcs[1] == arcs[2] == arcs[3]
+        assert np.array_equal(bits[1], bits[2])
+        assert np.array_equal(bits[1], bits[3])
+        # the recorded-sink loop gives the same bits, each subset's recorded
+        # sink is the smallest that attains its best, and peeling the
+        # recorded sinks gives the same graph
+        want, sink = recorded_sink_dp(bps, n)
+        assert np.array_equal(bits[1], want.view(np.int64))
+        assert np.array_equal(smallest_attaining_sinks(want, bps, n), sink[1:])
+        assert arcs[1] == peel_recorded_sinks(bps, sink, n, k)
+
+    @pytest.mark.parametrize("where", ["child", "parent"])
+    @pytest.mark.parametrize("stage, expected", [
+        ("_superset_maxima", "superset maxima worker failed: rows .* exited with code 1"),
+        ("_layers", "DP layer worker failed: subsets without node 12 exited with code 1"),
+    ], ids=["maxima", "layers"])
+    def test_a_failed_stage_fails_learning(self, monkeypatch, stage, expected, where):
+        import multiprocessing
+        import os
+        import time
+        forced_workers(monkeypatch, 2)
+        run = getattr(learner, stage)
+        parent = os.getpid()
+
+        def failing(*args):
+            if (os.getpid() == parent) == (where == "parent"):
+                raise ArithmeticError("stage failed on purpose")
+            if where == "parent":
+                time.sleep(60)  # only a terminated child ends this early
+            run(*args)
+
+        monkeypatch.setattr(learner, stage, failing)
+        d = mixed_sample(312)
+        got = []
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError if where == "child" else ArithmeticError,
+                           match=expected if where == "child" else "on purpose"):
+            got.append(learn_exact(d, LearnerConfig(max_parents=4)))
+        assert time.perf_counter() - start < 30
         assert got == []
         assert multiprocessing.active_children() == []
 
@@ -562,6 +689,24 @@ class TestHillClimb:
             g = learn_hill_climb(d, LearnerConfig(max_parents=2, restarts=2))
             assert all(len(g.parents(v)) <= 2 for v in range(4))
             g.topological_order()  # raises if cyclic
+
+
+class TestConfig:
+    # a cap of 2.5 let the climber give a node three parents and made exact
+    # mode fail with a bare TypeError; restarts=1.5 failed inside range
+    @pytest.mark.parametrize("field, value, mode", [
+        ("max_parents", 2.5, "hill_climb"), ("max_parents", 2.5, "exact"),
+        ("max_parents", True, "auto"), ("max_parents", "3", "auto"),
+        ("restarts", 1.5, "hill_climb"), ("restarts", False, "auto"),
+        ("seed", 0.5, "hill_climb"), ("seed", True, "auto"),
+    ])
+    def test_non_integers_are_named(self, field, value, mode):
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
+            LearnerConfig(mode=mode, **{field: value})
+
+    def test_numpy_integers_are_accepted(self):
+        cfg = LearnerConfig(max_parents=np.int64(2), restarts=np.int32(2), seed=np.uint8(3))
+        assert (cfg.max_parents, cfg.restarts, cfg.seed) == (2, 2, 3)
 
 
 class TestDispatch:
