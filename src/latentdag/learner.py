@@ -14,17 +14,17 @@ Two engines behind one config:
   score (a strictly better sink replaces a smaller one, so exact ties keep
   the smallest id); the graph is rebuilt by peeling sinks, each subset's
   sink re-derived as the smallest member whose candidate attains its best.
-  Feasible up to 20 nodes with k <= 4. One decision per call sets the
-  processes for all three steps: the usable CPUs, or one on a single CPU,
-  where ``fork`` is missing or unsafe, in a process that
-  ``multiprocessing`` started (the outermost layer with independent work
-  takes the CPUs, and nothing inside it forks again), and below
-  ``_FORK_MIN_SUBSETS`` table subsets. Step (1) splits its branches (the
-  subsets by smallest member) over them, and step (2) its rows, through
-  ``fork`` into arrays in shared memory; step (3) splits on the top node
-  into at most two processes, and steps (2) and (3) run in one below
-  ``_FORK_MIN_DP_NODES`` nodes. Every array is bit-identical at every
-  worker count.
+  Feasible up to 20 nodes with k <= 4. One rule sets the processes of
+  all three steps, checked as the table and as the DP start. Each runs in
+  one process on a single CPU, where ``fork`` is missing or unsafe, or in
+  a process that ``multiprocessing`` started (the outermost layer with
+  independent work takes the CPUs, and nothing inside it forks again).
+  Otherwise step (1) takes the usable CPUs from ``_FORK_MIN_SUBSETS``
+  table subsets, and steps (2) and (3) two processes each from
+  ``_FORK_MIN_DP_NODES`` nodes. Step (1) splits its branches (the subsets
+  by smallest member), and step (2) its rows, through ``fork`` into
+  arrays in shared memory; step (3) splits on the top node. Every array
+  is bit-identical at every worker count.
 * ``learn_hill_climb`` — add/remove/reverse local search with best-improvement
   moves and seeded random restarts. The climber keeps n x n arrays of add
   and remove deltas and recomputes a node's column only when its parent set
@@ -94,7 +94,7 @@ class LocalScoreTable:
     shared memory, from one process per usable CPU (one on a single CPU,
     where ``fork`` is missing or unsafe, or in a ``multiprocessing`` child).
     :func:`learn_exact` then turns it, in place, into running maxima over
-    supersets, its rows split over the same processes. The bits of both
+    supersets, its rows split over at most two processes. The bits of both
     do not depend on the number of processes.
     """
 
@@ -112,7 +112,7 @@ class LocalScoreTable:
                 for x in range(self.n)]
 
 
-def build_local_scores(ctx: ScoreContext, k: int, workers: int | None = None) -> LocalScoreTable:
+def build_local_scores(ctx: ScoreContext, k: int) -> LocalScoreTable:
     """Score all (node, parent set <= k) families from one tally per subset.
 
     Every variable subset T with 1 <= |T| <= k + 1 is tallied once, and the
@@ -134,8 +134,7 @@ def build_local_scores(ctx: ScoreContext, k: int, workers: int | None = None) ->
     missing or unsafe (beside other threads), in a process that
     ``multiprocessing`` started (a benchmark repetition in its pool, say,
     whose pool already holds the CPUs), and below ``_FORK_MIN_SUBSETS``
-    subsets, where a fork costs more than it saves. ``workers``, when given,
-    replaces that decision (:func:`learn_exact` makes it once per call).
+    subsets, where a fork costs more than it saves.
     """
     n = ctx.dataset.n_variables
     if n > EXACT_MAX_NODES:
@@ -145,8 +144,7 @@ def build_local_scores(ctx: ScoreContext, k: int, workers: int | None = None) ->
     t = _Tallies(ctx, k)
     # the empty-parent families, one per single-member subset
     _score(t, (), 0, 1)
-    sizes = _branch_sizes(n, k)
-    shares = _shares(sizes, _workers(n + sum(sizes)) if workers is None else workers)
+    shares = _shares(_branch_sizes(n, k), _workers(n, k)[0])
     if len(shares) == 1:
         _run_share(t, shares[0])
     else:
@@ -164,8 +162,9 @@ def _branch_sizes(n: int, k: int) -> list[int]:
 # paid off from about 400 subsets at 50 rows, and from about 1,000 in a
 # process holding 400 MB, whose fork copies more page tables.
 _FORK_MIN_SUBSETS = 1500
-# The DP over fewer nodes runs in one process. On 2 cores its two forked
-# stages together broke even at about 16 nodes and saved 40% at 18.
+# The DP over fewer nodes runs in one process. On 2 cores, with child at
+# 5k rows cut to its first m nodes, forking both DP stages cost 5-9 ms at
+# 12-16 nodes and saved 11 ms at 17 and 34 ms at 18.
 _FORK_MIN_DP_NODES = 17
 
 
@@ -176,13 +175,20 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _workers(n_subsets: int) -> int:
-    """How many processes build a table of ``n_subsets`` subsets."""
-    if n_subsets < _FORK_MIN_SUBSETS:
-        return 1
+def _workers(n: int, k: int) -> tuple[int, int]:
+    """How many processes build the score table of ``n`` nodes under the
+    cap ``k``, and how many run each DP stage over those nodes.
+
+    The DP takes at most two: its layer split has two halves, and the
+    superset maxima have been timed on no more than two CPUs.
+    """
+    table = n + sum(_branch_sizes(n, k)) >= _FORK_MIN_SUBSETS
+    dp = n >= _FORK_MIN_DP_NODES
+    if not (table or dp):
+        return 1, 1
     cpus = _usable_cpus()
     if cpus < 2:
-        return 1
+        return 1, 1
     import multiprocessing
     import threading
     # a process that multiprocessing started is one of several doing work in
@@ -190,8 +196,8 @@ def _workers(n_subsets: int) -> int:
     # thread of this process holds
     if ("fork" not in multiprocessing.get_all_start_methods()
             or multiprocessing.parent_process() is not None or threading.active_count() > 1):
-        return 1
-    return cpus
+        return 1, 1
+    return cpus if table else 1, 2 if dp else 1
 
 
 def _shares(sizes: list[int], workers: int) -> list[list[int]]:
@@ -351,17 +357,15 @@ def learn_exact(d: Dataset, cfg: LearnerConfig = LearnerConfig(),
             f"exact mode caps max_parents at {EXACT_MAX_PARENTS}, got {cfg.max_parents}"
         )
     k = min(cfg.max_parents, n - 1) if n > 1 else 0
-    # one decision for the table, the maxima and the layers
-    workers = _workers(n + sum(_branch_sizes(n, k)))
-    bps = build_local_scores(_context(d, ctx), k, workers).scores
+    bps = build_local_scores(_context(d, ctx), k).scores
     if n == 0:
         return Dag(0, [])
-    if n < _FORK_MIN_DP_NODES:
-        workers = 1
+    # the table's rule, checked again now that the DP is about to fork
+    dp_workers = _workers(n, k)[1]
 
     # bps[x][T] becomes x's best stored score inside T: running maxima over
     # supersets, each row on its own, so the rows split over the workers
-    shares = _shares([1] * n, workers)
+    shares = _shares([1] * n, dp_workers)
     if len(shares) == 1:
         _superset_maxima(bps, shares[0])
     else:
@@ -373,7 +377,7 @@ def learn_exact(d: Dataset, cfg: LearnerConfig = LearnerConfig(),
     dp = np.frombuffer(mmap.mmap(-1, 8 << n), dtype=np.float64)
     dp.fill(-np.inf)
     dp[0] = 0.0
-    if workers == 1 or n < 2:
+    if dp_workers == 1 or n < 2:
         _layers(dp, bps, popcnt)
     else:
         _fork_layers(dp, bps, popcnt)
@@ -451,7 +455,7 @@ def _fork_layers(dp: np.ndarray, bps: np.ndarray, popcnt: np.ndarray) -> None:
     Between layers the child writes a byte to a pipe and this process reads
     one, so it waits only for the child's previous layer; an end of file
     means the child failed, and the join reports its exit code. The split
-    uses at most two processes, whatever the worker count."""
+    uses at most two processes."""
     n = len(bps)
     shares = [f"with node {n - 1}", f"without node {n - 1}"]
     r, w = os.pipe()

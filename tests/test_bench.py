@@ -726,9 +726,9 @@ class TestRunBenchmark:
             with open(log, "a", encoding="utf-8") as fh:
                 fh.write(f"{os.getpid()} {call}\n")
 
-        def workers_spy(n_subsets):
-            got = workers(n_subsets)
-            note(f"workers {got}")
+        def workers_spy(n, k):
+            got = workers(n, k)
+            note(f"workers {got[0]} {got[1]}")
             return got
 
         def fork_shares_spy(run, shares, stage, unit):
@@ -740,21 +740,23 @@ class TestRunBenchmark:
         csv, _, _ = run_benchmark(bn, [1000], 2, InjectionConfig(seed=0),
                                   LearnerConfig(mode="exact"))
         assert "\n1000," in csv
-        # one worker decision per repetition, each in a pool worker, and no
-        # fork there: neither the table nor the DP's maxima or layers
+        # per repetition, in a pool worker, the rule is checked once for the
+        # table and once for the DP, and nothing forks there: neither the
+        # table nor the DP's maxima or layers
         calls = [line.split(" ", 1) for line in log.read_text().splitlines()]
-        assert [call for _, call in calls] == ["workers 1", "workers 1"]
+        assert [call for _, call in calls] == ["workers 1 1"] * 4
         assert str(os.getpid()) not in {pid for pid, _ in calls}
         # in this process the same table forks two shares, and learning
-        # forks each of its three stages
+        # forks each of its three stages into two
         log.unlink()
         d = sample(bn, 1000, seed=0)
         build_local_scores(ScoreContext(d), 4)
-        assert log.read_text() == f"{os.getpid()} workers 2\n{os.getpid()} fork score table 2\n"
+        assert log.read_text() == f"{os.getpid()} workers 2 2\n{os.getpid()} fork score table 2\n"
         log.unlink()
         learn_exact(d)
         assert [line.split(" ", 1)[1] for line in log.read_text().splitlines()] == [
-            "workers 2", "fork score table 2", "fork superset maxima 2", "fork DP layer 2"]
+            "workers 2 2", "fork score table 2",
+            "workers 2 2", "fork superset maxima 2", "fork DP layer 2"]
 
     @pytest.mark.skipif(multiprocessing.get_all_start_methods()[0] != "fork",
                         reason="pool workers inherit the patched injection only when forked")

@@ -266,9 +266,9 @@ class TestLocalScoreTable:
 
 
 def forced_workers(monkeypatch, workers):
-    """Build tables and learn with ``workers`` processes, whatever the size
-    and the machine's CPU count; return the (stage, share count) of each
-    fork."""
+    """Build tables with ``workers`` processes and run the DP with up to
+    two, whatever the size and the machine's CPU count; return the (stage,
+    share count) of each fork."""
     monkeypatch.setattr(learner, "_usable_cpus", lambda: workers)
     monkeypatch.setattr(learner, "_FORK_MIN_SUBSETS", 0)
     monkeypatch.setattr(learner, "_FORK_MIN_DP_NODES", 0)
@@ -318,17 +318,24 @@ class TestForkedTable:
 
     def test_small_tables_stay_in_process(self, monkeypatch):
         monkeypatch.setattr(learner, "_usable_cpus", lambda: 4)
-        assert learner._workers(learner._FORK_MIN_SUBSETS - 1) == 1
-        assert learner._workers(learner._FORK_MIN_SUBSETS) == 4
+        size = 13 + sum(learner._branch_sizes(13, 4))
+        monkeypatch.setattr(learner, "_FORK_MIN_SUBSETS", size + 1)
+        assert learner._workers(13, 4) == (1, 1)
+        monkeypatch.setattr(learner, "_FORK_MIN_SUBSETS", size)
+        assert learner._workers(13, 4) == (4, 1)
+        # the DP forks by its node count alone, into at most two processes
+        assert learner._workers(learner._FORK_MIN_DP_NODES - 1, 1) == (1, 1)
+        assert learner._workers(learner._FORK_MIN_DP_NODES, 1) == (1, 2)
+        assert learner._workers(20, 4) == (4, 2)
         monkeypatch.setattr(learner, "_usable_cpus", lambda: 1)
-        assert learner._workers(10 ** 6) == 1
+        assert learner._workers(20, 4) == (1, 1)
 
     def test_no_fork_inside_a_multiprocessing_child(self, monkeypatch):
         import concurrent.futures
         monkeypatch.setattr(learner, "_usable_cpus", lambda: 4)
-        assert learner._workers(10 ** 6) == 4
+        assert learner._workers(20, 4) == (4, 2)
         with concurrent.futures.ProcessPoolExecutor(max_workers=1) as pool:
-            assert pool.submit(learner._workers, 10 ** 6).result(timeout=60) == 1
+            assert pool.submit(learner._workers, 20, 4).result(timeout=60) == (1, 1)
 
     def test_no_fork_beside_another_thread(self, monkeypatch):
         import threading
@@ -337,12 +344,12 @@ class TestForkedTable:
         other = threading.Thread(target=stop.wait, args=(10,))
         other.start()
         try:
-            assert learner._workers(10 ** 6) == 1
+            assert learner._workers(20, 4) == (1, 1)
         finally:
             stop.set()
             other.join(10)
         assert not other.is_alive()
-        assert learner._workers(10 ** 6) == 4
+        assert learner._workers(20, 4) == (4, 2)
 
     def test_no_worker_outlives_a_built_table(self, monkeypatch):
         import multiprocessing
@@ -444,7 +451,7 @@ class TestForkedDp:
             seen.clear()
             arcs[workers] = learn_exact(d, LearnerConfig(max_parents=k)).arcs()
             assert forked == ([] if workers == 1 else [
-                ("score table", workers), ("superset maxima", workers), ("DP layer", 2)])
+                ("score table", workers), ("superset maxima", 2), ("DP layer", 2)])
             # this process fills the DP once, in shared memory
             (dp, bps), = seen
             bits[workers] = dp.view(np.int64).copy()
