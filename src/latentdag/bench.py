@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .ci import DEFAULT_H, check_probe_options
-from .data import Dataset, VariableMeta, project, row_codes
+from .data import Dataset, VariableMeta, _check_integer, project, row_codes
 from .graphs import Dag, Pdag, cpdag_of
 from .scoring import DEFAULT_ALPHA
 
@@ -335,6 +335,8 @@ class InjectionConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("n_confounders", "latent_cardinality", "seed"):
+            _check_integer(name, getattr(self, name))
         if self.n_confounders < 0:
             raise ValueError("n_confounders must be >= 0")
         if self.latent_cardinality < 2:
@@ -697,23 +699,27 @@ def run_benchmark(bn: DiscreteBayesNet, sizes: list[int], reps: int,
     Wall-clock timings stay out of the table so identical seeds give
     byte-identical files.
 
-    The repetitions run in a pool of one process per usable CPU, at most one
-    per repetition, or in this process when that is one. Pool workers build
-    their score tables serially, so the grid keeps to the usable CPUs. The
-    first failed repetition in index order raises its error as soon as it
-    and every repetition before it are done; the pool's workers are then
-    stopped, so no other repetition runs on.
+    The repetitions run in a pool of as many processes as the package's CPU
+    rule (``learner._cpu_budget``) allows, at most one per repetition, or in
+    this process when that is one, as inside a ``multiprocessing`` child.
+    Pool workers build their score tables serially, so the grid keeps to
+    the usable CPUs. The first failed
+    repetition in index order raises its error as soon as it and every
+    repetition before it are done; the pool's workers are then stopped, so
+    no other repetition runs on.
     """
-    from .learner import _usable_cpus
+    from .learner import _cpu_budget
 
+    _check_integer("reps", reps)
     if reps < 1:
         raise ValueError("reps must be >= 1")
     for size in sizes:
+        _check_integer("dataset size", size)
         if size < 1:
             raise ValueError(f"dataset size {size} must be >= 1")
     check_probe_options(h, alpha)
     run_rep = functools.partial(_run_rep, bn, sizes, injection, learner, h, alpha)
-    workers = min(reps, _usable_cpus())
+    workers = min(reps, _cpu_budget())
     if workers > 1:
         import multiprocessing
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import _check_integer
 from .scoring import DEFAULT_ALPHA, ScoreContext, _dof, _statistic, fill_bic, is_independent
 
 __all__ = ["SeparatorQuery", "SeparatorResult", "check_probe_options", "find_separator"]
@@ -28,8 +29,9 @@ DEFAULT_H = 7
 
 
 def check_probe_options(h: int, alpha: float) -> None:
-    """Reject a separator size cap ``h`` below 0 or a risk level ``alpha``
-    outside (0, 1)."""
+    """Reject a separator size cap ``h`` that is not an integer of at least
+    0, or a risk level ``alpha`` outside (0, 1)."""
+    _check_integer("h", h)
     if h < 0:
         raise ValueError("h must be >= 0")
     if not 0.0 < alpha < 1.0:

@@ -20,8 +20,10 @@ footprints are actionable:
   downstream (a child of B). Here the (middle, sink) pair plays that role.
 
 A third orientation exists (its separable pair would be (source, middle))
-but accounts for well under 1% of confounder footprints and is deliberately
-not acted on; such triangles are reported as GENUINE.
+and is deliberately not acted on; such triangles are reported as GENUINE.
+It is not rare: on net20 in hill-climb mode at 5k rows, over 64 benchmark
+inputs, 7 of the 12 false latents that CHILD_SIDE verdicts added sat on a
+triangle whose truth was this orientation.
 """
 
 from __future__ import annotations

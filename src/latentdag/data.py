@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Sequence
@@ -141,6 +142,13 @@ def _repeated(names: Sequence[str]) -> str | None:
             return name
         seen.add(name)
     return None
+
+
+def _check_integer(name: str, value) -> None:
+    """Reject a ``value`` that is not an integer, naming it. A bool is an int
+    subclass, but True parents or repetitions is a slip, so it fails too."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def load_dataset(path, delimiter: str = ",") -> Dataset:

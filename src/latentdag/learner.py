@@ -11,20 +11,20 @@ Two engines behind one config:
   indexed by the parent mask, (2) running maxima over supersets in those
   same arrays, one node's row at a time, and (3) dynamic programming over
   node subsets, layer by popcount, that keeps only each subset's best
-  score (a strictly better sink replaces a smaller one, so exact ties keep
-  the smallest id); the graph is rebuilt by peeling sinks, each subset's
-  sink re-derived as the smallest member whose candidate attains its best.
-  Feasible up to 20 nodes with k <= 4. One rule sets the processes of
-  all three steps, checked as the table and as the DP start. Each runs in
-  one process on a single CPU, where ``fork`` is missing or unsafe, or in
-  a process that ``multiprocessing`` started (the outermost layer with
-  independent work takes the CPUs, and nothing inside it forks again).
-  Otherwise step (1) takes the usable CPUs from ``_FORK_MIN_SUBSETS``
-  table subsets, and steps (2) and (3) two processes each from
-  ``_FORK_MIN_DP_NODES`` nodes. Step (1) splits its branches (the subsets
-  by smallest member), and step (2) its rows, through ``fork`` into
-  arrays in shared memory; step (3) splits on the top node. Every array
-  is bit-identical at every worker count.
+  score, a value that no candidate order can change; the graph is rebuilt
+  by peeling sinks, and the peel sets the tie rule: each subset's sink is
+  the smallest member whose candidate attains its best. Feasible up to 20
+  nodes with k <= 4. One rule sets the processes of all three steps,
+  checked as the table and as the DP start. Each runs in one process on
+  a single CPU, where ``fork`` is missing or unsafe, or in a process that
+  ``multiprocessing`` started (the outermost layer with independent work
+  takes the CPUs, and nothing inside it forks again). Otherwise step (1)
+  takes the usable CPUs from ``_FORK_MIN_SUBSETS`` table subsets, and
+  steps (2) and (3) two processes each from ``_FORK_MIN_DP_NODES`` nodes.
+  Step (1) splits its branches (the subsets by smallest member), and step
+  (2) its rows, through ``fork`` into arrays in shared memory; step (3)
+  splits on the top node, and one process runs its halves in turn. Every
+  array is bit-identical at every worker count.
 * ``learn_hill_climb`` — add/remove/reverse local search with best-improvement
   moves and seeded random restarts. The climber keeps n x n arrays of add
   and remove deltas and recomputes a node's column only when its parent set
@@ -47,13 +47,12 @@ from __future__ import annotations
 
 import math
 import mmap
-import numbers
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, _check_integer
 from .graphs import Dag
 from .scoring import ScoreContext, bic, drop_bic, fill_bic, log_likelihood
 
@@ -72,10 +71,7 @@ class LearnerConfig:
 
     def __post_init__(self) -> None:
         for name in ("max_parents", "restarts", "seed"):
-            value = getattr(self, name)
-            # bool is an int subclass, but True parents or restarts is a slip
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            _check_integer(name, getattr(self, name))
         if self.max_parents < 1:
             raise ValueError("max_parents must be >= 1")
         if self.restarts < 1:
@@ -145,10 +141,7 @@ def build_local_scores(ctx: ScoreContext, k: int) -> LocalScoreTable:
     # the empty-parent families, one per single-member subset
     _score(t, (), 0, 1)
     shares = _shares(_branch_sizes(n, k), _workers(n, k)[0])
-    if len(shares) == 1:
-        _run_share(t, shares[0])
-    else:
-        _fork_shares(lambda share: _run_share(t, share), shares, "score table", "branches")
+    _fork_shares(lambda share: _run_share(t, share), shares, "score table", "branches")
     return LocalScoreTable(n, k, t.scores)
 
 
@@ -175,6 +168,15 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _cpu_budget() -> int:
+    """How many processes this one may run its work in: one inside a process
+    that ``multiprocessing`` started (the outermost layer with independent
+    work takes the CPUs, and nothing inside it forks again), and the usable
+    CPUs otherwise. The exact learner and the benchmark grid both read it."""
+    import multiprocessing
+    return 1 if multiprocessing.parent_process() is not None else _usable_cpus()
+
+
 def _workers(n: int, k: int) -> tuple[int, int]:
     """How many processes build the score table of ``n`` nodes under the
     cap ``k``, and how many run each DP stage over those nodes.
@@ -186,16 +188,14 @@ def _workers(n: int, k: int) -> tuple[int, int]:
     dp = n >= _FORK_MIN_DP_NODES
     if not (table or dp):
         return 1, 1
-    cpus = _usable_cpus()
+    cpus = _cpu_budget()
     if cpus < 2:
         return 1, 1
     import multiprocessing
     import threading
-    # a process that multiprocessing started is one of several doing work in
-    # parallel already, and a forked child could inherit a lock that another
-    # thread of this process holds
-    if ("fork" not in multiprocessing.get_all_start_methods()
-            or multiprocessing.parent_process() is not None or threading.active_count() > 1):
+    # a forked child could inherit a lock that another thread of this
+    # process holds
+    if "fork" not in multiprocessing.get_all_start_methods() or threading.active_count() > 1:
         return 1, 1
     return cpus if table else 1, 2 if dp else 1
 
@@ -216,8 +216,11 @@ def _shares(sizes: list[int], workers: int) -> list[list[int]]:
 def _fork_shares(run, shares: list, stage: str, unit: str) -> None:
     """Call ``run(shares[0])`` in this process and ``run(share)`` for each
     other share in a forked child, which writes its results into shared
-    memory. A child that fails fails the call, naming ``stage`` and the
-    child's ``unit`` and share; a failure here stops the children first."""
+    memory; a single share runs here without ``multiprocessing``. A child
+    that fails fails the call, naming ``stage`` and the child's ``unit``
+    and share; a failure here stops the children first."""
+    if len(shares) == 1:
+        return run(shares[0])
     import multiprocessing
     fork = multiprocessing.get_context("fork")
     procs = []
@@ -237,7 +240,8 @@ def _fork_shares(run, shares: list, stage: str, unit: str) -> None:
     failed = [(share, p.exitcode) for share, p in zip(shares[1:], procs) if p.exitcode]
     if failed:
         raise RuntimeError(f"{stage} worker failed: " + ", ".join(
-            f"{unit} {share} exited with code {code}" for share, code in failed))
+            f"{unit} {', '.join(map(str, share))} exited with code {code}"
+            for share, code in failed))
 
 
 def _run_share(t: _Tallies, share: list[int]) -> None:
@@ -365,11 +369,8 @@ def learn_exact(d: Dataset, cfg: LearnerConfig = LearnerConfig(),
 
     # bps[x][T] becomes x's best stored score inside T: running maxima over
     # supersets, each row on its own, so the rows split over the workers
-    shares = _shares([1] * n, dp_workers)
-    if len(shares) == 1:
-        _superset_maxima(bps, shares[0])
-    else:
-        _fork_shares(lambda rows: _superset_maxima(bps, rows), shares, "superset maxima", "rows")
+    _fork_shares(lambda rows: _superset_maxima(bps, rows), _shares([1] * n, dp_workers),
+                 "superset maxima", "rows")
 
     # best score of each variable subset, in shared memory for the layers'
     # second process
@@ -377,13 +378,10 @@ def learn_exact(d: Dataset, cfg: LearnerConfig = LearnerConfig(),
     dp = np.frombuffer(mmap.mmap(-1, 8 << n), dtype=np.float64)
     dp.fill(-np.inf)
     dp[0] = 0.0
-    if dp_workers == 1 or n < 2:
-        _layers(dp, bps, popcnt)
-    else:
-        _fork_layers(dp, bps, popcnt)
+    _fork_layers(dp, bps, popcnt, dp_workers)
 
-    # peel the sinks: a subset's sink is the smallest x whose candidate
-    # attains its best, the one the layers kept. A sink's parents are the
+    # peel the sinks, which sets the tie rule: a subset's sink is the
+    # smallest x whose candidate attains its best. A sink's parents are the
     # first stored set in the remaining variables, by fewest members then
     # smallest mask, whose running maximum equals the best there; that set
     # scores the best itself.
@@ -412,63 +410,59 @@ def _superset_maxima(bps: np.ndarray, rows) -> None:
             np.maximum(view[:, 1, :], view[:, 0, :], out=view[:, 1, :])
 
 
-def _layers(dp: np.ndarray, bps: np.ndarray, popcnt: np.ndarray,
-            top: bool | None = None, sync=None) -> None:
-    """Fill ``dp`` layer by layer, by popcount: each subset of layer s takes
-    the best of ``dp[T - {x}] + bps[x][T - {x}]`` over its members x.
+def _layers(dp: np.ndarray, bps: np.ndarray, popcnt: np.ndarray, top: bool, sync) -> None:
+    """Fill the subsets of ``dp`` with (``top`` True) or without (False)
+    node n - 1, layer by popcount: each subset of layer s takes the best of
+    ``dp[T - {x}] + bps[x][T - {x}]`` over its members x. ``sync()`` runs
+    between layers, and the fill stops where it returns a false value.
 
-    ``top`` None fills every subset. Otherwise only those with (True) or
-    without (False) node n - 1 are filled, and ``sync()`` runs between
-    layers; the fill stops where it returns a false value. A subset without
-    node n - 1 reads only others without it, while one with it reads,
-    through x = n - 1, the previous layer of the others. Parent masks j
-    below ``1 << (n - 2)`` lack node n - 1 for every x < n - 1, so each half
-    takes a contiguous slice of the ascending j; each subset sees its
-    members in ascending order either way.
+    A subset without node n - 1 reads only others without it, while one
+    with it reads, through x = n - 1, the previous layer of the others.
+    Parent masks j below ``1 << (n - 2)`` lack node n - 1 for every
+    x < n - 1, so each half takes a contiguous slice of the ascending j.
+    ``dp`` holds values only, so neither the order of the candidates nor
+    that of ``np.maximum``'s arguments changes a bit, signed zeros aside;
+    the peel in :func:`learn_exact` sets the tie rule.
     """
     n = len(bps)
     for s in range(1, n + 1):
+        if s > 1 and not sync():
+            return
         js = np.flatnonzero(popcnt == s - 1)
-        if top is None:
-            spans = [(x, js) for x in range(n)]
-        else:
-            if s > 1 and not sync():
-                return
-            cut = int(np.searchsorted(js, 1 << (n - 2)))
-            spans = [(x, js[cut:] if top else js[:cut]) for x in range(n - 1)]
-            if top:
-                spans.append((n - 1, js))
+        cut = int(np.searchsorted(js, 1 << max(n - 2, 0)))
+        spans = [(x, js[cut:] if top else js[:cut]) for x in range(n - 1)]
+        if top:
+            spans.append((n - 1, js))
         for x, j in spans:
             prev = _insert_bit(j, x)
             sel = prev | 1 << x
             cand = dp[prev] + bps[x][j]
-            # numpy's maximum returns its second argument on ties, so only a
-            # strictly larger candidate replaces the best so far, and the
-            # smallest sink keeps an exact tie
             np.maximum(cand, dp[sel], out=cand)
             dp[sel] = cand
 
 
-def _fork_layers(dp: np.ndarray, bps: np.ndarray, popcnt: np.ndarray) -> None:
-    """Run :func:`_layers` in two processes, split on node n - 1: a forked
-    child fills the subsets without it, and this process the others.
-    Between layers the child writes a byte to a pipe and this process reads
-    one, so it waits only for the child's previous layer; an end of file
-    means the child failed, and the join reports its exit code. The split
-    uses at most two processes."""
+def _fork_layers(dp: np.ndarray, bps: np.ndarray, popcnt: np.ndarray, workers: int) -> None:
+    """Run both halves of :func:`_layers`, split on node n - 1. Between
+    layers the half without the node writes a byte to a pipe and the other
+    reads one, so it waits only for the first's previous layer. Two
+    ``workers`` run the halves together, a forked child the half without
+    the node; an end of file means the child failed, and the join reports
+    its exit code. One runs that half first, and the pipe keeps its bytes."""
     n = len(bps)
-    shares = [f"with node {n - 1}", f"without node {n - 1}"]
+    top, rest = f"with node {n - 1}", f"without node {n - 1}"
+    shares = [[top], [rest]] if workers > 1 else [[rest, top]]
     r, w = os.pipe()
     write_end = [w]
 
-    def run(share: str) -> None:
-        if share == shares[1]:
-            _layers(dp, bps, popcnt, False, lambda: os.write(w, b"\0"))
-        else:
-            # without this process's write end, the child's exit closes
-            # the pipe
-            os.close(write_end.pop())
-            _layers(dp, bps, popcnt, True, lambda: os.read(r, 1))
+    def run(share: list[str]) -> None:
+        for half in share:
+            if half == rest:
+                _layers(dp, bps, popcnt, False, lambda: os.write(w, b"\0"))
+            else:
+                # without this process's write end, a forked child's exit
+                # closes the pipe
+                os.close(write_end.pop())
+                _layers(dp, bps, popcnt, True, lambda: os.read(r, 1))
 
     try:
         _fork_shares(run, shares, "DP layer", "subsets")

@@ -425,6 +425,13 @@ class TestInjection:
         with pytest.raises(ValueError):
             InjectionConfig(latent_cardinality=1)
 
+    @pytest.mark.parametrize("kw", [{"n_confounders": 1.5}, {"latent_cardinality": 2.0},
+                                    {"seed": 0.5}, {"seed": True}])
+    def test_non_integer_config_rejected(self, kw):
+        (name, value), = kw.items()
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
+            InjectionConfig(**kw)
+
 
 class TestCompareConfounders:
     def test_mixed_hits_and_misses(self):
@@ -636,6 +643,9 @@ class TestRunBenchmark:
         ({"h": -3}, "h must be >= 0"),
         ({"alpha": 7.0}, "alpha must lie strictly between 0 and 1"),
         ({"alpha": 0.0}, "alpha must lie strictly between 0 and 1"),
+        ({"reps": 1.5}, "reps must be an integer, got 1.5"),
+        ({"reps": True}, "reps must be an integer, got True"),
+        ({"h": 2.5}, "h must be an integer, got 2.5"),
     ])
     def test_bad_options_rejected_before_injecting(self, monkeypatch, kw, message):
         from latentdag import LearnerConfig, bench
@@ -658,6 +668,18 @@ class TestRunBenchmark:
         monkeypatch.setattr(bench, "inject_confounders", no_injection)
         with pytest.raises(ValueError, match=f"dataset size {bad} must be >= 1"):
             run_benchmark(self.small_net(), sizes, 1, InjectionConfig(seed=1),
+                          LearnerConfig(max_parents=3))
+
+    @pytest.mark.parametrize("size", [200.5, True])
+    def test_non_integer_size_rejected_before_injecting(self, monkeypatch, size):
+        from latentdag import LearnerConfig, bench
+
+        def no_injection(*args):
+            raise AssertionError("injected before checking the sizes")
+
+        monkeypatch.setattr(bench, "inject_confounders", no_injection)
+        with pytest.raises(ValueError, match=f"dataset size must be an integer, got {size!r}"):
+            run_benchmark(self.small_net(), [400, size], 1, InjectionConfig(seed=1),
                           LearnerConfig(max_parents=3))
 
     def test_one_failed_injection_leaves_the_others_in_the_table(self, monkeypatch):
@@ -732,7 +754,8 @@ class TestRunBenchmark:
             return got
 
         def fork_shares_spy(run, shares, stage, unit):
-            note(f"fork {stage} {len(shares)}")
+            if len(shares) > 1:  # a single share runs in the calling process
+                note(f"fork {stage} {len(shares)}")
             fork_shares(run, shares, stage, unit)
 
         monkeypatch.setattr(learner, "_workers", workers_spy)
@@ -757,6 +780,19 @@ class TestRunBenchmark:
         assert [line.split(" ", 1)[1] for line in log.read_text().splitlines()] == [
             "workers 2 2", "fork score table 2",
             "workers 2 2", "fork superset maxima 2", "fork DP layer 2"]
+
+    def test_grid_inside_a_pool_worker_runs_in_process(self, monkeypatch):
+        from latentdag import LearnerConfig, learner
+        args = (self.net20(), [200], 2, InjectionConfig(seed=0), LearnerConfig(mode="hill_climb"))
+        # two CPUs: at the top level the grid would take a pool of two, but
+        # a pool worker is not allowed children of its own
+        monkeypatch.setattr(learner, "_usable_cpus", lambda: 2)
+        with multiprocessing.Pool(1) as pool:
+            got = pool.apply_async(run_benchmark, args).get(timeout=120)
+        monkeypatch.setattr(learner, "_usable_cpus", lambda: 1)
+        want = run_benchmark(*args)
+        assert "\n200," in want[0]
+        assert got[:2] == want[:2]
 
     @pytest.mark.skipif(multiprocessing.get_all_start_methods()[0] != "fork",
                         reason="pool workers inherit the patched injection only when forked")

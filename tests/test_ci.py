@@ -95,6 +95,12 @@ class TestQueryValidation:
         with pytest.raises(ValueError):
             SeparatorQuery(u=0, v=1, h=-1)
 
+    @pytest.mark.parametrize("h", [1.5, True, "3"])
+    def test_non_integer_budget_rejected(self, h):
+        # a budget of 1.5 would let a separator of two members through
+        with pytest.raises(ValueError, match=f"h must be an integer, got {h!r}"):
+            SeparatorQuery(u=0, v=1, h=h)
+
 
 class TestFindSeparator:
     def test_compulsory_larger_than_budget_fails_immediately(self):

@@ -268,7 +268,7 @@ class TestLocalScoreTable:
 def forced_workers(monkeypatch, workers):
     """Build tables with ``workers`` processes and run the DP with up to
     two, whatever the size and the machine's CPU count; return the (stage,
-    share count) of each fork."""
+    share count) of each fork, a single share running in this process."""
     monkeypatch.setattr(learner, "_usable_cpus", lambda: workers)
     monkeypatch.setattr(learner, "_FORK_MIN_SUBSETS", 0)
     monkeypatch.setattr(learner, "_FORK_MIN_DP_NODES", 0)
@@ -276,7 +276,8 @@ def forced_workers(monkeypatch, workers):
     fork_shares = learner._fork_shares
 
     def spy(run, shares, stage, unit):
-        forked.append((stage, len(shares)))
+        if len(shares) > 1:
+            forked.append((stage, len(shares)))
         fork_shares(run, shares, stage, unit)
 
     monkeypatch.setattr(learner, "_fork_shares", spy)
@@ -336,6 +337,9 @@ class TestForkedTable:
         assert learner._workers(20, 4) == (4, 2)
         with concurrent.futures.ProcessPoolExecutor(max_workers=1) as pool:
             assert pool.submit(learner._workers, 20, 4).result(timeout=60) == (1, 1)
+            # the rule's one home, which the benchmark grid reads too
+            assert pool.submit(learner._cpu_budget).result(timeout=60) == 1
+        assert learner._cpu_budget() == 4
 
     def test_no_fork_beside_another_thread(self, monkeypatch):
         import threading
@@ -452,8 +456,11 @@ class TestForkedDp:
             arcs[workers] = learn_exact(d, LearnerConfig(max_parents=k)).arcs()
             assert forked == ([] if workers == 1 else [
                 ("score table", workers), ("superset maxima", 2), ("DP layer", 2)])
-            # this process fills the DP once, in shared memory
-            (dp, bps), = seen
+            # this process fills one DP array, in shared memory: both halves
+            # in turn, or the half with the top node beside a forked child
+            assert len(seen) == (2 if workers == 1 else 1)
+            dp, bps = seen[0]
+            assert all(other is dp for other, _ in seen)
             bits[workers] = dp.view(np.int64).copy()
         assert arcs[1] == arcs[2] == arcs[3]
         assert np.array_equal(bits[1], bits[2])
@@ -465,6 +472,21 @@ class TestForkedDp:
         assert np.array_equal(bits[1], want.view(np.int64))
         assert np.array_equal(smallest_attaining_sinks(want, bps, n), sink[1:])
         assert arcs[1] == peel_recorded_sinks(bps, sink, n, k)
+
+    def test_one_process_asks_for_no_fork_context(self, monkeypatch):
+        import multiprocessing
+
+        def no_fork(*args):
+            raise AssertionError("asked for a fork context with one process")
+
+        forked = forced_workers(monkeypatch, 1)
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        arcs = learn_exact(child_sample(5000, 1), LearnerConfig(max_parents=4)).arcs()
+        assert forked == []
+        assert arcs == [
+            (1, 7), (2, 7), (2, 8), (3, 9), (4, 10), (5, 12), (11, 0), (11, 13), (11, 14),
+            (11, 15), (11, 16), (11, 18), (11, 19), (14, 6), (15, 1), (16, 1), (16, 2),
+            (17, 2), (17, 3), (17, 4), (17, 5), (17, 11), (18, 4), (19, 5), (19, 13)]
 
     @pytest.mark.parametrize("where", ["child", "parent"])
     @pytest.mark.parametrize("stage, expected", [
