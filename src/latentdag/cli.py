@@ -150,7 +150,13 @@ def cmd_dsep(args: argparse.Namespace) -> int:
 def cmd_benchmark(args: argparse.Namespace) -> int:
     with open(args.bn, "r", encoding="utf-8") as fh:
         bn = bn_from_json(fh.read())
-    sizes = [int(s) for s in args.sizes.split(",") if s]
+    sizes = []
+    for entry in args.sizes.split(","):
+        if entry:
+            try:
+                sizes.append(int(entry))
+            except ValueError:
+                raise ValueError(f"--sizes entry {entry!r} is not an integer") from None
     if not sizes:
         raise ValueError("--sizes must list at least one dataset size")
     inj = InjectionConfig(

@@ -7,18 +7,24 @@ Two engines behind one config:
   one joint tally per variable subset of size <= k + 1 (a subset's tally
   serves all of its families, and sibling subsets are tallied in one
   bincount by :class:`~latentdag.data.BatchTally`, the batch tally the
-  probes and the climber share), straight into one dense array per node
-  indexed by the parent mask, (2) running maxima over supersets in those
-  same arrays, one node's row at a time, and (3) dynamic programming over
-  node subsets, layer by popcount, that keeps only each subset's best
-  score, a value that no candidate order can change; the graph is rebuilt
-  by peeling sinks, and the peel sets the tie rule: each subset's sink is
-  the smallest member whose candidate attains its best. Feasible up to 20
-  nodes with k <= 4. One rule sets the processes of all three steps,
-  checked as the table and as the DP start. Each runs in one process on
-  a single CPU, where ``fork`` is missing or unsafe, or in a process that
-  ``multiprocessing`` started (the outermost layer with independent work
-  takes the CPUs, and nothing inside it forks again). Otherwise step (1)
+  probes and the climber share), straight into a compact table of one
+  column per stored parent set, (2) running maxima over supersets on
+  ranks: each node's families are ranked by best score, then fewest
+  members, then smallest mask, and a uint16 array per node, indexed by
+  the parent mask, turns into the rank of the best family inside each
+  mask by running minima, one node's row at a time, and (3) dynamic
+  programming over node subsets, layer by popcount, that keeps only each
+  subset's best score, a value that no candidate order can change; the
+  graph is rebuilt by peeling sinks, and the peel sets the tie rule: each
+  subset's sink is the smallest member whose candidate attains its best,
+  and its parents are its best-ranked family in the remaining nodes.
+  Feasible up to 20 nodes with k <= 4, where the ranks (21 MB) and the
+  best scores (8 MB) are the largest arrays, against 0.8 MB of scores.
+  One rule sets the processes of all three steps, checked as the table
+  and as the DP start. Each runs in one process on a single CPU, where
+  ``fork`` is missing or unsafe, or in a process that ``multiprocessing``
+  started (the outermost layer with independent work takes the CPUs, and
+  nothing inside it forks again). Otherwise step (1)
   takes the usable CPUs from ``_FORK_MIN_SUBSETS`` table subsets, and
   steps (2) and (3) two processes each from ``_FORK_MIN_DP_NODES`` nodes.
   Step (1) splits its branches (the subsets by smallest member), and step
@@ -60,6 +66,9 @@ __all__ = ["LearnerConfig", "LocalScoreTable", "learn_exact", "learn_hill_climb"
 
 EXACT_MAX_NODES = 20
 EXACT_MAX_PARENTS = 4
+# a mask without a stored family, in the DP's uint16 rank array; at
+# EXACT_MAX_NODES and EXACT_MAX_PARENTS a node has 5,036 families
+_NO_RANK = np.iinfo(np.uint16).max
 
 
 @dataclass(frozen=True)
@@ -81,17 +90,16 @@ class LearnerConfig:
 
 
 class LocalScoreTable:
-    """Every local score ``(x, S)`` with ``|S| <= k``, in the DP's layout.
+    """Every local score ``(x, S)`` with ``|S| <= k``, one column per set.
 
-    ``scores`` is an ``(n, 2**(n-1))`` float64 array. Row ``x`` is indexed by
-    the parent mask with ``x``'s own bit removed (bits above ``x`` shift down
-    one slot, as :func:`_drop_bit` does); sets of more than ``k`` parents
-    hold ``-inf``. :func:`build_local_scores` fills the array in anonymous
+    ``scores`` is an ``(n, M)`` float64 array. Column ``c`` holds the parent
+    mask ``masks[c]`` over ``n - 1`` bits: row ``x``'s masks have ``x``'s own
+    bit removed (bits above ``x`` shift down one slot, as :func:`_drop_bit`
+    does), and ``masks`` lists the ``M`` masks of at most ``k`` members in
+    ascending order. :func:`build_local_scores` fills the array in anonymous
     shared memory, from one process per usable CPU (one on a single CPU,
-    where ``fork`` is missing or unsafe, or in a ``multiprocessing`` child).
-    :func:`learn_exact` then turns it, in place, into running maxima over
-    supersets, its rows split over at most two processes. The bits of both
-    do not depend on the number of processes.
+    where ``fork`` is missing or unsafe, or in a ``multiprocessing`` child);
+    its bits do not depend on the number of processes.
     """
 
     def __init__(self, n: int, k: int, scores: np.ndarray):
@@ -100,11 +108,15 @@ class LocalScoreTable:
         self.scores = scores
 
     @property
+    def masks(self) -> np.ndarray:
+        return np.flatnonzero(_popcounts(max(self.n - 1, 0)) <= self.k)
+
+    @property
     def node_scores(self) -> list[dict[int, float]]:
         """Each node's stored families as ``{full parent mask: score}``, the
         mask over all variables (bit ``i`` = variable ``i``)."""
-        idx = np.flatnonzero(_popcounts(max(self.n - 1, 0)) <= self.k)
-        return [dict(zip(_insert_bit(idx, x).tolist(), self.scores[x, idx].tolist()))
+        masks = self.masks
+        return [dict(zip(_insert_bit(masks, x).tolist(), self.scores[x].tolist()))
                 for x in range(self.n)]
 
 
@@ -118,8 +130,9 @@ def build_local_scores(ctx: ScoreContext, k: int) -> LocalScoreTable:
     bincount tallies a batch of those children side by side. Moving x's axis
     of a joint to the last place gives exactly the (configuration, child
     state) table of the family, so each score is the float a separate tally
-    of that family would give. The scores fill the dense arrays of
-    :class:`LocalScoreTable`, hence at most ``EXACT_MAX_NODES`` variables.
+    of that family would give. The scores fill the columns of
+    :class:`LocalScoreTable`, each placed through a lookup over every mask,
+    hence at most ``EXACT_MAX_NODES`` variables.
 
     Branch ``y`` holds the subsets of two or more members whose smallest
     member is ``y``. The branches are split over the usable CPUs, and each
@@ -156,8 +169,9 @@ def _branch_sizes(n: int, k: int) -> list[int]:
 # process holding 400 MB, whose fork copies more page tables.
 _FORK_MIN_SUBSETS = 1500
 # The DP over fewer nodes runs in one process. On 2 cores, with child at
-# 5k rows cut to its first m nodes, forking both DP stages cost 5-9 ms at
-# 12-16 nodes and saved 11 ms at 17 and 34 ms at 18.
+# 5k rows cut to its first m nodes, forking both DP stages cost a median
+# 4 ms at 15 nodes and 1-2 ms at 16, and saved 9-11 ms at 17 and 24-30 ms
+# at 18.
 _FORK_MIN_DP_NODES = 17
 
 
@@ -251,8 +265,9 @@ def _run_share(t: _Tallies, share: list[int]) -> None:
 
 class _Tallies:
     """State of one :func:`build_local_scores` call: the shared batch tally,
-    the prefix codes and the score array being filled, which lives in
-    anonymous shared memory so that forked workers write into it."""
+    the prefix codes, each parent mask's column and the score array being
+    filled, which lives in anonymous shared memory so that forked workers
+    write into it."""
 
     def __init__(self, ctx: ScoreContext, k: int):
         d = ctx.dataset
@@ -263,10 +278,13 @@ class _Tallies:
         self.tally = ctx.tally
         # row code of the current prefix at each depth; depth 0 is empty
         self.prefix_codes = np.zeros((k + 1, d.n_rows), dtype=np.int64)
-        shape = (self.n, 1 << (self.n - 1))
-        self.scores = np.frombuffer(mmap.mmap(-1, 8 * shape[0] * shape[1]),
-                                    dtype=np.float64).reshape(shape)
-        self.scores.fill(-np.inf)
+        masks = np.flatnonzero(_popcounts(self.n - 1) <= k)
+        column = np.full(1 << (self.n - 1), -1, dtype=np.int32)
+        column[masks] = np.arange(len(masks))
+        # indexed by Python ints, as each score is written on its own
+        self.column = memoryview(column)
+        self.scores = np.frombuffer(mmap.mmap(-1, 8 * self.n * len(masks)),
+                                    dtype=np.float64).reshape(self.n, -1)
 
 
 def _visit(t: _Tallies, prefix: tuple[int, ...], mask: int, n_cfg: int) -> None:
@@ -304,8 +322,9 @@ def _score(t: _Tallies, prefix: tuple[int, ...], mask: int, n_cfg: int) -> None:
         # Scores are written one at a time: numpy calls on a batch of at most
         # n scores cost more than the loop.
         lls = log_likelihood(joint, axis=2)
+        c = t.column[mask]
         for y, ll in zip(ys, lls):
-            t.scores[y, mask] = ll - t.half_log_n * (cards[y] - 1) * n_cfg
+            t.scores[y, c] = ll - t.half_log_n * (cards[y] - 1) * n_cfg
 
         # x = a prefix member: move its axis last; the parents are the rest
         # of the prefix, then y, whose bit lands one slot down above x
@@ -319,7 +338,7 @@ def _score(t: _Tallies, prefix: tuple[int, ...], mask: int, n_cfg: int) -> None:
             row = t.scores[x]
             rest = _drop_bit(mask ^ (1 << x), x)
             for y, ll in zip(ys, lls):
-                row[rest | 1 << (y - 1)] = ll - penalty * (n_cfg // cx * cards[y])
+                row[t.column[rest | 1 << (y - 1)]] = ll - penalty * (n_cfg // cx * cards[y])
 
 
 def _popcounts(n_bits: int) -> np.ndarray:
@@ -361,59 +380,68 @@ def learn_exact(d: Dataset, cfg: LearnerConfig = LearnerConfig(),
             f"exact mode caps max_parents at {EXACT_MAX_PARENTS}, got {cfg.max_parents}"
         )
     k = min(cfg.max_parents, n - 1) if n > 1 else 0
-    bps = build_local_scores(_context(d, ctx), k).scores
+    scores = build_local_scores(_context(d, ctx), k).scores
     if n == 0:
         return Dag(0, [])
     # the table's rule, checked again now that the DP is about to fork
     dp_workers = _workers(n, k)[1]
 
-    # bps[x][T] becomes x's best stored score inside T: running maxima over
-    # supersets, each row on its own, so the rows split over the workers
-    _fork_shares(lambda rows: _superset_maxima(bps, rows), _shares([1] * n, dp_workers),
+    # rank each node's families by best score, then fewest members, then
+    # smallest mask, and keep the scores in rank order
+    popcnt = _popcounts(n - 1)
+    stored = np.flatnonzero(popcnt <= k)
+    members = popcnt[stored]
+    order = np.array([np.lexsort((members, -row)) for row in scores])
+    vals = np.take_along_axis(scores, order, axis=1)
+    # ranks[x][T] becomes the rank of x's best family inside T: running
+    # minima over supersets, each row on its own, so the rows split over the
+    # workers; the empty set is stored, so no sentinel is left
+    ranks = np.frombuffer(mmap.mmap(-1, n << n), dtype=np.uint16).reshape(n, -1)
+    ranks.fill(_NO_RANK)
+    ranks[np.arange(n)[:, None], stored[order]] = np.arange(len(stored))
+    _fork_shares(lambda rows: _superset_maxima(ranks, rows), _shares([1] * n, dp_workers),
                  "superset maxima", "rows")
 
     # best score of each variable subset, in shared memory for the layers'
     # second process
-    popcnt = _popcounts(n - 1)
     dp = np.frombuffer(mmap.mmap(-1, 8 << n), dtype=np.float64)
     dp.fill(-np.inf)
     dp[0] = 0.0
-    _fork_layers(dp, bps, popcnt, dp_workers)
+    _fork_layers(dp, ranks, vals, popcnt, dp_workers)
 
     # peel the sinks, which sets the tie rule: a subset's sink is the
-    # smallest x whose candidate attains its best. A sink's parents are the
-    # first stored set in the remaining variables, by fewest members then
-    # smallest mask, whose running maximum equals the best there; that set
-    # scores the best itself.
-    stored = np.concatenate([np.flatnonzero(popcnt == size) for size in range(k + 1)])
+    # smallest x whose candidate attains its best. A sink's parents are its
+    # best-ranked family in the remaining variables: the first stored set,
+    # by fewest members then smallest mask, that scores the best there.
     g = Dag(n, [v.name for v in d.variables])
     mask = (1 << n) - 1
     while mask:
         x = next(x for x in range(n) if mask >> x & 1 and dp[mask ^ 1 << x]
-                 + bps[x][_drop_bit(mask ^ 1 << x, x)] == dp[mask])
+                 + vals[x, ranks[x, _drop_bit(mask ^ 1 << x, x)]] == dp[mask])
         mask ^= 1 << x
-        within = _drop_bit(mask, x)
-        fits = stored[stored & ~within == 0]
-        pmask = _insert_bit(int(fits[np.argmax(bps[x][fits] == bps[x][within])]), x)
+        pmask = _insert_bit(int(stored[order[x, ranks[x, _drop_bit(mask, x)]]]), x)
         for p in range(n):
             if pmask >> p & 1:
                 g.add_arc(p, x)
     return g
 
 
-def _superset_maxima(bps: np.ndarray, rows) -> None:
-    """Turn each row of ``rows`` into running maxima over supersets, a row
-    at a time so that the row stays in cache across bits."""
+def _superset_maxima(ranks: np.ndarray, rows) -> None:
+    """Turn each row of ``rows`` into running maxima over supersets, by rank:
+    the running minima of the ranks, a row at a time so that the row stays
+    in cache across bits."""
     for x in rows:
-        for b in range(len(bps) - 1):
-            view = bps[x].reshape(-1, 2, 1 << b)
-            np.maximum(view[:, 1, :], view[:, 0, :], out=view[:, 1, :])
+        for b in range(len(ranks) - 1):
+            view = ranks[x].reshape(-1, 2, 1 << b)
+            np.minimum(view[:, 1, :], view[:, 0, :], out=view[:, 1, :])
 
 
-def _layers(dp: np.ndarray, bps: np.ndarray, popcnt: np.ndarray, top: bool, sync) -> None:
+def _layers(dp: np.ndarray, ranks: np.ndarray, vals: np.ndarray, popcnt: np.ndarray,
+            top: bool, sync) -> None:
     """Fill the subsets of ``dp`` with (``top`` True) or without (False)
     node n - 1, layer by popcount: each subset of layer s takes the best of
-    ``dp[T - {x}] + bps[x][T - {x}]`` over its members x. ``sync()`` runs
+    ``dp[T - {x}] + vals[x][ranks[x][T - {x}]]`` over its members x, where
+    ``vals[x][ranks[x][j]]`` is x's best score inside j. ``sync()`` runs
     between layers, and the fill stops where it returns a false value.
 
     A subset without node n - 1 reads only others without it, while one
@@ -424,7 +452,7 @@ def _layers(dp: np.ndarray, bps: np.ndarray, popcnt: np.ndarray, top: bool, sync
     that of ``np.maximum``'s arguments changes a bit, signed zeros aside;
     the peel in :func:`learn_exact` sets the tie rule.
     """
-    n = len(bps)
+    n = len(ranks)
     for s in range(1, n + 1):
         if s > 1 and not sync():
             return
@@ -436,19 +464,20 @@ def _layers(dp: np.ndarray, bps: np.ndarray, popcnt: np.ndarray, top: bool, sync
         for x, j in spans:
             prev = _insert_bit(j, x)
             sel = prev | 1 << x
-            cand = dp[prev] + bps[x][j]
+            cand = dp[prev] + vals[x].take(ranks[x].take(j))
             np.maximum(cand, dp[sel], out=cand)
             dp[sel] = cand
 
 
-def _fork_layers(dp: np.ndarray, bps: np.ndarray, popcnt: np.ndarray, workers: int) -> None:
+def _fork_layers(dp: np.ndarray, ranks: np.ndarray, vals: np.ndarray, popcnt: np.ndarray,
+                 workers: int) -> None:
     """Run both halves of :func:`_layers`, split on node n - 1. Between
     layers the half without the node writes a byte to a pipe and the other
     reads one, so it waits only for the first's previous layer. Two
     ``workers`` run the halves together, a forked child the half without
     the node; an end of file means the child failed, and the join reports
     its exit code. One runs that half first, and the pipe keeps its bytes."""
-    n = len(bps)
+    n = len(ranks)
     top, rest = f"with node {n - 1}", f"without node {n - 1}"
     shares = [[top], [rest]] if workers > 1 else [[rest, top]]
     r, w = os.pipe()
@@ -457,12 +486,12 @@ def _fork_layers(dp: np.ndarray, bps: np.ndarray, popcnt: np.ndarray, workers: i
     def run(share: list[str]) -> None:
         for half in share:
             if half == rest:
-                _layers(dp, bps, popcnt, False, lambda: os.write(w, b"\0"))
+                _layers(dp, ranks, vals, popcnt, False, lambda: os.write(w, b"\0"))
             else:
                 # without this process's write end, a forked child's exit
                 # closes the pipe
                 os.close(write_end.pop())
-                _layers(dp, bps, popcnt, True, lambda: os.read(r, 1))
+                _layers(dp, ranks, vals, popcnt, True, lambda: os.read(r, 1))
 
     try:
         _fork_shares(run, shares, "DP layer", "subsets")

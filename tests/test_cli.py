@@ -254,6 +254,12 @@ class TestBenchmark:
         assert r.returncode == 1
         assert "no admissible tables" in r.stderr
 
+    def test_non_integer_size_is_usage_error(self, workdir):
+        r = run_cli("benchmark", "--bn", workdir / "bn7.json", "--sizes", "400,200.5",
+                    "--reps", "1")
+        assert r.returncode == 2
+        assert r.stderr.strip() == "error: --sizes entry '200.5' is not an integer"
+
     def test_malformed_bn_is_usage_error(self, workdir):
         bad = workdir / "bad.json"
         bad.write_text("{not json")

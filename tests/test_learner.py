@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -385,6 +386,19 @@ class TestForkedTable:
         assert multiprocessing.active_children() == []
 
 
+def dense_running_maxima(table):
+    """The table spread over every parent mask, ``-inf`` where none is
+    stored, then turned into running maxima over supersets as the DP once
+    held them: ``bps[x][T]`` is x's best stored score inside T."""
+    n = table.n
+    bps = np.full((n, 1 << (n - 1)), -np.inf)
+    bps[:, table.masks] = table.scores
+    for b in range(n - 1):
+        view = bps.reshape(n, -1, 2, 1 << b)
+        np.maximum(view[:, :, 1], view[:, :, 0], out=view[:, :, 1])
+    return bps
+
+
 def recorded_sink_dp(bps, n):
     """The layer loop as it stood with a sink array: a strictly larger
     candidate records its sink, so exact ties keep the smallest."""
@@ -445,9 +459,9 @@ class TestForkedDp:
         arcs, bits = {}, {}
         layers, seen = learner._layers, []
 
-        def spy(dp, bps, *rest):
-            seen.append((dp, bps))
-            layers(dp, bps, *rest)
+        def spy(dp, ranks, vals, *rest):
+            seen.append((dp, ranks, vals))
+            layers(dp, ranks, vals, *rest)
 
         monkeypatch.setattr(learner, "_layers", spy)
         for workers in (1, 2, 3):
@@ -459,19 +473,48 @@ class TestForkedDp:
             # this process fills one DP array, in shared memory: both halves
             # in turn, or the half with the top node beside a forked child
             assert len(seen) == (2 if workers == 1 else 1)
-            dp, bps = seen[0]
-            assert all(other is dp for other, _ in seen)
+            dp, ranks, vals = seen[0]
+            assert all(other is dp for other, _, _ in seen)
             bits[workers] = dp.view(np.int64).copy()
         assert arcs[1] == arcs[2] == arcs[3]
         assert np.array_equal(bits[1], bits[2])
         assert np.array_equal(bits[1], bits[3])
-        # the recorded-sink loop gives the same bits, each subset's recorded
-        # sink is the smallest that attains its best, and peeling the
-        # recorded sinks gives the same graph
+        # the scores read off the ranks are the dense running maxima of the
+        # table; from those, the recorded-sink loop gives the same bits, each
+        # subset's recorded sink is the smallest that attains its best, and
+        # peeling the recorded sinks, with parents found by a scan of the
+        # stored sets, gives the same graph
+        bps = np.array([v[r] for v, r in zip(vals, ranks)])
+        assert np.array_equal(bps, dense_running_maxima(build_local_scores(ScoreContext(d), k)))
         want, sink = recorded_sink_dp(bps, n)
         assert np.array_equal(bits[1], want.view(np.int64))
         assert np.array_equal(smallest_attaining_sinks(want, bps, n), sink[1:])
         assert arcs[1] == peel_recorded_sinks(bps, sink, n, k)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_no_buffer_as_large_as_a_dense_table(self, monkeypatch, workers):
+        import mmap
+        forced_workers(monkeypatch, workers)
+        real, sizes = mmap.mmap, []
+
+        def spy(fileno, length, *args, **kwargs):
+            sizes.append(length)
+            return real(fileno, length, *args, **kwargs)
+
+        monkeypatch.setattr(learner.mmap, "mmap", spy)
+        d = child_sample(5000, 1)
+        n = d.n_variables
+        learn_exact(d, LearnerConfig(max_parents=4))
+        # a float per node and parent mask would take 83,886,080 bytes; the
+        # largest buffer is the uint16 rank per node and parent mask
+        assert max(sizes) < n * (1 << (n - 1)) * 8 == 83_886_080
+        assert max(sizes) == n * (1 << (n - 1)) * 2 == 20_971_520
+
+    def test_every_rank_fits_below_the_sentinel(self):
+        n, k = learner.EXACT_MAX_NODES, learner.EXACT_MAX_PARENTS
+        families = np.count_nonzero(learner._popcounts(n - 1) <= k)
+        assert families == sum(math.comb(n - 1, size) for size in range(k + 1)) == 5036
+        assert families < learner._NO_RANK == np.iinfo(np.uint16).max
 
     def test_one_process_asks_for_no_fork_context(self, monkeypatch):
         import multiprocessing
