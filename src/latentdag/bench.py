@@ -89,6 +89,8 @@ class DiscreteBayesNet:
                     f"CPT of {self.variables[x].name!r} has shape "
                     f"{self.cpts[x].shape}, expected {(n_cfg, card)}"
                 )
+            if not (np.isfinite(self.cpts[x]) & (self.cpts[x] >= 0)).all():
+                raise ValueError(f"CPT of {names[x]!r} has a negative or non-finite entry")
             sums = self.cpts[x].sum(axis=1)
             if np.abs(sums - 1.0).max() > 1e-9:
                 raise ValueError(
@@ -599,6 +601,8 @@ class CausalModel:
     def __post_init__(self) -> None:
         for x in range(self.dag.n_nodes):
             pxi = np.asarray(self.disturbance[x], dtype=float)
+            if not (np.isfinite(pxi) & (pxi >= 0)).all():
+                raise ValueError(f"disturbance of node {x} has a negative or non-finite entry")
             if abs(pxi.sum() - 1.0) > 1e-9:
                 raise ValueError(f"disturbance of node {x} does not sum to 1")
             tab = np.asarray(self.mechanism[x], dtype=float)

@@ -445,7 +445,10 @@ class Pdag:
                     and "children" in lat):
                 raise ValueError(f"latents entry {lat!r} is not an object with a string "
                                  "'name' and a 'children' pair")
-            p.latents.append((lat["name"], _pair(lat["children"], "latent children", names)))
+            a, b = _pair(lat["children"], "latent children", names)
+            if a == b:
+                raise ValueError(f"latents entry {lat!r} names one child twice")
+            p.latents.append((lat["name"], (a, b)))
         return p
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

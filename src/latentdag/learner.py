@@ -20,17 +20,16 @@ Two engines behind one config:
   and its parents are its best-ranked family in the remaining nodes.
   Feasible up to 20 nodes with k <= 4, where the ranks (21 MB) and the
   best scores (8 MB) are the largest arrays, against 0.8 MB of scores.
-  One rule sets the processes of all three steps, checked as the table
-  and as the DP start. Each runs in one process on a single CPU, where
-  ``fork`` is missing or unsafe, or in a process that ``multiprocessing``
-  started (the outermost layer with independent work takes the CPUs, and
-  nothing inside it forks again). Otherwise step (1)
-  takes the usable CPUs from ``_FORK_MIN_SUBSETS`` table subsets, and
-  steps (2) and (3) two processes each from ``_FORK_MIN_DP_NODES`` nodes.
-  Step (1) splits its branches (the subsets by smallest member), and step
-  (2) its rows, through ``fork`` into arrays in shared memory; step (3)
-  splits on the top node, and one process runs its halves in turn. Every
-  array is bit-identical at every worker count.
+  One rule sets the processes of the table and of the DP, checked as each
+  starts. Each runs in one process on a single CPU, where ``fork`` is
+  missing or unsafe, or in a process that ``multiprocessing`` started
+  (the outermost layer with independent work takes the CPUs, and nothing
+  inside it forks again). Otherwise step (1) splits its branches (the
+  subsets by smallest member) over the usable CPUs from
+  ``_FORK_MIN_SUBSETS`` table subsets, and step (3) splits on the top node
+  into two processes from ``_FORK_MIN_DP_NODES`` nodes, each half first
+  running step (2) on the ranks it reads. Both fork into arrays in shared
+  memory. Every array is bit-identical at every worker count.
 * ``learn_hill_climb`` — add/remove/reverse local search with best-improvement
   moves and seeded random restarts. The climber keeps n x n arrays of add
   and remove deltas and recomputes a node's column only when its parent set
@@ -169,9 +168,9 @@ def _branch_sizes(n: int, k: int) -> list[int]:
 # process holding 400 MB, whose fork copies more page tables.
 _FORK_MIN_SUBSETS = 1500
 # The DP over fewer nodes runs in one process. On 2 cores, with child at
-# 5k rows cut to its first m nodes, forking both DP stages cost a median
-# 4 ms at 15 nodes and 1-2 ms at 16, and saved 9-11 ms at 17 and 24-30 ms
-# at 18.
+# 5k rows cut to its first m nodes, forking the DP (then in two stages)
+# cost a median 4 ms at 15 nodes and 1-2 ms at 16, and saved 9-11 ms at
+# 17 and 24-30 ms at 18.
 _FORK_MIN_DP_NODES = 17
 
 
@@ -193,11 +192,8 @@ def _cpu_budget() -> int:
 
 def _workers(n: int, k: int) -> tuple[int, int]:
     """How many processes build the score table of ``n`` nodes under the
-    cap ``k``, and how many run each DP stage over those nodes.
-
-    The DP takes at most two: its layer split has two halves, and the
-    superset maxima have been timed on no more than two CPUs.
-    """
+    cap ``k``, and how many run the DP over those nodes: at most two, one
+    per half of its layer split."""
     table = n + sum(_branch_sizes(n, k)) >= _FORK_MIN_SUBSETS
     dp = n >= _FORK_MIN_DP_NODES
     if not (table or dp):
@@ -387,20 +383,17 @@ def learn_exact(d: Dataset, cfg: LearnerConfig = LearnerConfig(),
     dp_workers = _workers(n, k)[1]
 
     # rank each node's families by best score, then fewest members, then
-    # smallest mask, and keep the scores in rank order
+    # smallest mask, and keep the scores in rank order; the DP's halves turn
+    # ranks[x][T] into the rank of x's best family inside T. The empty set
+    # is stored, so no sentinel is left.
     popcnt = _popcounts(n - 1)
     stored = np.flatnonzero(popcnt <= k)
     members = popcnt[stored]
     order = np.array([np.lexsort((members, -row)) for row in scores])
     vals = np.take_along_axis(scores, order, axis=1)
-    # ranks[x][T] becomes the rank of x's best family inside T: running
-    # minima over supersets, each row on its own, so the rows split over the
-    # workers; the empty set is stored, so no sentinel is left
     ranks = np.frombuffer(mmap.mmap(-1, n << n), dtype=np.uint16).reshape(n, -1)
     ranks.fill(_NO_RANK)
     ranks[np.arange(n)[:, None], stored[order]] = np.arange(len(stored))
-    _fork_shares(lambda rows: _superset_maxima(ranks, rows), _shares([1] * n, dp_workers),
-                 "superset maxima", "rows")
 
     # best score of each variable subset, in shared memory for the layers'
     # second process
@@ -426,13 +419,13 @@ def learn_exact(d: Dataset, cfg: LearnerConfig = LearnerConfig(),
     return g
 
 
-def _superset_maxima(ranks: np.ndarray, rows) -> None:
-    """Turn each row of ``rows`` into running maxima over supersets, by rank:
-    the running minima of the ranks, a row at a time so that the row stays
-    in cache across bits."""
-    for x in rows:
-        for b in range(len(ranks) - 1):
-            view = ranks[x].reshape(-1, 2, 1 << b)
+def _superset_maxima(block: np.ndarray) -> None:
+    """Turn each row of ``block`` into running maxima over supersets, by
+    rank: the running minima of the ranks over every bit of its width, a row
+    at a time so that the row stays in cache across bits."""
+    for row in block:
+        for b in range(row.size.bit_length() - 1):
+            view = row.reshape(-1, 2, 1 << b)
             np.minimum(view[:, 1, :], view[:, 0, :], out=view[:, 1, :])
 
 
@@ -442,22 +435,32 @@ def _layers(dp: np.ndarray, ranks: np.ndarray, vals: np.ndarray, popcnt: np.ndar
     node n - 1, layer by popcount: each subset of layer s takes the best of
     ``dp[T - {x}] + vals[x][ranks[x][T - {x}]]`` over its members x, where
     ``vals[x][ranks[x][j]]`` is x's best score inside j. ``sync()`` runs
-    between layers, and the fill stops where it returns a false value.
+    before each layer.
 
-    A subset without node n - 1 reads only others without it, while one
-    with it reads, through x = n - 1, the previous layer of the others.
-    Parent masks j below ``1 << (n - 2)`` lack node n - 1 for every
-    x < n - 1, so each half takes a contiguous slice of the ascending j.
-    ``dp`` holds values only, so neither the order of the candidates nor
-    that of ``np.maximum``'s arguments changes a bit, signed zeros aside;
-    the peel in :func:`learn_exact` sets the tie rule.
+    Parent masks j below ``half = 1 << (n - 2)`` lack node n - 1 for every
+    x < n - 1, so each half takes a contiguous slice of the ascending j. It
+    first takes the running minima of the ranks it reads: the half without
+    the node those of ``ranks[:n - 1, :half]``, the other those of
+    ``ranks[:n - 1, half:]`` and of row n - 1, and after its first ``sync()``
+    folds the lower block into its own, the minima's last bit. A subset
+    without node n - 1 reads only others without it, while one with it
+    reads, through x = n - 1, the previous layer of the others. ``dp`` holds
+    values only, so neither the order of the candidates nor that of
+    ``np.maximum``'s arguments changes a bit, signed zeros aside; the peel
+    in :func:`learn_exact` sets the tie rule.
     """
     n = len(ranks)
+    half = 1 << max(n - 2, 0)
+    low, high = ranks[:n - 1, :half], ranks[:n - 1, half:]
+    _superset_maxima(high if top else low)
+    if top:
+        _superset_maxima(ranks[n - 1:])
     for s in range(1, n + 1):
-        if s > 1 and not sync():
-            return
+        sync()
+        if top and s == 1:
+            np.minimum(high, low, out=high)
         js = np.flatnonzero(popcnt == s - 1)
-        cut = int(np.searchsorted(js, 1 << max(n - 2, 0)))
+        cut = int(np.searchsorted(js, half))
         spans = [(x, js[cut:] if top else js[:cut]) for x in range(n - 1)]
         if top:
             spans.append((n - 1, js))
@@ -471,33 +474,29 @@ def _layers(dp: np.ndarray, ranks: np.ndarray, vals: np.ndarray, popcnt: np.ndar
 
 def _fork_layers(dp: np.ndarray, ranks: np.ndarray, vals: np.ndarray, popcnt: np.ndarray,
                  workers: int) -> None:
-    """Run both halves of :func:`_layers`, split on node n - 1. Between
-    layers the half without the node writes a byte to a pipe and the other
-    reads one, so it waits only for the first's previous layer. Two
-    ``workers`` run the halves together, a forked child the half without
-    the node; an end of file means the child failed, and the join reports
-    its exit code. One runs that half first, and the pipe keeps its bytes."""
+    """Run both halves of :func:`_layers`, split on node n - 1. Before each
+    layer the half without the node, in this process, writes a byte to a
+    pipe and the other reads one, so it waits only for the first's minima
+    and previous layer. Two ``workers`` run the half with the node in a
+    forked child beside it, and one runs that half afterwards here, where
+    the pipe already holds every byte. The reader never waits for an end
+    of file: a failure here terminates the child, and a failed child fails
+    the join."""
     n = len(ranks)
     top, rest = f"with node {n - 1}", f"without node {n - 1}"
-    shares = [[top], [rest]] if workers > 1 else [[rest, top]]
+    shares = [[rest], [top]] if workers > 1 else [[rest, top]]
     r, w = os.pipe()
-    write_end = [w]
+    syncs = {rest: lambda: os.write(w, b"\0"), top: lambda: os.read(r, 1)}
 
     def run(share: list[str]) -> None:
         for half in share:
-            if half == rest:
-                _layers(dp, ranks, vals, popcnt, False, lambda: os.write(w, b"\0"))
-            else:
-                # without this process's write end, a forked child's exit
-                # closes the pipe
-                os.close(write_end.pop())
-                _layers(dp, ranks, vals, popcnt, True, lambda: os.read(r, 1))
+            _layers(dp, ranks, vals, popcnt, half == top, syncs[half])
 
     try:
         _fork_shares(run, shares, "DP layer", "subsets")
     finally:
-        for fd in (r, *write_end):
-            os.close(fd)
+        os.close(r)
+        os.close(w)
 
 
 def _random_start(adj: np.ndarray, k: int, rng: np.random.Generator) -> None:

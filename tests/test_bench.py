@@ -79,6 +79,19 @@ class TestBayesNetModel:
         with pytest.raises(ValueError, match="sum to 1"):
             DiscreteBayesNet(vs, Dag(1, ["A"]), {0: np.array([[0.5, 0.6]])})
 
+    @pytest.mark.parametrize("row", [[1.5, -0.5], [np.nan, 1.0], [np.inf, 0.0], [np.nan, np.nan]],
+                             ids=["negative", "nan", "inf", "all-nan"])
+    def test_negative_or_non_finite_entries_are_named(self, row):
+        vs = [VariableMeta(nm, ("s0", "s1")) for nm in "AB"]
+        g = Dag.from_arcs(2, [(0, 1)], names=list("AB"))
+        with pytest.raises(ValueError, match="CPT of 'B' has a negative or non-finite entry"):
+            DiscreteBayesNet(vs, g, {0: np.array([[0.5, 0.5]]), 1: np.array([[0.3, 0.7], row])})
+        # the JSON reader builds the same model, so it rejects the same rows
+        doc = json.loads(bn_to_json(diamond_bn()))
+        doc["cpts"]["C"][2:] = row
+        with pytest.raises(ValueError, match="CPT of 'C' has a negative or non-finite entry"):
+            bn_from_json(json.dumps(doc))
+
     def test_cpt_shape_checked(self):
         vs = [VariableMeta(nm, ("s0", "s1")) for nm in "AB"]
         g = Dag.from_arcs(2, [(0, 1)], names=list("AB"))
@@ -599,6 +612,14 @@ class TestCausalModel:
             CausalModel(vs, g, {0: np.array([0.5, 0.5])},
                         {0: np.array([[1, 1], [0, 1]], dtype=float)})
 
+    @pytest.mark.parametrize("pxi", [[1.5, -0.5], [np.nan, 1.0], [np.inf, 0.0]],
+                             ids=["negative", "nan", "inf"])
+    def test_negative_or_non_finite_disturbance_is_named(self, pxi):
+        vs = [VariableMeta("A", ("s0", "s1"))]
+        with pytest.raises(ValueError, match="disturbance of node 0 has a negative or non-finite"):
+            CausalModel(vs, Dag(1, ["A"]), {0: np.array(pxi)},
+                        {0: np.array([[1, 0], [0, 1]], dtype=float)})
+
 
 class TestRunBenchmark:
     def small_net(self):
@@ -765,12 +786,12 @@ class TestRunBenchmark:
         assert "\n1000," in csv
         # per repetition, in a pool worker, the rule is checked once for the
         # table and once for the DP, and nothing forks there: neither the
-        # table nor the DP's maxima or layers
+        # table nor the DP
         calls = [line.split(" ", 1) for line in log.read_text().splitlines()]
         assert [call for _, call in calls] == ["workers 1 1"] * 4
         assert str(os.getpid()) not in {pid for pid, _ in calls}
         # in this process the same table forks two shares, and learning
-        # forks each of its three stages into two
+        # forks its table and its DP into two each
         log.unlink()
         d = sample(bn, 1000, seed=0)
         build_local_scores(ScoreContext(d), 4)
@@ -779,7 +800,7 @@ class TestRunBenchmark:
         learn_exact(d)
         assert [line.split(" ", 1)[1] for line in log.read_text().splitlines()] == [
             "workers 2 2", "fork score table 2",
-            "workers 2 2", "fork superset maxima 2", "fork DP layer 2"]
+            "workers 2 2", "fork DP layer 2"]
 
     def test_grid_inside_a_pool_worker_runs_in_process(self, monkeypatch):
         from latentdag import LearnerConfig, learner

@@ -138,6 +138,8 @@ def test_pdag_json_undirected_self_link_is_named():
     ([5], "latents entry 5 is not an object"),
     ([{"name": "L1"}], r"latents entry \{'name': 'L1'\} is not an object .* 'children' pair"),
     ([{"name": 3, "children": ["A", "B"]}], "latents entry .* with a string 'name'"),
+    ([{"name": "L1", "children": ["A", "A"]}],
+     r"latents entry \{'name': 'L1', 'children': \['A', 'A'\]\} names one child twice"),
 ])
 def test_pdag_json_malformed_latent_is_named(latents, message):
     text = json.dumps({"nodes": ["A", "B"], "latents": latents})

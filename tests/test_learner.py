@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -468,10 +469,9 @@ class TestForkedDp:
             forked = forced_workers(monkeypatch, workers)
             seen.clear()
             arcs[workers] = learn_exact(d, LearnerConfig(max_parents=k)).arcs()
-            assert forked == ([] if workers == 1 else [
-                ("score table", workers), ("superset maxima", 2), ("DP layer", 2)])
+            assert forked == ([] if workers == 1 else [("score table", workers), ("DP layer", 2)])
             # this process fills one DP array, in shared memory: both halves
-            # in turn, or the half with the top node beside a forked child
+            # in turn, or the half without the top node beside a forked child
             assert len(seen) == (2 if workers == 1 else 1)
             dp, ranks, vals = seen[0]
             assert all(other is dp for other, _, _ in seen)
@@ -479,11 +479,12 @@ class TestForkedDp:
         assert arcs[1] == arcs[2] == arcs[3]
         assert np.array_equal(bits[1], bits[2])
         assert np.array_equal(bits[1], bits[3])
-        # the scores read off the ranks are the dense running maxima of the
-        # table; from those, the recorded-sink loop gives the same bits, each
-        # subset's recorded sink is the smallest that attains its best, and
-        # peeling the recorded sinks, with parents found by a scan of the
-        # stored sets, gives the same graph
+        # the scores read off the ranks, which after learning hold the full
+        # running minima, are the dense running maxima of the table; from
+        # those, the recorded-sink loop gives the same bits, each subset's
+        # recorded sink is the smallest that attains its best, and peeling
+        # the recorded sinks, with parents found by a scan of the stored
+        # sets, gives the same graph
         bps = np.array([v[r] for v, r in zip(vals, ranks)])
         assert np.array_equal(bps, dense_running_maxima(build_local_scores(ScoreContext(d), k)))
         want, sink = recorded_sink_dp(bps, n)
@@ -532,13 +533,9 @@ class TestForkedDp:
             (17, 2), (17, 3), (17, 4), (17, 5), (17, 11), (18, 4), (19, 5), (19, 13)]
 
     @pytest.mark.parametrize("where", ["child", "parent"])
-    @pytest.mark.parametrize("stage, expected", [
-        ("_superset_maxima", "superset maxima worker failed: rows .* exited with code 1"),
-        ("_layers", "DP layer worker failed: subsets without node 12 exited with code 1"),
-    ], ids=["maxima", "layers"])
-    def test_a_failed_stage_fails_learning(self, monkeypatch, stage, expected, where):
+    @pytest.mark.parametrize("stage", ["_superset_maxima", "_layers"], ids=["maxima", "layers"])
+    def test_a_failed_stage_fails_learning(self, monkeypatch, stage, where):
         import multiprocessing
-        import os
         import time
         forced_workers(monkeypatch, 2)
         run = getattr(learner, stage)
@@ -555,12 +552,38 @@ class TestForkedDp:
         d = mixed_sample(312)
         got = []
         start = time.perf_counter()
+        # the maxima fail inside a DP half, the forked one with the top node
+        expected = "DP layer worker failed: subsets with node 12 exited with code 1"
         with pytest.raises(RuntimeError if where == "child" else ArithmeticError,
                            match=expected if where == "child" else "on purpose"):
             got.append(learn_exact(d, LearnerConfig(max_parents=4)))
         assert time.perf_counter() - start < 30
         assert got == []
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_the_dp_pipe_leaks_no_descriptor(self, monkeypatch, workers):
+        import multiprocessing
+        forced_workers(monkeypatch, workers)
+        d = mixed_sample(313)
+        want = learn_exact(d, LearnerConfig(max_parents=4)).arcs()  # imports settle
+        multiprocessing.active_children()
+        before = len(os.listdir("/proc/self/fd"))
+        assert learn_exact(d, LearnerConfig(max_parents=4)).arcs() == want
+        layers = learner._layers
+        for failing_top in (False, True):
+            def failing(dp, ranks, vals, popcnt, top, sync):
+                if top == failing_top:
+                    raise ArithmeticError("half failed on purpose")
+                layers(dp, ranks, vals, popcnt, top, sync)
+
+            monkeypatch.setattr(learner, "_layers", failing)
+            with pytest.raises((ArithmeticError, RuntimeError)):
+                learn_exact(d, LearnerConfig(max_parents=4))
+        # a finished child's sentinel closes once multiprocessing reaps it
+        assert multiprocessing.active_children() == []
+        assert len(os.listdir("/proc/self/fd")) == before
 
 
 def moves_per_candidate(g, k):
