@@ -177,6 +177,9 @@ def bn_from_json(text: str) -> DiscreteBayesNet:
     for name, flat in doc["cpts"].items():
         x = declared(name, "'cpts'")
         card = variables[x].cardinality
+        if not (isinstance(flat, list) and all(
+                isinstance(p, (int, float)) and not isinstance(p, bool) for p in flat)):
+            raise ValueError(f"CPT of {name!r} is not a flat list of numbers: {flat!r}")
         flat = np.asarray(flat, dtype=float)
         if flat.size % card:
             raise ValueError(f"CPT of {name!r} has {flat.size} entries, not a multiple of {card}")
@@ -189,6 +192,8 @@ def bn_from_json(text: str) -> DiscreteBayesNet:
 
 def sample(bn: DiscreteBayesNet, n: int, seed: int = 0) -> Dataset:
     """Draw ``n`` rows by ancestral sampling (deterministic given the seed)."""
+    _check_integer("row count", n)
+    _check_integer("seed", seed)
     if n < 0:
         raise ValueError(f"row count must be >= 0, got {n}")
     rng = np.random.default_rng(seed)

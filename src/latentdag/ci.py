@@ -43,7 +43,9 @@ class SeparatorQuery:
     """Inputs of one separator search.
 
     ``compulsory`` variables are forced into Z before the search starts;
-    ``forbidden`` ones may never enter it. ``h`` caps |Z|.
+    ``forbidden`` ones may never enter it. ``h`` caps |Z|. Every variable is
+    named by its integer id; :func:`find_separator` checks that each lies
+    inside its dataset.
     """
 
     u: int
@@ -56,6 +58,8 @@ class SeparatorQuery:
     def __post_init__(self) -> None:
         object.__setattr__(self, "compulsory", frozenset(self.compulsory))
         object.__setattr__(self, "forbidden", frozenset(self.forbidden))
+        for x in (self.u, self.v, *self.compulsory, *self.forbidden):
+            _check_integer("variable id", x)
         if self.u == self.v:
             raise ValueError("u and v must differ")
         check_probe_options(self.h, self.alpha)
@@ -80,21 +84,23 @@ def find_separator(q: SeparatorQuery, ctx: ScoreContext) -> SeparatorResult:
     (ties break toward the lowest variable id) and the test repeats, until
     independence is reached or the size budget is spent.
     """
+    n_vars = ctx.dataset.n_variables
+    for x in (q.u, q.v, *q.compulsory, *q.forbidden):
+        if not 0 <= x < n_vars:
+            raise KeyError(f"variable id {x} out of range")
     z = set(q.compulsory)
     blocked = set(q.forbidden) | {q.u, q.v}
     trace: list[tuple[int, float]] = []
 
     if len(z) > q.h:
         return SeparatorResult(found=False, trace=trace)
-    if is_independent(ctx, q.u, q.v, z, q.alpha).independent:
-        return SeparatorResult(found=True, z=frozenset(z), trace=trace)
-
-    n_vars = ctx.dataset.n_variables
     cards = ctx.dataset.cardinalities
-    while len(z) < q.h:
+    while not is_independent(ctx, q.u, q.v, z, q.alpha).independent:
         cands = [y for y in range(n_vars) if y not in z and y not in blocked]
-        if not cands:
-            break  # candidate pool exhausted before the budget
+        if len(z) == q.h or not cands:
+            # no separator within the budget: Z holds h members, or no
+            # candidate is left
+            return SeparatorResult(found=False, trace=trace)
         with_v, without_v = fill_bic(ctx, q.u, z | {q.v}, cands, drop=q.v)
         # f_bic's statistic for every candidate y
         dof = _dof(ctx, q.u, q.v, z) * np.array([cards[y] for y in cands])
@@ -103,6 +109,4 @@ def find_separator(q: SeparatorQuery, ctx: ScoreContext) -> SeparatorResult:
         best, best_stat = cands[i], float(stats[i])
         z.add(best)
         trace.append((best, best_stat))
-        if is_independent(ctx, q.u, q.v, z, q.alpha).independent:
-            return SeparatorResult(found=True, z=frozenset(z), trace=trace)
-    return SeparatorResult(found=False, trace=trace)
+    return SeparatorResult(found=True, z=frozenset(z), trace=trace)

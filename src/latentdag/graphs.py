@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
+from .data import _check_integer
+
 __all__ = [
     "Dag",
     "Pdag",
@@ -204,6 +206,7 @@ class Dag:
 
 def _node_names(n_nodes: int, names: Sequence[str] | None) -> list[str]:
     """The checked node names of an ``n_nodes``-node graph; X0, X1, ... by default."""
+    _check_integer("n_nodes", n_nodes)
     if n_nodes < 0:
         raise ValueError("n_nodes must be >= 0")
     if names is None:

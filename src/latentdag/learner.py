@@ -91,32 +91,27 @@ class LearnerConfig:
 class LocalScoreTable:
     """Every local score ``(x, S)`` with ``|S| <= k``, one column per set.
 
-    ``scores`` is an ``(n, M)`` float64 array. Column ``c`` holds the parent
-    mask ``masks[c]`` over ``n - 1`` bits: row ``x``'s masks have ``x``'s own
-    bit removed (bits above ``x`` shift down one slot, as :func:`_drop_bit`
-    does), and ``masks`` lists the ``M`` masks of at most ``k`` members in
-    ascending order. :func:`build_local_scores` fills the array in anonymous
-    shared memory, from one process per usable CPU (one on a single CPU,
-    where ``fork`` is missing or unsafe, or in a ``multiprocessing`` child);
-    its bits do not depend on the number of processes.
+    The table owns the layout of the stored families. ``masks`` lists the
+    ``M`` parent masks of at most ``k`` members over ``n - 1`` bits, in
+    ascending order, and ``scores`` is an ``(n, M)`` float64 array whose
+    column ``c`` holds ``masks[c]``: row ``x``'s masks have ``x``'s own bit
+    removed (bits above ``x`` shift down one slot, as :func:`_drop_bit`
+    does). :func:`build_local_scores` fills the array in anonymous shared
+    memory, from one process per usable CPU (one on a single CPU, where
+    ``fork`` is missing or unsafe, or in a ``multiprocessing`` child); its
+    bits do not depend on the number of processes.
     """
 
-    def __init__(self, n: int, k: int, scores: np.ndarray):
+    def __init__(self, n: int, k: int, masks: np.ndarray, scores: np.ndarray):
         self.n = n
         self.k = k
+        self.masks = masks
         self.scores = scores
 
     @property
-    def masks(self) -> np.ndarray:
-        return np.flatnonzero(_popcounts(max(self.n - 1, 0)) <= self.k)
-
-    @property
-    def node_scores(self) -> list[dict[int, float]]:
-        """Each node's stored families as ``{full parent mask: score}``, the
-        mask over all variables (bit ``i`` = variable ``i``)."""
-        masks = self.masks
-        return [dict(zip(_insert_bit(masks, x).tolist(), self.scores[x].tolist()))
-                for x in range(self.n)]
+    def node_scores(self) -> list[np.ndarray]:
+        """Each node's score row, in ``masks`` order."""
+        return list(self.scores)
 
 
 def build_local_scores(ctx: ScoreContext, k: int) -> LocalScoreTable:
@@ -144,17 +139,20 @@ def build_local_scores(ctx: ScoreContext, k: int) -> LocalScoreTable:
     whose pool already holds the CPUs), and below ``_FORK_MIN_SUBSETS``
     subsets, where a fork costs more than it saves.
     """
+    _check_integer("k", k)
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
     n = ctx.dataset.n_variables
     if n > EXACT_MAX_NODES:
         raise ValueError(f"exact mode handles at most {EXACT_MAX_NODES} variables, got {n}")
     if n == 0:
-        return LocalScoreTable(0, k, np.empty((0, 0)))
+        return LocalScoreTable(0, k, np.empty(0, dtype=np.intp), np.empty((0, 0)))
     t = _Tallies(ctx, k)
     # the empty-parent families, one per single-member subset
     _score(t, (), 0, 1)
     shares = _shares(_branch_sizes(n, k), _workers(n, k)[0])
     _fork_shares(lambda share: _run_share(t, share), shares, "score table", "branches")
-    return LocalScoreTable(n, k, t.scores)
+    return LocalScoreTable(n, k, t.masks, t.scores)
 
 
 def _branch_sizes(n: int, k: int) -> list[int]:
@@ -256,14 +254,14 @@ def _fork_shares(run, shares: list, stage: str, unit: str) -> None:
 
 def _run_share(t: _Tallies, share: list[int]) -> None:
     for y in share:
-        _enter(t, (), 0, 1, y)
+        _visit(t, (), 0, 1, y)
 
 
 class _Tallies:
     """State of one :func:`build_local_scores` call: the shared batch tally,
-    the prefix codes, each parent mask's column and the score array being
-    filled, which lives in anonymous shared memory so that forked workers
-    write into it."""
+    the prefix codes, the stored masks, each parent mask's column and the
+    score array being filled, which lives in anonymous shared memory so that
+    forked workers write into it."""
 
     def __init__(self, ctx: ScoreContext, k: int):
         d = ctx.dataset
@@ -274,31 +272,28 @@ class _Tallies:
         self.tally = ctx.tally
         # row code of the current prefix at each depth; depth 0 is empty
         self.prefix_codes = np.zeros((k + 1, d.n_rows), dtype=np.int64)
-        masks = np.flatnonzero(_popcounts(self.n - 1) <= k)
+        self.masks = np.flatnonzero(_popcounts(self.n - 1) <= k)
         column = np.full(1 << (self.n - 1), -1, dtype=np.int32)
-        column[masks] = np.arange(len(masks))
+        column[self.masks] = np.arange(len(self.masks))
         # indexed by Python ints, as each score is written on its own
         self.column = memoryview(column)
-        self.scores = np.frombuffer(mmap.mmap(-1, 8 * self.n * len(masks)),
+        self.scores = np.frombuffer(mmap.mmap(-1, 8 * self.n * len(self.masks)),
                                     dtype=np.float64).reshape(self.n, -1)
 
 
-def _visit(t: _Tallies, prefix: tuple[int, ...], mask: int, n_cfg: int) -> None:
-    """Score the families of every subset ``prefix + (y,)``, y above the
-    prefix, then recurse into those subsets that can take another member."""
+def _visit(t: _Tallies, prefix: tuple[int, ...], mask: int, n_cfg: int, y: int) -> None:
+    """Extend the prefix's row code by ``y``, score the families of every
+    subset ``prefix + (y, z)``, z above y, then visit those subsets that can
+    take another member."""
+    depth = len(prefix)
+    code = t.prefix_codes[depth + 1]
+    np.multiply(t.prefix_codes[depth], t.cards[y], out=code)
+    code += t.tally.cols[y]
+    prefix, mask, n_cfg = prefix + (y,), mask | 1 << y, n_cfg * t.cards[y]
     _score(t, prefix, mask, n_cfg)
     if len(prefix) < t.k:
-        for y in range(prefix[-1] + 1, t.n - 1):
-            _enter(t, prefix, mask, n_cfg, y)
-
-
-def _enter(t: _Tallies, prefix: tuple[int, ...], mask: int, n_cfg: int, y: int) -> None:
-    """Extend the prefix's row code by ``y`` and visit ``prefix + (y,)``."""
-    depth = len(prefix)
-    child_code = t.prefix_codes[depth + 1]
-    np.multiply(t.prefix_codes[depth], t.cards[y], out=child_code)
-    child_code += t.tally.cols[y]
-    _visit(t, prefix + (y,), mask | (1 << y), n_cfg * t.cards[y])
+        for z in range(y + 1, t.n - 1):
+            _visit(t, prefix, mask, n_cfg, z)
 
 
 def _score(t: _Tallies, prefix: tuple[int, ...], mask: int, n_cfg: int) -> None:
@@ -376,9 +371,10 @@ def learn_exact(d: Dataset, cfg: LearnerConfig = LearnerConfig(),
             f"exact mode caps max_parents at {EXACT_MAX_PARENTS}, got {cfg.max_parents}"
         )
     k = min(cfg.max_parents, n - 1) if n > 1 else 0
-    scores = build_local_scores(_context(d, ctx), k).scores
+    table = build_local_scores(_context(d, ctx), k)
     if n == 0:
         return Dag(0, [])
+    scores, stored = table.scores, table.masks
     # the table's rule, checked again now that the DP is about to fork
     dp_workers = _workers(n, k)[1]
 
@@ -387,7 +383,6 @@ def learn_exact(d: Dataset, cfg: LearnerConfig = LearnerConfig(),
     # ranks[x][T] into the rank of x's best family inside T. The empty set
     # is stored, so no sentinel is left.
     popcnt = _popcounts(n - 1)
-    stored = np.flatnonzero(popcnt <= k)
     members = popcnt[stored]
     order = np.array([np.lexsort((members, -row)) for row in scores])
     vals = np.take_along_axis(scores, order, axis=1)

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import BatchTally, Dataset, count
+from .data import BatchTally, Dataset, _check_integer, count
 
 __all__ = ["ScoreContext", "IndepVerdict", "log_likelihood", "bic", "fill_bic", "drop_bic",
            "f_bic", "chi2_critical", "is_independent"]
@@ -262,6 +262,7 @@ def chi2_critical(dof: int, alpha: float) -> float:
     # imported here: scipy.special is most of a cold package import
     from scipy.special import chdtri
 
+    _check_integer("dof", dof)
     if dof < 1:
         raise ValueError("dof must be >= 1")
     if not 0.0 < alpha < 1.0:

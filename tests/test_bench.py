@@ -154,9 +154,21 @@ class TestBayesNetModel:
          r"variable 'A' has 'states' that are not a list of labels: \[\['x'\], \['y'\]\]"),
         (lambda doc: {**doc, "variables": [{"name": ["A"], "states": ["x", "y"]}]},
          r"variable number 0 has a 'name' that is not a string: \['A'\]"),
+        (lambda doc: {**doc, "cpts": {**doc["cpts"], "A": {"p": 1}}},
+         "CPT of 'A' is not a flat list of numbers: {'p': 1}"),
+        (lambda doc: {**doc, "cpts": {**doc["cpts"], "A": "0.45 0.55"}},
+         "CPT of 'A' is not a flat list of numbers: '0.45 0.55'"),
+        (lambda doc: {**doc, "cpts": {**doc["cpts"], "A": [True, False]}},
+         r"CPT of 'A' is not a flat list of numbers: \[True, False\]"),
+        (lambda doc: {**doc, "cpts": {**doc["cpts"], "A": [0.45, "0.55"]}},
+         r"CPT of 'A' is not a flat list of numbers: \[0.45, '0.55'\]"),
+        (lambda doc: {**doc, "cpts": {**doc["cpts"], "A": [[0.45, 0.55]]}},
+         r"CPT of 'A' is not a flat list of numbers: \[\[0.45, 0.55\]\]"),
     ], ids=["not-an-object", "arcs-not-a-list", "cpts-not-an-object", "arc-not-a-pair",
             "variables-not-a-list", "variable-not-an-object", "arc-name-not-a-string",
-            "states-not-a-list", "state-not-a-label", "name-not-a-string"])
+            "states-not-a-list", "state-not-a-label", "name-not-a-string",
+            "cpt-an-object", "cpt-a-string", "cpt-of-booleans", "cpt-entry-a-string",
+            "cpt-nested"])
     def test_json_of_the_wrong_shape_is_named(self, edit, message):
         doc = edit(json.loads(bn_to_json(diamond_bn())))
         with pytest.raises(ValueError, match=message):
@@ -203,6 +215,17 @@ class TestSampling:
         with pytest.raises(ValueError, match="row count must be >= 0, got -1"):
             sample(diamond_bn(), -1)
         assert sample(diamond_bn(), 0).n_rows == 0
+
+    @pytest.mark.parametrize("kw, message", [
+        ({"n": 1.5}, "row count must be an integer, got 1.5"),
+        ({"n": True}, "row count must be an integer, got True"),
+        ({"n": 10, "seed": 0.5}, "seed must be an integer, got 0.5"),
+        ({"n": 10, "seed": False}, "seed must be an integer, got False"),
+    ])
+    def test_non_integer_arguments_are_named(self, kw, message):
+        with pytest.raises(ValueError, match=message):
+            sample(diamond_bn(), **kw)
+        assert sample(diamond_bn(), np.int64(10), seed=np.int64(3)).n_rows == 10
 
     def test_empirical_conditionals_approach_the_tables(self):
         bn = diamond_bn()

@@ -101,6 +101,28 @@ class TestQueryValidation:
         with pytest.raises(ValueError, match=f"h must be an integer, got {h!r}"):
             SeparatorQuery(u=0, v=1, h=h)
 
+    @pytest.mark.parametrize("kw, bad", [
+        ({"u": 0.0, "v": 1}, 0.0),
+        ({"u": 0, "v": True}, True),
+        ({"u": 0, "v": 1, "compulsory": {1.5}}, 1.5),
+        ({"u": 0, "v": 1, "forbidden": {"2"}}, "2"),
+    ], ids=["u", "v", "compulsory", "forbidden"])
+    def test_non_integer_id_is_named(self, kw, bad):
+        with pytest.raises(ValueError, match=f"variable id must be an integer, got {bad!r}"):
+            SeparatorQuery(**kw)
+
+    @pytest.mark.parametrize("kw, bad", [
+        ({"u": -1, "v": 1}, -1),
+        ({"u": 0, "v": 3}, 3),
+        ({"u": 0, "v": 2, "compulsory": {7}}, 7),
+        ({"u": 0, "v": 2, "forbidden": {99}}, 99),
+    ], ids=["u", "v", "compulsory", "forbidden"])
+    def test_id_outside_the_dataset_is_named(self, kw, bad):
+        # a forbidden id outside the data would otherwise be ignored
+        d, _ = chain_data(n=200)
+        with pytest.raises(KeyError, match=f"variable id {bad} out of range"):
+            find_separator(SeparatorQuery(**kw), ScoreContext(d))
+
 
 class TestFindSeparator:
     def test_compulsory_larger_than_budget_fails_immediately(self):

@@ -297,7 +297,9 @@ class TestBenchmark:
           "cpts": {}}, "error: 'arcs' entry [['A'], 'A'] is not a [from, to] pair of names"),
         ({"variables": [{"name": "A", "states": 3}], "arcs": [], "cpts": {}},
          "error: variable 'A' has 'states' that are not a list of labels: 3"),
-    ], ids=["arc-name-not-a-string", "states-not-a-list"])
+        ({"variables": [{"name": "A", "states": ["x", "y"]}], "arcs": [],
+          "cpts": {"A": {"p": 1}}}, "error: CPT of 'A' is not a flat list of numbers: {'p': 1}"),
+    ], ids=["arc-name-not-a-string", "states-not-a-list", "cpt-an-object"])
     def test_network_json_with_bad_entries_is_usage_error(self, workdir, doc, message):
         bad = workdir / "bad_entry.json"
         bad.write_text(json.dumps(doc))

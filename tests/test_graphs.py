@@ -391,6 +391,12 @@ class TestPdag:
         assert q == p
         assert q.latents == [("L1", (0, 1))]
 
+    @pytest.mark.parametrize("graph", [Dag, Pdag])
+    @pytest.mark.parametrize("n_nodes", [2.0, True, "2"])
+    def test_non_integer_node_count_is_named(self, graph, n_nodes):
+        with pytest.raises(ValueError, match=f"n_nodes must be an integer, got {n_nodes!r}"):
+            graph(n_nodes)
+
     def test_directed_undirected_conflict_rejected(self):
         p = Pdag(2, names=["A", "B"])
         p.add_directed(0, 1)

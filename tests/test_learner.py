@@ -75,6 +75,13 @@ def per_family_scores(d, k):
     return out
 
 
+def full_mask_scores(table):
+    """Each node's stored families as ``{full parent mask: score}``, the mask
+    over all variables (bit ``i`` = variable ``i``)."""
+    return [dict(zip(learner._insert_bit(table.masks, x).tolist(), row.tolist()))
+            for x, row in enumerate(table.node_scores)]
+
+
 def total_bic(d, g, k):
     ctx = ScoreContext(d)
     return sum(
@@ -214,7 +221,7 @@ class TestLocalScoreTable:
         ctx = ScoreContext(d)
         tbl = build_local_scores(ctx, 3)
         for x in range(4):
-            for mask, s in tbl.node_scores[x].items():
+            for mask, s in full_mask_scores(tbl)[x].items():
                 z = tuple(i for i in range(4) if mask >> i & 1)
                 assert s == pytest.approx(bic(ctx, x, z), abs=1e-9)
 
@@ -229,7 +236,7 @@ class TestLocalScoreTable:
             [rng.choice(c, n_rows, p=rng.dirichlet(np.ones(c))) for c in cards], cards)
         k = int(rng.integers(1, min(4, n - 1) + 1))
         tbl = build_local_scores(ScoreContext(d), k)
-        assert tbl.node_scores == per_family_scores(d, k)
+        assert full_mask_scores(tbl) == per_family_scores(d, k)
 
     def test_equals_per_family_tallies_on_edge_inputs(self):
         rng = np.random.default_rng(308)
@@ -247,7 +254,7 @@ class TestLocalScoreTable:
         ]
         for d, k in cases:
             tbl = build_local_scores(ScoreContext(d), k)
-            assert tbl.node_scores == per_family_scores(d, k)
+            assert full_mask_scores(tbl) == per_family_scores(d, k)
 
     def test_equals_per_family_tallies_when_batches_split(self, monkeypatch):
         # a small batch cap splits each prefix's children over several
@@ -257,14 +264,24 @@ class TestLocalScoreTable:
         cards = [2, 5, 3, 4, 2, 6]
         d = make_dataset([rng.integers(0, c, 400) for c in cards], cards)
         tbl = build_local_scores(ScoreContext(d), 3)
-        assert tbl.node_scores == per_family_scores(d, 3)
+        assert full_mask_scores(tbl) == per_family_scores(d, 3)
+
+    @pytest.mark.parametrize("k, message", [
+        (1.5, "k must be an integer, got 1.5"),
+        (True, "k must be an integer, got True"),
+        (-1, "k must be >= 0, got -1"),
+    ])
+    def test_bad_cap_is_named(self, k, message):
+        d = make_dataset([[0, 1, 1, 0], [1, 1, 0, 0]])
+        with pytest.raises(ValueError, match=message):
+            build_local_scores(ScoreContext(d), k)
 
     def test_equals_per_family_tallies_on_child(self):
         assets = Path(__file__).resolve().parents[1] / "assets"
         d = sample(bn_from_json((assets / "child.json").read_text()), 2000, seed=5)
         tbl = build_local_scores(ScoreContext(d), 4)
         assert sum(len(s) for s in tbl.node_scores) == 100_720
-        assert tbl.node_scores == per_family_scores(d, 4)
+        assert full_mask_scores(tbl) == per_family_scores(d, 4)
 
 
 def forced_workers(monkeypatch, workers):

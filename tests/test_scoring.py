@@ -226,6 +226,12 @@ class TestChi2Critical:
         with pytest.raises(ValueError):
             chi2_critical(3, 1.0)
 
+    @pytest.mark.parametrize("dof", [1.5, True, "3"])
+    def test_non_integer_dof_is_named(self, dof):
+        # 1.5 would read a fractional table and True the table of one
+        with pytest.raises(ValueError, match=f"dof must be an integer, got {dof!r}"):
+            chi2_critical(dof, 0.05)
+
 
 class TestIsIndependent:
     def test_uniform_table_is_independent(self):
