@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .ci import DEFAULT_H, check_probe_options
-from .data import Dataset, VariableMeta, _check_integer, project, row_codes
+from .data import Dataset, VariableMeta, _check_integer, _repeated, project, row_codes
 from .graphs import Dag, Pdag, cpdag_of
 from .scoring import DEFAULT_ALPHA
 
@@ -105,10 +105,7 @@ class DiscreteBayesNet:
         return self.variables[x].cardinality
 
     def id_of(self, name: str) -> int:
-        for i, v in enumerate(self.variables):
-            if v.name == name:
-                return i
-        raise KeyError(f"unknown variable {name!r}")
+        return self.dag.id_of(name)
 
     def copy(self) -> "DiscreteBayesNet":
         return DiscreteBayesNet(
@@ -215,15 +212,14 @@ def sample(bn: DiscreteBayesNet, n: int, seed: int = 0) -> Dataset:
 # ---------------------------------------------------------------------------
 # exact inference (variable elimination) and mutual information
 
-def _check_targets(bn: DiscreteBayesNet, targets: tuple[int, ...]) -> None:
-    """Reject, by id, a target outside the network or named twice."""
-    seen: set[int] = set()
-    for t in targets:
-        if not 0 <= t < bn.n_nodes:
-            raise ValueError(f"node id {t} is outside 0..{bn.n_nodes - 1}")
-        if t in seen:
-            raise ValueError(f"node id {t} is named twice")
-        seen.add(t)
+def _check_targets(bn: DiscreteBayesNet, targets: tuple[int, ...]) -> tuple[int, ...]:
+    """The targets as node ids checked by the network's graph; a target
+    named twice raises ``ValueError``."""
+    targets = tuple(bn.dag._check(t) for t in targets)
+    repeated = _repeated(targets)
+    if repeated is not None:
+        raise ValueError(f"node id {repeated} is named twice")
+    return targets
 
 
 def _ancestral(bn: DiscreteBayesNet, targets: tuple[int, ...]) -> list[int]:
@@ -280,8 +276,7 @@ def _eliminate(bn: DiscreteBayesNet, targets: tuple[int, ...],
 def joint_marginal(bn: DiscreteBayesNet, targets: tuple[int, ...]) -> np.ndarray:
     """Exact P(targets) with axes in the given order, by variable elimination
     (greedy smallest-intermediate-factor order)."""
-    _check_targets(bn, targets)
-    return _eliminate(bn, targets)
+    return _eliminate(bn, _check_targets(bn, targets))
 
 
 def _mi_from_joint(j: np.ndarray) -> float:
@@ -309,11 +304,10 @@ def mutual_information(bn: DiscreteBayesNet, x: int, y: int, given=()) -> float:
     joint would not). The pass gives up at the first factor past
     ``EXACT_JOINT_CEILING`` cells, and the answer is then a plug-in estimate
     from a fixed-seed auxiliary sample of ``PLUGIN_SAMPLE_ROWS`` rows. An id
-    outside the network, or named twice, raises ``ValueError``.
+    outside the network raises ``KeyError``, and one named twice
+    ``ValueError``.
     """
-    zs = tuple(sorted(set(int(v) for v in given)))
-    targets = (x, y) + zs
-    _check_targets(bn, targets)
+    targets = _check_targets(bn, (x, y, *sorted(set(given))))
     joint = _eliminate(bn, targets, EXACT_JOINT_CEILING)
     if joint is not None:
         return _mi_from_joint(joint)

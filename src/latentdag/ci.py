@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import _check_integer
+from .data import _check_id, _check_integer
 from .scoring import DEFAULT_ALPHA, ScoreContext, _dof, _statistic, fill_bic, is_independent
 
 __all__ = ["SeparatorQuery", "SeparatorResult", "check_probe_options", "find_separator"]
@@ -86,8 +86,7 @@ def find_separator(q: SeparatorQuery, ctx: ScoreContext) -> SeparatorResult:
     """
     n_vars = ctx.dataset.n_variables
     for x in (q.u, q.v, *q.compulsory, *q.forbidden):
-        if not 0 <= x < n_vars:
-            raise KeyError(f"variable id {x} out of range")
+        _check_id("variable id", x, n_vars)
     z = set(q.compulsory)
     blocked = set(q.forbidden) | {q.u, q.v}
     trace: list[tuple[int, float]] = []

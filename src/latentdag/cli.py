@@ -120,16 +120,8 @@ def cmd_dsep(args: argparse.Namespace) -> int:
         raise ValueError("--max-trails must be >= 0")
     with open(args.graph, "r", encoding="utf-8") as fh:
         g = Dag.from_json(fh.read())
-    idx = {n: i for i, n in enumerate(g.names)}
-
-    def resolve(name: str) -> int:
-        if name not in idx:
-            raise KeyError(f"unknown node {name!r}")
-        return idx[name]
-
-    u = resolve(args.u)
-    v = resolve(args.v)
-    z = {resolve(n) for n in _split(args.given)}
+    u, v = g.id_of(args.u), g.id_of(args.v)
+    z = {g.id_of(n) for n in _split(args.given)}
     sep = d_separated(g, u, v, z)
     print(f"d-separated({args.u}, {args.v} | {sorted(_split(args.given))}): {sep}")
     for shown, trail in enumerate(enumerate_trails(g, u, v)):

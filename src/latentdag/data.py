@@ -126,21 +126,20 @@ class Dataset:
     def _resolve(self, var: int | str) -> int:
         if isinstance(var, str):
             return self.id_of(var)
-        if not 0 <= var < self.n_variables:
-            raise KeyError(f"variable id {var} out of range")
-        return int(var)
+        return _check_id("variable id", var, self.n_variables)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Dataset({self.n_variables} variables, {self.n_rows} rows)"
 
 
-def _repeated(names: Sequence[str]) -> str | None:
-    """The first name in ``names`` that an earlier one repeats, if any."""
+def _repeated(items: Sequence):
+    """The first item of ``items`` (names or ids) that an earlier one
+    repeats, if any."""
     seen = set()
-    for name in names:
-        if name in seen:
-            return name
-        seen.add(name)
+    for item in items:
+        if item in seen:
+            return item
+        seen.add(item)
     return None
 
 
@@ -149,6 +148,21 @@ def _check_integer(name: str, value) -> None:
     subclass, but True parents or repetitions is a slip, so it fails too."""
     if not isinstance(value, numbers.Integral) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_id(what: str, x, n: int) -> int:
+    """``x`` as an ``int``, when it is an integer id in ``0..n-1``.
+
+    Every variable and node id of the package passes here. A non-integer or
+    a bool fails as :func:`_check_integer` fails; an id out of range raises
+    ``KeyError``. A plain ``int`` costs one type test and one range test.
+    """
+    if type(x) is not int:
+        _check_integer(what, x)
+        x = int(x)
+    if not 0 <= x < n:
+        raise KeyError(f"{what} {x} out of range")
+    return x
 
 
 def load_dataset(path, delimiter: str = ",") -> Dataset:

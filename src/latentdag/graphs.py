@@ -10,11 +10,11 @@ the test suite as an independent oracle.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
 
-from .data import _check_integer
+from .data import _check_id, _check_integer, _repeated
 
 __all__ = [
     "Dag",
@@ -60,14 +60,12 @@ class Dag:
         return g
 
     def add_node(self, name: str | None = None) -> int:
-        """Append a fresh isolated node and return its id; a name already
-        taken raises ``ValueError`` and leaves the graph as it was."""
+        """Append a fresh isolated node and return its id; a name that the
+        node-list check refuses raises ``ValueError`` and leaves the graph
+        as it was."""
         i = self.n_nodes
-        name = name if name is not None else f"X{i}"
-        if name in self.names:
-            raise ValueError(f"duplicate node name {name!r}")
+        self.names = _node_names(i + 1, [*self.names, f"X{i}" if name is None else name])
         self.n_nodes += 1
-        self.names.append(name)
         self._parents.append(set())
         self._children.append(set())
         return i
@@ -76,8 +74,7 @@ class Dag:
 
     def add_arc(self, u: int, v: int) -> "Dag":
         """Insert ``u -> v``; rejects self-loops, duplicates and cycles."""
-        self._check(u)
-        self._check(v)
+        u, v = self._check(u), self._check(v)
         if u == v:
             raise ValueError("self-arcs are not allowed")
         if v in self._children[u] or u in self._children[v]:
@@ -93,8 +90,7 @@ class Dag:
         return self
 
     def remove_arc(self, u: int, v: int) -> "Dag":
-        self._check(u)
-        self._check(v)
+        u, v = self._check(u), self._check(v)
         if v not in self._children[u]:
             raise ValueError(f"no arc {self.names[u]} -> {self.names[v]}")
         self._children[u].discard(v)
@@ -103,9 +99,14 @@ class Dag:
 
     # -- queries -----------------------------------------------------------
 
-    def _check(self, x: int) -> None:
-        if not 0 <= x < self.n_nodes:
-            raise KeyError(f"node {x} out of range")
+    def _check(self, x: int) -> int:
+        return _check_id("node", x, self.n_nodes)
+
+    def id_of(self, name: str) -> int:
+        try:
+            return self.names.index(name)
+        except ValueError:
+            raise KeyError(f"unknown node {name!r}") from None
 
     def reaches(self, src: int, dst: int) -> bool:
         """Whether a directed path leads from ``src`` to ``dst`` other than
@@ -214,8 +215,12 @@ def _node_names(n_nodes: int, names: Sequence[str] | None) -> list[str]:
     names = list(names)
     if len(names) != n_nodes:
         raise ValueError("names length must equal n_nodes")
-    if len(set(names)) != n_nodes:
-        raise ValueError("duplicate node names")
+    for name in names:
+        if not (isinstance(name, str) and name):
+            raise ValueError(f"node name {name!r} is not a non-empty string")
+    repeated = _repeated(names)
+    if repeated is not None:
+        raise ValueError(f"duplicate node name {repeated!r}")
     return names
 
 
@@ -280,7 +285,9 @@ class Trail:
 
 
 def enumerate_trails(g: Dag, x: int, y: int) -> Iterator[Trail]:
-    """Yield every simple trail between ``x`` and ``y`` (either arc direction)."""
+    """Every simple trail between ``x`` and ``y`` (either arc direction), as
+    an iterator; both ends are checked before it is returned."""
+    x, y = g._check(x), g._check(y)
 
     def neighbours(v: int) -> list[tuple[int, bool]]:
         out = [(c, True) for c in g.children(v)]
@@ -307,13 +314,14 @@ def enumerate_trails(g: Dag, x: int, y: int) -> Iterator[Trail]:
             dirs.pop()
             path.pop()
 
-    yield from walk()
+    return walk()
 
 
-def _as_set(nodes: int | Iterable[int]) -> set[int]:
-    if isinstance(nodes, int):
-        return {nodes}
-    return set(nodes)
+def _as_set(g: Dag, nodes: int | Iterable[int]) -> set[int]:
+    """The checked ids of one node, or of an iterable of nodes."""
+    if not isinstance(nodes, Iterable):
+        nodes = (nodes,)
+    return {g._check(x) for x in nodes}
 
 
 def d_separated(g: Dag, u: int | Iterable[int], v: int | Iterable[int],
@@ -325,10 +333,7 @@ def d_separated(g: Dag, u: int | Iterable[int], v: int | Iterable[int],
     in the moral graph of the ancestors of ``u``, ``v`` and ``z`` once ``z``
     is removed.
     """
-    us, vs, zs = _as_set(u), _as_set(v), _as_set(z)
-    for s in (us, vs, zs):
-        for x in s:
-            g._check(x)
+    us, vs, zs = _as_set(g, u), _as_set(g, v), _as_set(g, z)
     if us & vs or us & zs or vs & zs:
         raise ValueError("u, v and z must be pairwise disjoint")
 
@@ -388,23 +393,23 @@ class Pdag:
         self.latents: list[tuple[str, tuple[int, int]]] = []
 
     def add_directed(self, u: int, v: int) -> None:
-        if self._pair_key(u, v) in self.undirected or (v, u) in self.directed:
+        u, v = self._link(u, v)
+        if (min(u, v), max(u, v)) in self.undirected or (v, u) in self.directed:
             raise ValueError("pair already linked")
         self.directed.add((u, v))
 
     def add_undirected(self, u: int, v: int) -> None:
-        key = self._pair_key(u, v)
+        u, v = self._link(u, v)
         if (u, v) in self.directed or (v, u) in self.directed:
             raise ValueError("pair already linked")
-        self.undirected.add(key)
+        self.undirected.add((min(u, v), max(u, v)))
 
-    def _pair_key(self, u: int, v: int) -> tuple[int, int]:
-        for x in (u, v):
-            if not 0 <= x < self.n_nodes:
-                raise KeyError(f"node {x} out of range")
+    def _link(self, u: int, v: int) -> tuple[int, int]:
+        """The checked ids of a link between two different nodes."""
+        u, v = _check_id("node", u, self.n_nodes), _check_id("node", v, self.n_nodes)
         if u == v:
             raise ValueError(f"self-link on {self.names[u]} is not allowed")
-        return min(u, v), max(u, v)
+        return u, v
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Pdag):

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import BatchTally, Dataset, _check_integer, count
+from .data import BatchTally, Dataset, _check_id, _check_integer, count
 
 __all__ = ["ScoreContext", "IndepVerdict", "log_likelihood", "bic", "fill_bic", "drop_bic",
            "f_bic", "chi2_critical", "is_independent"]
@@ -112,13 +112,15 @@ def bic(ctx: ScoreContext, x: int, z=()) -> float:
     observed or not; strata never seen in the data contribute nothing to the
     likelihood term but still enlarge the dimension.
     """
-    zset = frozenset(int(v) for v in z)
+    n = ctx.dataset.n_variables
+    x = _check_id("variable id", x, n)
+    zset = frozenset([_check_id("variable id", v, n) for v in z])
     if x in zset:
         raise ValueError("x may not appear in its own conditioning set")
-    key = (int(x), zset)
+    key = (x, zset)
     cached = ctx._scores.get(key)
     if cached is None:
-        drop_bic(ctx, key[0], zset, ())
+        drop_bic(ctx, x, zset, ())
         cached = ctx._scores[key]
     return cached
 
@@ -142,7 +144,7 @@ def fill_bic(ctx: ScoreContext, x: int, base, ys, drop: int | None = None) -> li
     Each table is ``count``'s, integer for integer and in the same memory
     order, so every value is the float :func:`bic` would store.
     """
-    base = sorted(int(p) for p in base)
+    base = sorted(base)
     sets = [base] if drop is None else [base, [p for p in base if p != drop]]
     memo = ctx._scores
     keys = [[(x, frozenset((*s, y))) for y in ys] for s in sets]
@@ -201,7 +203,7 @@ def drop_bic(ctx: ScoreContext, x: int, parents, drops) -> np.ndarray:
     all: summing it over p's axis gives, integer for integer and in the same
     memory order, ``count``'s table of (x, parents - {p}).
     """
-    parents = sorted(int(p) for p in parents)
+    parents = sorted(parents)
     memo = ctx._scores
     full = (x, frozenset(parents))
     keys = [(x, full[1] - {p}) for p in drops]
@@ -242,11 +244,13 @@ def f_bic(ctx: ScoreContext, u: int, v: int, z=()) -> IndepVerdict:
 
     Both families of u come from one tally of (u, z ∪ {v}) when either is
     missing from the memo."""
-    zset = frozenset(int(x) for x in z)
     n = ctx.dataset.n_variables
-    for x in (u, v, *zset):
-        if not 0 <= x < n:
-            raise KeyError(f"variable id {x} out of range")
+    u, v = _check_id("variable id", u, n), _check_id("variable id", v, n)
+    zset = frozenset([_check_id("variable id", x, n) for x in z])
+    for x in (u, v):
+        if ctx.dataset.cardinalities[x] < 2:
+            raise ValueError(f"variable {ctx.dataset.variables[x].name!r} has a single state; "
+                             "variables must take at least two values")
     if u == v:
         raise ValueError("u and v must differ")
     if u in zset or v in zset:

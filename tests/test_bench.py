@@ -164,11 +164,13 @@ class TestBayesNetModel:
          r"CPT of 'A' is not a flat list of numbers: \[0.45, '0.55'\]"),
         (lambda doc: {**doc, "cpts": {**doc["cpts"], "A": [[0.45, 0.55]]}},
          r"CPT of 'A' is not a flat list of numbers: \[\[0.45, 0.55\]\]"),
+        (lambda doc: {**doc, "variables": [*doc["variables"], doc["variables"][1]]},
+         "duplicate node name 'B'"),
     ], ids=["not-an-object", "arcs-not-a-list", "cpts-not-an-object", "arc-not-a-pair",
             "variables-not-a-list", "variable-not-an-object", "arc-name-not-a-string",
             "states-not-a-list", "state-not-a-label", "name-not-a-string",
             "cpt-an-object", "cpt-a-string", "cpt-of-booleans", "cpt-entry-a-string",
-            "cpt-nested"])
+            "cpt-nested", "variable-repeated"])
     def test_json_of_the_wrong_shape_is_named(self, edit, message):
         doc = edit(json.loads(bn_to_json(diamond_bn())))
         with pytest.raises(ValueError, match=message):
@@ -252,7 +254,7 @@ class TestJointMarginal:
     def test_bad_targets_are_named(self):
         with pytest.raises(ValueError, match="node id 0 is named twice"):
             joint_marginal(diamond_bn(), (0, 0))
-        with pytest.raises(ValueError, match="node id 4 is outside 0..3"):
+        with pytest.raises(KeyError, match="node 4 out of range"):
             joint_marginal(diamond_bn(), (1, 4))
 
 
@@ -309,9 +311,9 @@ class TestMutualInformation:
 
     def test_bad_ids_are_named_before_elimination(self):
         bn = diamond_bn()
-        with pytest.raises(ValueError, match="node id 99 is outside 0..3"):
+        with pytest.raises(KeyError, match="node 99 out of range"):
             mutual_information(bn, 0, 99)
-        with pytest.raises(ValueError, match="node id -1 is outside 0..3"):
+        with pytest.raises(KeyError, match="node -1 out of range"):
             mutual_information(bn, 0, 1, (-1,))
         with pytest.raises(ValueError, match="node id 1 is named twice"):
             mutual_information(bn, 1, 1)

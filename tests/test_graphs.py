@@ -86,6 +86,13 @@ class TestDagMutation:
             g.add_node()
         assert g.n_nodes == 2 and g.names == ["X2", "B"]
 
+    @pytest.mark.parametrize("name", ["", 7])
+    def test_added_node_name_is_checked(self, name):
+        g = Dag(2, ["A", "B"])
+        with pytest.raises(ValueError, match=f"node name {name!r} is not a non-empty string"):
+            g.add_node(name)
+        assert g.n_nodes == 2 and g.names == ["A", "B"]
+
     def test_copy_is_independent(self):
         g = Dag.from_arcs(2, [(0, 1)])
         h = g.copy()
@@ -98,6 +105,12 @@ class TestDagMutation:
         assert order.index(2) < order.index(0)
         assert order.index(3) < order.index(0)
         assert order == [1, 2, 3, 0]
+
+    def test_id_of_a_name(self):
+        g = confounded_pair_graph()
+        assert [g.id_of(n) for n in "CDLAB"] == [C, D, L, A, B]
+        with pytest.raises(KeyError, match="unknown node 'Q'"):
+            g.id_of("Q")
 
     def test_json_round_trip(self):
         g = Dag.from_arcs(3, [(0, 1), (2, 1)], names=["a", "b", "c"])
@@ -116,8 +129,10 @@ class TestDagMutation:
     ({"nodes": ["A", "B"], "@": [["A", "C"]]}, "names unknown node 'C'"),
     ({"nodes": ["A", "B"], "@": [[["A"], "B"]]}, r"names unknown node \['A'\]"),
     ({"nodes": ["A", "B"], "@": "AB"}, "'@' must be a list of"),
-    ({"nodes": ["A", "A"]}, "duplicate node names"),
+    ({"nodes": ["A", "A"]}, "duplicate node name 'A'"),
     ({"nodes": ["A", "B"], "@": [["B", "B"]]}, "self-(arc|link)"),
+    ({"nodes": ["A", "B", "C", "B"]}, "duplicate node name 'B'"),
+    ({"nodes": ["A", ""]}, "node name '' is not a non-empty string"),
 ])
 def test_malformed_graph_json_is_named(cls, doc, message):
     # "@" stands for the link field of each class
@@ -254,6 +269,12 @@ class TestTrails:
         assert trail.blocked_by(g, set()) == 1
         assert trail.blocked_by(g, {A}) == 3
         assert trail.blocked_by(g, {A, B}) is None
+
+    @pytest.mark.parametrize("x, y", [(C, 9), (9, C)])
+    def test_both_ends_are_checked_at_the_call(self, x, y):
+        # the far end used to go unchecked, and the iterator was empty
+        with pytest.raises(KeyError, match="node 9 out of range"):
+            enumerate_trails(confounded_pair_graph(), x, y)
 
 
 class TestSkeletonAndVStructures:
@@ -422,7 +443,11 @@ class TestPdag:
 @pytest.mark.parametrize("n, names, message", [
     (-1, None, "n_nodes must be >= 0"),
     (2, ["A"], "names length must equal n_nodes"),
-    (2, ["A", "A"], "duplicate node names"),
+    (2, ["A", "A"], "duplicate node name 'A'"),
+    (3, ["A", "B", "B"], "duplicate node name 'B'"),
+    (2, [1, 2], "node name 1 is not a non-empty string"),
+    (2, ["A", ""], "node name '' is not a non-empty string"),
+    (1, [None], "node name None is not a non-empty string"),
 ])
 def test_bad_node_list_is_named(cls, n, names, message):
     with pytest.raises(ValueError, match=f"^{message}$"):

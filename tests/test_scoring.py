@@ -206,6 +206,19 @@ class TestFBic:
         with pytest.raises(KeyError, match=f"variable id {bad} out of range"):
             probe(ctx)
 
+    @pytest.mark.parametrize("probe", [
+        lambda ctx: f_bic(ctx, 0, 1),
+        lambda ctx: is_independent(ctx, 2, 1, (0,)),
+        lambda ctx: find_separator(SeparatorQuery(u=1, v=0), ctx),
+    ], ids=["f_bic", "is_independent", "find_separator"])
+    def test_one_state_endpoint_is_named(self, probe):
+        # a Dataset built in code may hold a one-state variable, which a
+        # test cannot take: its statistic has no degrees of freedom
+        ctx = make_context([[0, 1, 0, 1], [0, 0, 0, 0], [1, 0, 0, 1]], cards=[2, 1, 2])
+        with pytest.raises(ValueError, match="variable 'V1' has a single state; "
+                                             "variables must take at least two values"):
+            probe(ctx)
+
 
 class TestChi2Critical:
     def test_frozen_table_values(self):
