@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import _check_id, _check_integer
-from .scoring import DEFAULT_ALPHA, ScoreContext, _dof, _statistic, fill_bic, is_independent
+from .scoring import (DEFAULT_ALPHA, ScoreContext, _check_alpha, _dof, _statistic, fill_bic,
+                      is_independent)
 
 __all__ = ["SeparatorQuery", "SeparatorResult", "check_probe_options", "find_separator"]
 
@@ -34,8 +35,7 @@ def check_probe_options(h: int, alpha: float) -> None:
     _check_integer("h", h)
     if h < 0:
         raise ValueError("h must be >= 0")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie strictly between 0 and 1")
+    _check_alpha(alpha)
 
 
 @dataclass(frozen=True)

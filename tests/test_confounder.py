@@ -286,6 +286,7 @@ class TestDiscoverEndToEnd:
         (-3, 0.05, "h must be >= 0"),
         (7, 7.0, "alpha must lie strictly between 0 and 1"),
         (7, 1.0, "alpha must lie strictly between 0 and 1"),
+        (7, "0.05", "alpha must be a real number, got '0.05'"),
         (2.5, 0.05, "h must be an integer, got 2.5"),
     ])
     def test_bad_probe_options_rejected_before_learning(self, monkeypatch, h, alpha,

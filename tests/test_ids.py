@@ -27,6 +27,7 @@ from latentdag import (
     mutual_information,
     project,
 )
+from latentdag.scoring import drop_bic, fill_bic
 
 VARIABLES = [VariableMeta(name, ("s0", "s1")) for name in "ABCD"]
 # A -> B -> C -> D plus A -> D
@@ -54,6 +55,9 @@ ID_SLOT = {
     "project": lambda x: project(DATA, [x, 2]).values.tolist(),
     "Dataset.column": lambda x: DATA.column(x).tolist(),
     "bic": lambda x: bic(ScoreContext(DATA), x, [2]),
+    "fill_bic": lambda x: [a.tolist() for a in fill_bic(ScoreContext(DATA), x, [2], [3])],
+    "fill_bic-candidate": lambda y: fill_bic(ScoreContext(DATA), 0, [2], [y])[0].tolist(),
+    "drop_bic": lambda x: drop_bic(ScoreContext(DATA), x, [2, 3], [3]).tolist(),
     "f_bic": lambda x: f_bic(ScoreContext(DATA), x, 2, [3]),
     "is_independent": lambda x: is_independent(ScoreContext(DATA), x, 2, [3]),
     "find_separator": lambda x: find_separator(SeparatorQuery(u=x, v=2), ScoreContext(DATA)),
@@ -71,6 +75,12 @@ SET_SLOT = {
     "count": lambda z: count(DATA, 0, [z, 2]).tolist(),
     "project": lambda z: project(DATA, [0, z]).values.tolist(),
     "bic": lambda z: bic(ScoreContext(DATA), 0, [z, 2]),
+    "fill_bic": lambda z: [a.tolist() for a in fill_bic(ScoreContext(DATA), 0, [z, 2], [3],
+                                                         drop=2)],
+    "fill_bic-drop": lambda z: [a.tolist() for a in fill_bic(ScoreContext(DATA), 0, [1, 2], [3],
+                                                              drop=z)],
+    "drop_bic": lambda z: drop_bic(ScoreContext(DATA), 0, [z, 2], [2]).tolist(),
+    "drop_bic-drops": lambda z: drop_bic(ScoreContext(DATA), 0, [1, 2], [z]).tolist(),
     "f_bic": lambda z: f_bic(ScoreContext(DATA), 0, 2, [z]),
     "is_independent": lambda z: is_independent(ScoreContext(DATA), 0, 2, [z]),
     "find_separator": lambda z: find_separator(
@@ -105,3 +115,16 @@ def test_id_out_of_range_is_named(call):
 ])
 def test_numpy_integer_id_gives_the_int_answer(call):
     assert call(np.int64(1)) == call(1)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: fill_bic(ScoreContext(DATA), 0, [1], [3], drop=2), "drop 2 is not a member of base"),
+    (lambda: drop_bic(ScoreContext(DATA), 0, [1, 2], [1, 3]), "drop 3 is not one of the parents"),
+    (lambda: fill_bic(ScoreContext(DATA), 0, [0], [3]), "x may not appear in its own"),
+    (lambda: fill_bic(ScoreContext(DATA), 0, [1], [0]), "x may not appear in its own"),
+    (lambda: fill_bic(ScoreContext(DATA), 0, [1], [1]), "a candidate y may not be a member"),
+], ids=["fill_bic-drop", "drop_bic-drops", "fill_bic-x-in-base", "fill_bic-x-candidate",
+        "fill_bic-candidate-in-base"])
+def test_id_in_the_wrong_set_is_named(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

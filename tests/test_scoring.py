@@ -3,6 +3,7 @@ chi-square critical values they are compared against."""
 
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -29,6 +30,8 @@ from latentdag import (
 from latentdag import data, scoring
 from latentdag.scoring import drop_bic, fill_bic, log_likelihood
 from oracles import bic_direct, g2_direct
+from test_cli import write_csv
+from test_confounder import planted_dataset
 
 
 def make_context(columns, cards=None):
@@ -245,6 +248,24 @@ class TestChi2Critical:
         with pytest.raises(ValueError, match=f"dof must be an integer, got {dof!r}"):
             chi2_critical(dof, 0.05)
 
+    @pytest.mark.parametrize("alpha", ["0.05", None, [0.05]])
+    def test_non_numeric_alpha_is_named(self, alpha):
+        # [0.05] is unhashable: the check must come before the cache
+        message = f"alpha must be a real number, got {alpha!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            chi2_critical(3, alpha)
+
+    @pytest.mark.parametrize("dof", [*range(1, 11), 16, 25, 128, 1296, 5000, 7776,
+                                     10**5, 10**6, 10**9, 10**12, 10**15])
+    def test_matches_scipy(self, dof):
+        special = pytest.importorskip("scipy.special")
+        for alpha in (0.001, 0.01, 0.05, 0.1, 0.5, 0.9, 0.999):
+            want = float(special.chdtri(dof, alpha))
+            assert chi2_critical(dof, alpha) == pytest.approx(want, rel=1e-11, abs=0), alpha
+
+    def test_numpy_arguments_give_the_python_answer(self):
+        assert chi2_critical(np.int64(6), np.float64(0.01)) == chi2_critical(6, 0.01)
+
 
 class TestIsIndependent:
     def test_uniform_table_is_independent(self):
@@ -402,19 +423,25 @@ class TestFillBic:
             assert ctx._scores[(x, frozenset(parents))] == bic(fresh, x, parents)
 
 
-def test_import_leaves_scipy_unloaded():
-    # scipy.special is most of a cold import and only chi2_critical needs
-    # it, so it loads on that function's first call; multiprocessing loads
-    # only when a score table is large enough to fork for
+def test_import_leaves_scipy_unloaded(tmp_path):
+    # the package computes its chi-square critical values itself, so neither
+    # the import nor a discover run that asks independence tests loads scipy;
+    # multiprocessing loads only when a score table is large enough to fork for
+    csv = tmp_path / "planted.csv"
+    write_csv(csv, planted_dataset(n=2000))
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in [str(src), os.environ.get("PYTHONPATH", "")] if p))
     script = (
         "import sys\n"
         "import latentdag, latentdag.cli\n"
-        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-        "assert not loaded, loaded\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert not scipy_modules(), scipy_modules()\n"
         "assert 'multiprocessing' not in sys.modules\n"
+        f"assert latentdag.cli.main(['discover', '--input', {str(csv)!r}]) == 0\n"
+        "assert latentdag.scoring._chi2_isf.cache_info().misses > 0\n"
+        "assert not scipy_modules(), scipy_modules()\n"
         "assert latentdag.chi2_critical(1, 0.05) == 3.8414588206941285\n"
     )
     r = subprocess.run([sys.executable, "-c", script],
