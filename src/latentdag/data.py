@@ -18,7 +18,6 @@ import csv
 import math
 import numbers
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -165,12 +164,25 @@ def _check_id(what: str, x, n: int) -> int:
     return x
 
 
+# Cap on the cells of one ingest block: the loader holds the parsed rows of
+# one block at a time, so the text it keeps does not grow with the file.
+_INGEST_CELLS = 1 << 13
+
+
 def load_dataset(path, delimiter: str = ",") -> Dataset:
     """Read a delimited text file (header row required) into a :class:`Dataset`.
 
     Domains are inferred as the sorted set of distinct labels per column.
     Files without data rows, empty cells and single-state columns are
     rejected: scoring needs complete data and two or more states per variable.
+    An error names the file's physical line on which the faulty record ends,
+    so a quoted cell that spans lines shifts no later number.
+
+    Rows are coded in blocks of at most ``_INGEST_CELLS`` cells as the reader
+    yields them, each label by the order of its first appearance in its
+    column; one pass at the end relabels the codes in sorted-label order.
+    Beyond the returned dataset, memory holds one block of parsed rows and
+    the blocks' codes, one byte each while a column has at most 256 labels.
     """
     try:
         csv.reader((), delimiter=delimiter)
@@ -190,18 +202,29 @@ def load_dataset(path, delimiter: str = ",") -> Dataset:
             repeated = _repeated(header)
             if repeated is not None:
                 raise ValueError(f"{path}: duplicate column name {repeated!r}")
-            rows: list[list[str]] = []
-            for lineno, row in enumerate(reader, start=2):
+            width = len(header)
+            block_rows = max(1, _INGEST_CELLS // width)
+            # per column, label -> code in first-seen order, grown across blocks
+            codes: list[dict[str, int]] = [{} for _ in header]
+            blocks: list[np.ndarray] = []
+            block: list[list[str]] = []
+            for row in reader:
                 if not row:
                     continue  # ignore completely blank lines
-                if len(row) != len(header):
+                if len(row) != width:
                     raise ValueError(
-                        f"{path}:{lineno}: ragged row ({len(row)} cells, "
-                        f"expected {len(header)})"
+                        f"{path}:{reader.line_num}: ragged row ({len(row)} cells, "
+                        f"expected {width})"
                     )
                 if "" in row:
-                    raise ValueError(f"{path}:{lineno}: missing value")
-                rows.append(row)
+                    raise ValueError(f"{path}:{reader.line_num}: missing value")
+                block.append(row)
+                if len(block) == block_rows:
+                    blocks.append(_code_block(block, codes))
+                    block.clear()
+            if block:  # the last, partial block
+                blocks.append(_code_block(block, codes))
+                block.clear()
     except UnicodeDecodeError:
         # the decoder reports offsets within its read chunk: decode the
         # whole file again to place the bad byte
@@ -214,25 +237,40 @@ def load_dataset(path, delimiter: str = ",") -> Dataset:
                              f"at offset {exc.start})") from None
         raise
 
-    if not rows:
+    if not blocks:
         raise ValueError(f"{path}: no data rows after the header")
-    # one column at a time, read straight off the rows: no second full set
-    # of cell references
-    variables = []
-    cols = np.empty((len(header), len(rows)), dtype=np.int64)
-    for i, name in enumerate(header):
-        cell = itemgetter(i)
-        labels = sorted(set(map(cell, rows)))
-        if len(labels) < 2:
+    variables, ranks = [], []
+    for name, seen in zip(header, codes):
+        if len(seen) < 2:
             raise ValueError(
                 f"{path}: column {name!r} has a single state; "
                 "variables must take at least two values"
             )
+        labels = sorted(seen)
         variables.append(VariableMeta(name, tuple(labels)))
-        lookup = {lab: j for j, lab in enumerate(labels)}
-        cols[i] = np.fromiter(map(lookup.__getitem__, map(cell, rows)), np.int64,
-                              count=len(rows))
+        # code -> index of its label in sorted order
+        position = {label: j for j, label in enumerate(labels)}
+        ranks.append(np.fromiter(map(position.__getitem__, seen), np.int64, count=len(seen)))
+    cols = np.concatenate(blocks, axis=1, dtype=np.int64)
+    del blocks  # before take buffers a column
+    for col, rank in zip(cols, ranks):
+        np.take(rank, col, out=col)
     return Dataset(variables, cols.T)
+
+
+def _code_block(block: list[list[str]], codes: list[dict[str, int]]) -> np.ndarray:
+    """The ``(variables, rows)`` codes of one block of rows, in the narrowest
+    unsigned type that holds them; labels new to a column take the next
+    codes, in the order they first appear."""
+    columns = list(zip(*block))
+    for cells, lookup in zip(columns, codes):
+        for label in dict.fromkeys(cells):
+            lookup.setdefault(label, len(lookup))
+    out = np.empty((len(codes), len(block)),
+                   dtype=np.min_scalar_type(max(map(len, codes)) - 1))
+    for i, (cells, lookup) in enumerate(zip(columns, codes)):
+        out[i] = np.fromiter(map(lookup.__getitem__, cells), out.dtype, count=len(cells))
+    return out
 
 
 def project(d: Dataset, keep: Iterable[int | str]) -> Dataset:

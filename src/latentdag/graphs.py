@@ -130,9 +130,11 @@ class Dag:
         return False
 
     def has_arc(self, u: int, v: int) -> bool:
+        u, v = self._check(u), self._check(v)
         return v in self._children[u]
 
     def adjacent(self, u: int, v: int) -> bool:
+        u, v = self._check(u), self._check(v)
         return v in self._children[u] or u in self._children[v]
 
     def parents(self, v: int) -> set[int]:

@@ -1,7 +1,7 @@
 """Independent reference implementations used only by the test suite.
 
 Everything here is deliberately written along a *different* route from the
-library: direct G2 sums instead of score differences, literal trail
+library: a whole-file CSV read instead of row blocks, direct G2 sums instead of score differences, literal trail
 enumeration instead of reachability, dict-tally or sort-based counting
 instead of mixed-radix bincounts, exhaustive DAG enumeration instead of
 dynamic programming, and full joint enumeration instead of variable
@@ -11,11 +11,78 @@ Agreement between the two routes is the point of the tests.
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
 import operator
 
 import numpy as np
+
+from latentdag import Dataset, VariableMeta
+
+
+# ---------------------------------------------------------------------------
+# CSV ingest (whole-file route)
+
+
+def load_dataset_whole(path, delimiter=","):
+    """The CSV loader as it read before ingest ran in row blocks: every row
+    is kept as a list of cells, then each column is coded straight into its
+    sorted labels. Same checks, in the same order, with the same messages;
+    a line number is ``reader.line_num``, the physical line a record ends on.
+    """
+    try:
+        csv.reader((), delimiter=delimiter)
+    except TypeError as exc:
+        raise ValueError(f"bad delimiter {delimiter!r}: {exc}") from None
+    try:
+        with open(path, "r", newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh, delimiter=delimiter)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise ValueError(f"{path}: empty file (missing header)") from None
+            if any(not h.strip() for h in header):
+                raise ValueError(f"{path}: blank column name in header")
+            for i, h in enumerate(header):
+                if h in header[:i]:
+                    raise ValueError(f"{path}: duplicate column name {h!r}")
+            rows = []
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise ValueError(
+                        f"{path}:{reader.line_num}: ragged row ({len(row)} cells, "
+                        f"expected {len(header)})"
+                    )
+                if "" in row:
+                    raise ValueError(f"{path}:{reader.line_num}: missing value")
+                rows.append(row)
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text (byte 0x{raw[exc.start]:02x} "
+                             f"at offset {exc.start})") from None
+        raise
+    if not rows:
+        raise ValueError(f"{path}: no data rows after the header")
+    variables = []
+    cols = np.empty((len(header), len(rows)), dtype=np.int64)
+    for i, name in enumerate(header):
+        labels = sorted({row[i] for row in rows})
+        if len(labels) < 2:
+            raise ValueError(
+                f"{path}: column {name!r} has a single state; "
+                "variables must take at least two values"
+            )
+        variables.append(VariableMeta(name, tuple(labels)))
+        lookup = {lab: j for j, lab in enumerate(labels)}
+        cols[i] = [lookup[row[i]] for row in rows]
+    return Dataset(variables, cols.T)
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,10 @@ ID_SLOT = {
     "is_independent": lambda x: is_independent(ScoreContext(DATA), x, 2, [3]),
     "find_separator": lambda x: find_separator(SeparatorQuery(u=x, v=2), ScoreContext(DATA)),
     "Dag.add_arc": lambda x: Dag(4).add_arc(x, 2).arcs(),
+    "Dag.has_arc": lambda x: GRAPH.has_arc(x, 2),
+    "Dag.has_arc-head": lambda v: GRAPH.has_arc(0, v),
+    "Dag.adjacent": lambda x: GRAPH.adjacent(x, 2),
+    "Dag.adjacent-second": lambda y: GRAPH.adjacent(3, y),
     "Pdag.add_directed": lambda x: _directed(x, 2),
     "d_separated": lambda x: d_separated(GRAPH, x, 3, {2}),
     "enumerate_trails": lambda x: list(enumerate_trails(GRAPH, x, 3)),

@@ -248,6 +248,14 @@ class TestChi2Critical:
         with pytest.raises(ValueError, match=f"dof must be an integer, got {dof!r}"):
             chi2_critical(dof, 0.05)
 
+    @pytest.mark.parametrize("dof", [10**306, 10**400], ids=["1e306", "1e400"])
+    def test_dof_too_large_for_a_float_is_named(self, dof):
+        with pytest.raises(ValueError, match=re.escape("dof must be at most 10**305")):
+            chi2_critical(dof, 0.05)
+
+    def test_largest_dof_has_a_finite_critical_value(self):
+        assert math.isfinite(chi2_critical(10**305, 0.05))
+
     @pytest.mark.parametrize("alpha", ["0.05", None, [0.05]])
     def test_non_numeric_alpha_is_named(self, alpha):
         # [0.05] is unhashable: the check must come before the cache
