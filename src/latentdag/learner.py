@@ -8,18 +8,19 @@ Two engines behind one config:
   serves all of its families, and sibling subsets are tallied in one
   bincount by :class:`~latentdag.data.BatchTally`, the batch tally the
   probes and the climber share), straight into a compact table of one
-  column per stored parent set, (2) running maxima over supersets on
-  ranks: each node's families are ranked by best score, then fewest
-  members, then smallest mask, and a uint16 array per node, indexed by
-  the parent mask, turns into the rank of the best family inside each
-  mask by running minima, one node's row at a time, and (3) dynamic
+  column per stored parent set, (2) ranking each node's families by best
+  score, then fewest members, then smallest mask, and (3) dynamic
   programming over node subsets, layer by popcount, that keeps only each
-  subset's best score, a value that no candidate order can change; the
-  graph is rebuilt by peeling sinks, and the peel sets the tie rule: each
-  subset's sink is the smallest member whose candidate attains its best,
-  and its parents are its best-ranked family in the remaining nodes.
-  Feasible up to 20 nodes with k <= 4, where the ranks (21 MB) and the
-  best scores (8 MB) are the largest arrays, against 0.8 MB of scores.
+  subset's best score, a value that no candidate order can change; each
+  layer first derives, from the layer before, the rank of each node's best
+  family inside each parent mask it reads, as the minimum of the mask's
+  own rank and those of the masks one member short, so no array spans
+  every parent mask. The graph is rebuilt by peeling sinks, and the peel
+  sets the tie rule: each subset's sink is the smallest member whose
+  candidate attains its best, and its parents are its best-ranked family
+  in the remaining nodes, found by a scan of the stored sets. Feasible up
+  to 20 nodes with k <= 4, where the best scores (8 MB) are the largest
+  array, against 0.8 MB of scores.
   One rule sets the processes of the table and of the DP, checked as each
   starts. Each runs in one process on a single CPU, where ``fork`` is
   missing or unsafe, or in a process that ``multiprocessing`` started
@@ -27,8 +28,8 @@ Two engines behind one config:
   inside it forks again). Otherwise step (1) splits its branches (the
   subsets by smallest member) over the usable CPUs from
   ``_FORK_MIN_SUBSETS`` table subsets, and step (3) splits on the top node
-  into two processes from ``_FORK_MIN_DP_NODES`` nodes, each half first
-  running step (2) on the ranks it reads. Both fork into arrays in shared
+  into two processes from ``_FORK_MIN_DP_NODES`` nodes, each half deriving
+  the ranks it reads in its own arrays. Both fork into arrays in shared
   memory. Every array is bit-identical at every worker count.
 * ``learn_hill_climb`` — add/remove/reverse local search with best-improvement
   moves and seeded random restarts. The climber keeps n x n arrays of add
@@ -65,9 +66,6 @@ __all__ = ["LearnerConfig", "LocalScoreTable", "learn_exact", "learn_hill_climb"
 
 EXACT_MAX_NODES = 20
 EXACT_MAX_PARENTS = 4
-# a mask without a stored family, in the DP's uint16 rank array; at
-# EXACT_MAX_NODES and EXACT_MAX_PARENTS a node has 5,036 families
-_NO_RANK = np.iinfo(np.uint16).max
 
 
 @dataclass(frozen=True)
@@ -379,23 +377,23 @@ def learn_exact(d: Dataset, cfg: LearnerConfig = LearnerConfig(),
     dp_workers = _workers(n, k)[1]
 
     # rank each node's families by best score, then fewest members, then
-    # smallest mask, and keep the scores in rank order; the DP's halves turn
-    # ranks[x][T] into the rank of x's best family inside T. The empty set
-    # is stored, so no sentinel is left.
+    # smallest mask, and keep the scores in rank order; rank_of[x] holds the
+    # ranks in stored order, and the DP's halves derive from it the rank of
+    # x's best family inside each parent mask, a layer at a time. The empty
+    # set is stored, so every mask holds a family.
     popcnt = _popcounts(n - 1)
     members = popcnt[stored]
     order = np.array([np.lexsort((members, -row)) for row in scores])
     vals = np.take_along_axis(scores, order, axis=1)
-    ranks = np.frombuffer(mmap.mmap(-1, n << n), dtype=np.uint16).reshape(n, -1)
-    ranks.fill(_NO_RANK)
-    ranks[np.arange(n)[:, None], stored[order]] = np.arange(len(stored))
+    rank_of = np.empty(order.shape, dtype=np.uint16)
+    rank_of[np.arange(n)[:, None], order] = np.arange(len(stored))
 
     # best score of each variable subset, in shared memory for the layers'
     # second process
     dp = np.frombuffer(mmap.mmap(-1, 8 << n), dtype=np.float64)
     dp.fill(-np.inf)
     dp[0] = 0.0
-    _fork_layers(dp, ranks, vals, popcnt, dp_workers)
+    _fork_layers(dp, vals, rank_of, stored, popcnt, k, dp_workers)
 
     # peel the sinks, which sets the tie rule: a subset's sink is the
     # smallest x whose candidate attains its best. A sink's parents are its
@@ -404,80 +402,122 @@ def learn_exact(d: Dataset, cfg: LearnerConfig = LearnerConfig(),
     g = Dag(n, [v.name for v in d.variables])
     mask = (1 << n) - 1
     while mask:
-        x = next(x for x in range(n) if mask >> x & 1 and dp[mask ^ 1 << x]
-                 + vals[x, ranks[x, _drop_bit(mask ^ 1 << x, x)]] == dp[mask])
+        for x in range(n):
+            if mask >> x & 1:
+                # x's best-ranked stored family inside the other members
+                r = rank_of[x][(stored & ~_drop_bit(mask ^ 1 << x, x)) == 0].min()
+                if dp[mask ^ 1 << x] + vals[x, r] == dp[mask]:
+                    break
         mask ^= 1 << x
-        pmask = _insert_bit(int(stored[order[x, ranks[x, _drop_bit(mask, x)]]]), x)
+        pmask = _insert_bit(int(stored[order[x, r]]), x)
         for p in range(n):
             if pmask >> p & 1:
                 g.add_arc(p, x)
     return g
 
 
-def _superset_maxima(block: np.ndarray) -> None:
-    """Turn each row of ``block`` into running maxima over supersets, by
-    rank: the running minima of the ranks over every bit of its width, a row
-    at a time so that the row stays in cache across bits."""
-    for row in block:
-        for b in range(row.size.bit_length() - 1):
-            view = row.reshape(-1, 2, 1 << b)
-            np.minimum(view[:, 1, :], view[:, 0, :], out=view[:, 1, :])
+def _rank_layer(rank_of: np.ndarray, rows: slice, stored: np.ndarray, k: int,
+                masks: np.ndarray, below: tuple[int, np.ndarray] | None,
+                place: np.ndarray) -> tuple[int, np.ndarray]:
+    """The rank of each of ``rows``' best stored family inside each parent
+    mask j of ``masks``, p-member masks in ascending order, returned as the
+    layer's (place of its first mask, ranks) and derived from ``below``,
+    the layer before in that form: the minimum over the masks j - b, for b
+    among the min(p, k + 1) lowest members of j (a stored family has at most
+    k members, so it misses one of any k + 1 members of j), taken with j's
+    own rank while p <= k. ``rank_of[x]`` holds x's ranks in ``stored``
+    order, so every value is an exact minimum of them.
+
+    ``place[m]`` is m's position among the masks of its popcount, in
+    ascending order. Each layer is a contiguous run of those, so a mask's
+    position in ``below`` is its place less that of the run's first mask.
+    The minima are taken a row at a time, so that no temporary is as large
+    as the ranks."""
+    p = int(masks[0]).bit_count() if len(masks) else 0
+    ranks = rank_of[rows].take(np.searchsorted(stored, masks), axis=1) if p <= k else None
+    rest, at = masks.copy(), np.empty_like(masks)
+    for _ in range(min(p, k + 1)):
+        np.negative(rest, out=at)
+        at &= rest  # b, the lowest member left in rest
+        rest ^= at
+        at ^= masks  # j - b
+        np.subtract(place[at], below[0], out=at)  # its position in below
+        if ranks is None:
+            ranks = below[1].take(at, axis=1)
+            continue
+        for row, prev in zip(ranks, below[1]):
+            np.minimum(row, prev.take(at), out=row)
+    return int(place[masks[0]]) if len(masks) else 0, ranks
 
 
-def _layers(dp: np.ndarray, ranks: np.ndarray, vals: np.ndarray, popcnt: np.ndarray,
-            top: bool, sync) -> None:
+def _layers(dp: np.ndarray, vals: np.ndarray, rank_of: np.ndarray, stored: np.ndarray,
+            popcnt: np.ndarray, k: int, top: bool, sync) -> None:
     """Fill the subsets of ``dp`` with (``top`` True) or without (False)
     node n - 1, layer by popcount: each subset of layer s takes the best of
-    ``dp[T - {x}] + vals[x][ranks[x][T - {x}]]`` over its members x, where
-    ``vals[x][ranks[x][j]]`` is x's best score inside j. ``sync()`` runs
-    before each layer.
+    ``dp[T - {x}] + vals[x][r]`` over its members x, where r is the rank of
+    x's best family inside the parent mask ``T - {x}``. ``sync()`` runs
+    before each layer's subsets.
 
     Parent masks j below ``half = 1 << (n - 2)`` lack node n - 1 for every
-    x < n - 1, so each half takes a contiguous slice of the ascending j. It
-    first takes the running minima of the ranks it reads: the half without
-    the node those of ``ranks[:n - 1, :half]``, the other those of
-    ``ranks[:n - 1, half:]`` and of row n - 1, and after its first ``sync()``
-    folds the lower block into its own, the minima's last bit. A subset
-    without node n - 1 reads only others without it, while one with it
-    reads, through x = n - 1, the previous layer of the others. ``dp`` holds
-    values only, so neither the order of the candidates nor that of
-    ``np.maximum``'s arguments changes a bit, signed zeros aside; the peel
-    in :func:`learn_exact` sets the tie rule.
+    x < n - 1, so each half takes a contiguous slice of the ascending j, and
+    ranks, by :func:`_rank_layer`, the layer of masks it reads from the
+    layer before, in its own arrays (two layers of ranks and an int32 place
+    per parent mask): the half without the node the low masks of rows
+    x < n - 1; the other the high ones, whose masks j - b reach the low
+    masks of the first k + 1 layers, so it ranks those too, and all masks of
+    row n - 1. So a half's ranks depend on nothing that the other writes,
+    and are taken before ``sync()``. A subset without node n - 1
+    reads only others without it, while one with it reads, through
+    x = n - 1, the previous layer of the others. ``dp`` holds values only,
+    so neither the order of the candidates nor that of ``np.maximum``'s
+    arguments changes a bit, signed zeros aside; the peel in
+    :func:`learn_exact` sets the tie rule.
     """
-    n = len(ranks)
+    n = len(vals)
     half = 1 << max(n - 2, 0)
-    low, high = ranks[:n - 1, :half], ranks[:n - 1, half:]
-    _superset_maxima(high if top else low)
-    if top:
-        _superset_maxima(ranks[n - 1:])
+    groups = [slice(0, n - 1), slice(n - 1, n)] if top else [slice(0, n - 1)]
+    below = [None] * len(groups)
+    place = np.empty(len(popcnt), dtype=np.int32)
     for s in range(1, n + 1):
-        sync()
-        if top and s == 1:
-            np.minimum(high, low, out=high)
         js = np.flatnonzero(popcnt == s - 1)
+        place[js] = np.arange(len(js))
         cut = int(np.searchsorted(js, half))
-        spans = [(x, js[cut:] if top else js[:cut]) for x in range(n - 1)]
-        if top:
-            spans.append((n - 1, js))
-        for x, j in spans:
-            prev = _insert_bit(j, x)
-            sel = prev | 1 << x
-            cand = dp[prev] + vals[x].take(ranks[x].take(j))
-            np.maximum(cand, dp[sel], out=cand)
-            dp[sel] = cand
+        picks = [js if s - 1 <= k else js[cut:], js] if top else [js[:cut]]
+        below = [_rank_layer(rank_of, rows, stored, k, masks, prev, place)
+                 for rows, masks, prev in zip(groups, picks, below)]
+        sync()
+        _fill_layer(dp, vals, js, cut, top, [ranks for _, ranks in below])
 
 
-def _fork_layers(dp: np.ndarray, ranks: np.ndarray, vals: np.ndarray, popcnt: np.ndarray,
-                 workers: int) -> None:
+def _fill_layer(dp: np.ndarray, vals: np.ndarray, js: np.ndarray, cut: int, top: bool,
+                ranks: list[np.ndarray]) -> None:
+    """Give each subset of one layer of a :func:`_layers` half its best
+    candidate: the parent masks ``js`` of the layer before, with ``cut`` of
+    them low, and the ranks of each of the half's groups of rows; the ranks
+    of the half's own slice of ``js`` end each row of the first group."""
+    n = len(vals)
+    mine = js[cut:] if top else js[:cut]
+    spans = [(x, mine, ranks[0][x, ranks[0].shape[1] - len(mine):]) for x in range(n - 1)]
+    if top:
+        spans.append((n - 1, js, ranks[1][0]))
+    for x, j, r in spans:
+        prev = _insert_bit(j, x)
+        sel = prev | 1 << x
+        cand = dp[prev] + vals[x].take(r)
+        np.maximum(cand, dp[sel], out=cand)
+        dp[sel] = cand
+
+
+def _fork_layers(dp: np.ndarray, vals: np.ndarray, rank_of: np.ndarray, stored: np.ndarray,
+                 popcnt: np.ndarray, k: int, workers: int) -> None:
     """Run both halves of :func:`_layers`, split on node n - 1. Before each
     layer the half without the node, in this process, writes a byte to a
-    pipe and the other reads one, so it waits only for the first's minima
-    and previous layer. Two ``workers`` run the half with the node in a
-    forked child beside it, and one runs that half afterwards here, where
-    the pipe already holds every byte. The reader never waits for an end
-    of file: a failure here terminates the child, and a failed child fails
-    the join."""
-    n = len(ranks)
+    pipe and the other reads one, so it waits only for the first's previous
+    layer. Two ``workers`` run the half with the node in a forked child
+    beside it, and one runs that half afterwards here, where the pipe
+    already holds every byte. The reader never waits for an end of file: a
+    failure here terminates the child, and a failed child fails the join."""
+    n = len(vals)
     top, rest = f"with node {n - 1}", f"without node {n - 1}"
     shares = [[rest], [top]] if workers > 1 else [[rest, top]]
     r, w = os.pipe()
@@ -485,7 +525,7 @@ def _fork_layers(dp: np.ndarray, ranks: np.ndarray, vals: np.ndarray, popcnt: np
 
     def run(share: list[str]) -> None:
         for half in share:
-            _layers(dp, ranks, vals, popcnt, half == top, syncs[half])
+            _layers(dp, vals, rank_of, stored, popcnt, k, half == top, syncs[half])
 
     try:
         _fork_shares(run, shares, "DP layer", "subsets")

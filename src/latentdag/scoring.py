@@ -36,7 +36,6 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass
-from statistics import NormalDist
 
 import numpy as np
 
@@ -400,6 +399,8 @@ def _chi2_isf(dof: int, alpha: float) -> float:
     Wilson-Hilferty value; every evaluation narrows a bracket on x, and a
     step that would leave it bisects instead. Above alpha = 0.5 the steps
     solve P = 1 - alpha, which keeps the digits that Q - alpha would lose."""
+    # deferred: statistics loads fractions and decimal, which only this needs
+    from statistics import NormalDist
     a = dof / 2
     z = -NormalDist().inv_cdf(alpha)
     c = 2 / (9 * dof)

@@ -466,44 +466,74 @@ def smallest_attaining_sinks(dp, bps, n):
     return sink
 
 
+def child_nodes(cols, n_rows=2000):
+    """Child at ``n_rows`` rows cut to the nodes ``cols``."""
+    return data.project(child_sample(n_rows, 2), cols)
+
+
 class TestForkedDp:
     @pytest.mark.parametrize("make, k", [
         (lambda: child_sample(5000, 1), 4), (lambda: mixed_sample(310), 4),
         (identical_columns, 3), (recoded_pair, 2),
-    ], ids=["child-5k", "mixed-13", "identical-columns", "recoded-pair"])
+        (lambda: child_nodes([0], 500), 1), (lambda: child_nodes([11, 0]), 1),
+        (lambda: child_nodes([1, 2, 11, 14, 15, 16, 17]), 1),
+        (lambda: child_nodes([1, 2, 11, 14, 15, 16, 17]), 2),
+    ], ids=["child-5k", "mixed-13", "identical-columns", "recoded-pair",
+            "one-node", "two-nodes", "child-7-k1", "child-7-k2"])
     def test_bits_equal_at_every_worker_count(self, monkeypatch, make, k):
+        import mmap
         d = make()
         n = d.n_variables
+        table = build_local_scores(ScoreContext(d), k)
+        bps = dense_running_maxima(table)
         arcs, bits = {}, {}
         layers, seen = learner._layers, []
 
-        def spy(dp, ranks, vals, *rest):
-            seen.append((dp, ranks, vals))
-            layers(dp, ranks, vals, *rest)
+        def spy(dp, *rest):
+            seen.append(dp)
+            layers(dp, *rest)
+
+        # every layer's ranks, in whichever process, select the dense running
+        # maxima of the table; the layers ranked here and in a child are
+        # counted in shared memory
+        rank_layer, parent = learner._rank_layer, os.getpid()
+        counts = np.frombuffer(mmap.mmap(-1, 16), dtype=np.int64)
+
+        def check(rank_of, rows, stored, k, masks, *rest):
+            first, ranks = rank_layer(rank_of, rows, stored, k, masks, *rest)
+            nodes = np.arange(n)[rows]
+            vals = np.empty((len(nodes), len(stored)))
+            np.put_along_axis(vals, rank_of[rows].astype(np.intp), table.scores[nodes], axis=1)
+            assert np.array_equal(np.take_along_axis(vals, ranks.astype(np.intp), axis=1),
+                                  bps[nodes][:, masks])
+            counts[int(os.getpid() != parent)] += 1
+            return first, ranks
 
         monkeypatch.setattr(learner, "_layers", spy)
+        monkeypatch.setattr(learner, "_rank_layer", check)
         for workers in (1, 2, 3):
             forked = forced_workers(monkeypatch, workers)
             seen.clear()
+            counts[:] = 0
             arcs[workers] = learn_exact(d, LearnerConfig(max_parents=k)).arcs()
-            assert forked == ([] if workers == 1 else [("score table", workers), ("DP layer", 2)])
+            shares = len(learner._shares(learner._branch_sizes(n, k), workers))
+            assert forked == ([("score table", shares)] if shares > 1 else []) + (
+                [] if workers == 1 else [("DP layer", 2)])
             # this process fills one DP array, in shared memory: both halves
             # in turn, or the half without the top node beside a forked child
             assert len(seen) == (2 if workers == 1 else 1)
-            dp, ranks, vals = seen[0]
-            assert all(other is dp for other, _, _ in seen)
-            bits[workers] = dp.view(np.int64).copy()
+            assert all(other is seen[0] for other in seen)
+            bits[workers] = seen[0].view(np.int64).copy()
+            # a layer per half and group of rows: the half without the top
+            # node ranks the nodes below it, the other those and the top node
+            assert counts.tolist() == ([3 * n, 0] if workers == 1 else [n, 2 * n])
         assert arcs[1] == arcs[2] == arcs[3]
         assert np.array_equal(bits[1], bits[2])
         assert np.array_equal(bits[1], bits[3])
-        # the scores read off the ranks, which after learning hold the full
-        # running minima, are the dense running maxima of the table; from
-        # those, the recorded-sink loop gives the same bits, each subset's
-        # recorded sink is the smallest that attains its best, and peeling
-        # the recorded sinks, with parents found by a scan of the stored
-        # sets, gives the same graph
-        bps = np.array([v[r] for v, r in zip(vals, ranks)])
-        assert np.array_equal(bps, dense_running_maxima(build_local_scores(ScoreContext(d), k)))
+        # from the dense running maxima, the recorded-sink loop gives the same
+        # bits, each subset's recorded sink is the smallest that attains its
+        # best, and peeling the recorded sinks, with parents found by a scan
+        # of the stored sets, gives the same graph
         want, sink = recorded_sink_dp(bps, n)
         assert np.array_equal(bits[1], want.view(np.int64))
         assert np.array_equal(smallest_attaining_sinks(want, bps, n), sink[1:])
@@ -524,15 +554,37 @@ class TestForkedDp:
         n = d.n_variables
         learn_exact(d, LearnerConfig(max_parents=4))
         # a float per node and parent mask would take 83,886,080 bytes; the
-        # largest buffer is the uint16 rank per node and parent mask
+        # largest buffer is the best score per variable subset
         assert max(sizes) < n * (1 << (n - 1)) * 8 == 83_886_080
-        assert max(sizes) == n * (1 << (n - 1)) * 2 == 20_971_520
+        assert max(sizes) == 8 << n == 8_388_608
 
-    def test_every_rank_fits_below_the_sentinel(self):
+    def test_dp_allocates_far_less_than_a_rank_per_parent_mask(self, monkeypatch):
+        import tracemalloc
+        forced_workers(monkeypatch, 1)
+        fork_layers, peaks = learner._fork_layers, []
+
+        def traced(*args):
+            tracemalloc.start()
+            try:
+                fork_layers(*args)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+
+        monkeypatch.setattr(learner, "_fork_layers", traced)
+        d = child_sample(5000, 1)
+        n = d.n_variables
+        learn_exact(d, LearnerConfig(max_parents=4))
+        # both halves run here; a uint16 rank per node and parent mask took
+        # 20,971,520 bytes, and dp lives in an mmap, which is not traced
+        assert n * (1 << (n - 1)) * 2 == 20_971_520
+        assert peaks[0] < 20_971_520 // 2
+
+    def test_every_rank_fits_in_uint16(self):
         n, k = learner.EXACT_MAX_NODES, learner.EXACT_MAX_PARENTS
         families = np.count_nonzero(learner._popcounts(n - 1) <= k)
         assert families == sum(math.comb(n - 1, size) for size in range(k + 1)) == 5036
-        assert families < learner._NO_RANK == np.iinfo(np.uint16).max
+        assert families - 1 <= np.iinfo(np.uint16).max
 
     def test_one_process_asks_for_no_fork_context(self, monkeypatch):
         import multiprocessing
@@ -550,7 +602,7 @@ class TestForkedDp:
             (17, 2), (17, 3), (17, 4), (17, 5), (17, 11), (18, 4), (19, 5), (19, 13)]
 
     @pytest.mark.parametrize("where", ["child", "parent"])
-    @pytest.mark.parametrize("stage", ["_superset_maxima", "_layers"], ids=["maxima", "layers"])
+    @pytest.mark.parametrize("stage", ["_rank_layer", "_layers"], ids=["maxima", "layers"])
     def test_a_failed_stage_fails_learning(self, monkeypatch, stage, where):
         import multiprocessing
         import time
@@ -563,13 +615,14 @@ class TestForkedDp:
                 raise ArithmeticError("stage failed on purpose")
             if where == "parent":
                 time.sleep(60)  # only a terminated child ends this early
-            run(*args)
+            return run(*args)
 
         monkeypatch.setattr(learner, stage, failing)
         d = mixed_sample(312)
         got = []
         start = time.perf_counter()
-        # the maxima fail inside a DP half, the forked one with the top node
+        # the ranks of the best families (their scores' running maxima) fail
+        # inside a DP half, the forked one with the top node
         expected = "DP layer worker failed: subsets with node 12 exited with code 1"
         with pytest.raises(RuntimeError if where == "child" else ArithmeticError,
                            match=expected if where == "child" else "on purpose"):
@@ -590,10 +643,10 @@ class TestForkedDp:
         assert learn_exact(d, LearnerConfig(max_parents=4)).arcs() == want
         layers = learner._layers
         for failing_top in (False, True):
-            def failing(dp, ranks, vals, popcnt, top, sync):
+            def failing(dp, vals, rank_of, stored, popcnt, k, top, sync):
                 if top == failing_top:
                     raise ArithmeticError("half failed on purpose")
-                layers(dp, ranks, vals, popcnt, top, sync)
+                layers(dp, vals, rank_of, stored, popcnt, k, top, sync)
 
             monkeypatch.setattr(learner, "_layers", failing)
             with pytest.raises((ArithmeticError, RuntimeError)):

@@ -434,7 +434,9 @@ class TestFillBic:
 def test_import_leaves_scipy_unloaded(tmp_path):
     # the package computes its chi-square critical values itself, so neither
     # the import nor a discover run that asks independence tests loads scipy;
-    # multiprocessing loads only when a score table is large enough to fork for
+    # multiprocessing loads only when a score table is large enough to fork
+    # for, and statistics (with fractions and decimal) only for a first
+    # critical value
     csv = tmp_path / "planted.csv"
     write_csv(csv, planted_dataset(n=2000))
     src = Path(__file__).resolve().parents[1] / "src"
@@ -447,6 +449,7 @@ def test_import_leaves_scipy_unloaded(tmp_path):
         "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "assert not scipy_modules(), scipy_modules()\n"
         "assert 'multiprocessing' not in sys.modules\n"
+        "assert not {'statistics', 'fractions', 'decimal'} & set(sys.modules)\n"
         f"assert latentdag.cli.main(['discover', '--input', {str(csv)!r}]) == 0\n"
         "assert latentdag.scoring._chi2_isf.cache_info().misses > 0\n"
         "assert not scipy_modules(), scipy_modules()\n"
