@@ -3,14 +3,20 @@
 Two engines behind one config:
 
 * ``learn_exact`` — global optimum of the decomposable BIC under a parent
-  cap, by (1) scoring every parent set of size <= k for every node, from
-  one joint tally per variable subset of size <= k + 1 (a subset's tally
-  serves all of its families, and sibling subsets are tallied in one
-  bincount by :class:`~latentdag.data.BatchTally`, the batch tally the
-  probes and the climber share), straight into a compact table of one
-  column per stored parent set, (2) ranking each node's families by best
-  score, then fewest members, then smallest mask, and (3) dynamic
-  programming over node subsets, layer by popcount, that keeps only each
+  cap, in three steps. (1) Score, for every node, the parent sets of size
+  <= k that beat every proper subset of themselves, the only ones an
+  optimal graph can read, into a compact table of one column per stored
+  parent set; every other family holds ``-inf``. Two passes tally variable
+  subsets of size <= k + 1, sibling subsets in one bincount, with
+  :class:`~latentdag.data.BatchTally` (the batch tally that the probes and
+  the climber share). The first keeps H(T) = sum N ln N of every subset
+  and rules out each family that a subset beats by more than a bound on
+  both routes' rounding. The second scores the remaining families exactly,
+  from the joints of the subsets that hold them: it tallies again only
+  those subsets not inside a larger such subset, and sums the others out
+  of those joints. (2) Rank each node's families by best score, then
+  fewest members, then smallest mask. (3) Run dynamic programming over
+  node subsets, layer by popcount, that keeps only each
   subset's best score, a value that no candidate order can change; each
   layer first derives, from the layer before, the rank of each node's best
   family inside each parent mask it reads, as the minimum of the mask's
@@ -25,9 +31,9 @@ Two engines behind one config:
   starts. Each runs in one process on a single CPU, where ``fork`` is
   missing or unsafe, or in a process that ``multiprocessing`` started
   (the outermost layer with independent work takes the CPUs, and nothing
-  inside it forks again). Otherwise step (1) splits its branches (the
-  subsets by smallest member) over the usable CPUs from
-  ``_FORK_MIN_SUBSETS`` table subsets, and step (3) splits on the top node
+  inside it forks again). Otherwise each pass of step (1) splits its
+  branches (the subsets by smallest member) over the usable CPUs from
+  ``_FORK_MIN_SUBSETS`` subsets, and step (3) splits on the top node
   into two processes from ``_FORK_MIN_DP_NODES`` nodes, each half deriving
   the ranks it reads in its own arrays. Both fork into arrays in shared
   memory. Every array is bit-identical at every worker count.
@@ -87,17 +93,23 @@ class LearnerConfig:
 
 
 class LocalScoreTable:
-    """Every local score ``(x, S)`` with ``|S| <= k``, one column per set.
+    """Every local score ``(x, S)`` with ``|S| <= k`` that no proper subset
+    of ``S`` matches, one column per set.
 
     The table owns the layout of the stored families. ``masks`` lists the
     ``M`` parent masks of at most ``k`` members over ``n - 1`` bits, in
     ascending order, and ``scores`` is an ``(n, M)`` float64 array whose
     column ``c`` holds ``masks[c]``: row ``x``'s masks have ``x``'s own bit
     removed (bits above ``x`` shift down one slot, as :func:`_drop_bit`
-    does). :func:`build_local_scores` fills the array in anonymous shared
-    memory, from one process per usable CPU (one on a single CPU, where
-    ``fork`` is missing or unsafe, or in a ``multiprocessing`` child); its
-    bits do not depend on the number of processes.
+    does). A family that some proper subset of its parents matches or beats
+    holds ``-inf``: that subset ranks before it (by score, then by fewer
+    members), so it is never the best-ranked family inside a parent mask and
+    no optimal graph reads it. Every other entry, the empty set's always, is
+    the float a tally of that family alone gives. :func:`build_local_scores`
+    fills the array in anonymous shared memory, from one process per usable
+    CPU (one on a single CPU, where ``fork`` is missing or unsafe, or in a
+    ``multiprocessing`` child); its bits do not depend on the number of
+    processes.
     """
 
     def __init__(self, n: int, k: int, masks: np.ndarray, scores: np.ndarray):
@@ -113,25 +125,37 @@ class LocalScoreTable:
 
 
 def build_local_scores(ctx: ScoreContext, k: int) -> LocalScoreTable:
-    """Score all (node, parent set <= k) families from one tally per subset.
+    """Score every (node, parent set <= k) family that beats each proper
+    subset of its parents, in two passes over subset tallies.
 
-    Every variable subset T with 1 <= |T| <= k + 1 is tallied once, and the
-    |T| families (x, T - {x}) are scored from that joint table. Subsets are
-    enumerated depth-first in ascending-id order: a prefix P extends its
-    mixed-radix row code to each child subset P + {y}, y > max(P), and one
-    bincount tallies a batch of those children side by side. Moving x's axis
-    of a joint to the last place gives exactly the (configuration, child
-    state) table of the family, so each score is the float a separate tally
-    of that family would give. The scores fill the columns of
+    Each pass enumerates variable subsets T with 1 <= |T| <= k + 1
+    depth-first in ascending-id order: a prefix P extends its mixed-radix
+    row code to each child subset P + {y}, y > max(P), and one bincount
+    tallies a batch of those children side by side.
+
+    Pass 1 tallies every subset and keeps one number of each,
+    H(T) = sum N ln N over the cells of its joint (one lookup in a table of
+    N ln N per batch). A family (x, S) then scores H(S + {x}) - H(S) less
+    its penalty, within half of a slack of its exact score
+    (:func:`_entropy_scores`), so a family that some proper subset beats by
+    more than the slack there is beaten exactly too, and drops out. Pass 2
+    scores each remaining family exactly from the joint of its subset: it
+    tallies a subset again only when no larger subset that holds a
+    remaining family contains it, and sums the others out of those joints
+    (:func:`_plan`). Moving x's axis of a joint to the last place gives
+    exactly the (configuration, child state) table of the family, so each
+    score is the float a separate tally of that family would give. Last,
+    each family that a proper subset matches or beats in these exact scores
+    becomes ``-inf``. The scores fill the columns of
     :class:`LocalScoreTable`, each placed through a lookup over every mask,
     hence at most ``EXACT_MAX_NODES`` variables.
 
     Branch ``y`` holds the subsets of two or more members whose smallest
-    member is ``y``. The branches are split over the usable CPUs, and each
-    share but the first is scored in a process forked for it, all into one
-    array in shared memory. Every family is scored from one subset, in the
-    same steps in whichever process, so the table is bit-identical at every
-    worker count. It is built serially on one CPU, where ``fork`` is
+    member is ``y``. In each pass the branches are split over the usable
+    CPUs, and each share but the first runs in a process forked for it, all
+    into one array in shared memory. Every value comes from one subset, in
+    the same steps in whichever process, so the table is bit-identical at
+    every worker count. A pass runs serially on one CPU, where ``fork`` is
     missing or unsafe (beside other threads), in a process that
     ``multiprocessing`` started (a benchmark repetition in its pool, say,
     whose pool already holds the CPUs), and below ``_FORK_MIN_SUBSETS``
@@ -146,11 +170,26 @@ def build_local_scores(ctx: ScoreContext, k: int) -> LocalScoreTable:
     if n == 0:
         return LocalScoreTable(0, k, np.empty(0, dtype=np.intp), np.empty((0, 0)))
     t = _Tallies(ctx, k)
-    # the empty-parent families, one per single-member subset
-    _score(t, (), 0, 1)
-    shares = _shares(_branch_sizes(n, k), _workers(n, k)[0])
-    _fork_shares(lambda share: _run_share(t, share), shares, "score table", "branches")
+    _run_pass(t, _entropies, _branch_sizes(n, k))
+    keep = np.empty(t.scores.shape, dtype=bool)
+    for x in range(n):
+        approx, slack = _entropy_scores(t, x)
+        keep[x] = approx >= _subset_maxima(t, approx) - slack
+    _run_pass(t, _score, _plan(t, keep))
+    # a family that a proper subset matches ranks after it, by fewer members
+    for row in t.scores:
+        row[~(row > _subset_maxima(t, row))] = -np.inf
     return LocalScoreTable(n, k, t.masks, t.scores)
+
+
+def _run_pass(t: _Tallies, step, sizes: list[int]) -> None:
+    """Run ``step`` on the singletons here, then on every branch, whose
+    subset counts are ``sizes``, split over the processes that
+    :func:`_workers` allows for that many subsets."""
+    t.step = step
+    step(t, (), 0, 1)
+    shares = _shares(sizes, _workers(t.n, t.k, t.n + sum(sizes))[0])
+    _fork_shares(lambda share: _run_share(t, share), shares, "score table", "branches")
 
 
 def _branch_sizes(n: int, k: int) -> list[int]:
@@ -186,11 +225,13 @@ def _cpu_budget() -> int:
     return 1 if multiprocessing.parent_process() is not None else _usable_cpus()
 
 
-def _workers(n: int, k: int) -> tuple[int, int]:
-    """How many processes build the score table of ``n`` nodes under the
-    cap ``k``, and how many run the DP over those nodes: at most two, one
-    per half of its layer split."""
-    table = n + sum(_branch_sizes(n, k)) >= _FORK_MIN_SUBSETS
+def _workers(n: int, k: int, subsets: int | None = None) -> tuple[int, int]:
+    """How many processes tally ``subsets`` table subsets (by default all
+    of those of ``n`` nodes under the cap ``k``), and how many run the DP
+    over those nodes: at most two, one per half of its layer split."""
+    if subsets is None:
+        subsets = n + sum(_branch_sizes(n, k))
+    table = subsets >= _FORK_MIN_SUBSETS
     dp = n >= _FORK_MIN_DP_NODES
     if not (table or dp):
         return 1, 1
@@ -207,12 +248,13 @@ def _workers(n: int, k: int) -> tuple[int, int]:
 
 
 def _shares(sizes: list[int], workers: int) -> list[list[int]]:
-    """Split the branches, whose subset counts are ``sizes``, into at most
-    ``workers`` non-empty shares: longest processing time first, each branch
-    to the lightest share so far (the first on ties)."""
-    shares: list[list[int]] = [[] for _ in range(max(1, min(workers, len(sizes))))]
+    """Split the non-empty branches, whose subset counts are ``sizes``, into
+    at most ``workers`` non-empty shares: longest processing time first,
+    each branch to the lightest share so far (the first on ties)."""
+    branches = sorted((y for y in range(len(sizes)) if sizes[y]), key=lambda y: -sizes[y])
+    shares: list[list[int]] = [[] for _ in range(max(1, min(workers, len(branches))))]
     loads = [0] * len(shares)
-    for y in sorted(range(len(sizes)), key=lambda y: -sizes[y]):
+    for y in branches:
         i = loads.index(min(loads))
         shares[i].append(y)
         loads[i] += sizes[y]
@@ -257,9 +299,12 @@ def _run_share(t: _Tallies, share: list[int]) -> None:
 
 class _Tallies:
     """State of one :func:`build_local_scores` call: the shared batch tally,
-    the prefix codes, the stored masks, each parent mask's column and the
-    score array being filled, which lives in anonymous shared memory so that
-    forked workers write into it."""
+    the prefix codes, the stored masks, each parent mask's column, the
+    pass's step and the score array being filled, which lives in anonymous
+    shared memory so that forked workers write into it. Pass 1 leaves there
+    H(T) of each subset T, in the slot of the family (max T, T - {max T});
+    pass 2 reads the families to ``keep``, the subsets each host has
+    ``served`` and the prefixes to ``extend`` (see :func:`_plan`)."""
 
     def __init__(self, ctx: ScoreContext, k: int):
         d = ctx.dataset
@@ -270,64 +315,184 @@ class _Tallies:
         self.tally = ctx.tally
         # row code of the current prefix at each depth; depth 0 is empty
         self.prefix_codes = np.zeros((k + 1, d.n_rows), dtype=np.int64)
-        self.masks = np.flatnonzero(_popcounts(self.n - 1) <= k)
-        column = np.full(1 << (self.n - 1), -1, dtype=np.int32)
-        column[self.masks] = np.arange(len(self.masks))
-        # indexed by Python ints, as each score is written on its own
-        self.column = memoryview(column)
+        members = _popcounts(self.n - 1)
+        self.masks = np.flatnonzero(members <= k)
+        self.columns = np.full(1 << (self.n - 1), -1, dtype=np.int32)
+        self.columns[self.masks] = np.arange(len(self.masks))
+        # the columns of each member count p >= 1, and for each of their
+        # p members the columns of the masks without it
+        self.layers = []
+        for p in range(1, k + 1):
+            cols = np.flatnonzero(members[self.masks] == p)
+            masks, drops = self.masks[cols], []
+            rest = masks
+            for _ in range(p):
+                low = rest & -rest
+                rest = rest ^ low
+                drops.append(self.columns[masks ^ low])
+            self.layers.append((cols, drops))
+        # indexed by Python ints, as the tallies read one column at a time
+        self.column = memoryview(self.columns)
         self.scores = np.frombuffer(mmap.mmap(-1, 8 * self.n * len(self.masks)),
                                     dtype=np.float64).reshape(self.n, -1)
+        counts = np.arange(d.n_rows + 1, dtype=np.float64)
+        self.nlogn = counts * np.log(np.maximum(counts, 1))
+        # set by each pass
+        self.step = self.keep = self.served = self.extend = None
 
 
 def _visit(t: _Tallies, prefix: tuple[int, ...], mask: int, n_cfg: int, y: int) -> None:
-    """Extend the prefix's row code by ``y``, score the families of every
+    """Extend the prefix's row code by ``y``, run the pass's step on every
     subset ``prefix + (y, z)``, z above y, then visit those subsets that can
-    take another member."""
+    take another member; pass 2 skips a prefix that no needed subset
+    starts with."""
+    if t.extend is not None and mask | 1 << y not in t.extend:
+        return
     depth = len(prefix)
     code = t.prefix_codes[depth + 1]
     np.multiply(t.prefix_codes[depth], t.cards[y], out=code)
     code += t.tally.cols[y]
     prefix, mask, n_cfg = prefix + (y,), mask | 1 << y, n_cfg * t.cards[y]
-    _score(t, prefix, mask, n_cfg)
+    t.step(t, prefix, mask, n_cfg)
     if len(prefix) < t.k:
         for z in range(y + 1, t.n - 1):
             _visit(t, prefix, mask, n_cfg, z)
 
 
-def _score(t: _Tallies, prefix: tuple[int, ...], mask: int, n_cfg: int) -> None:
-    """Score the families of every subset ``prefix + (y,)``, y above the
-    prefix, from batch tallies of the prefix's row code."""
-    depth = len(prefix)
+def _entropies(t: _Tallies, prefix: tuple[int, ...], mask: int, n_cfg: int) -> None:
+    """Pass 1: H of every subset ``prefix + (y,)``, y above the prefix, from
+    batch tallies of the prefix's row code, into the slot of the family
+    (y, prefix); padding cells count zero and add nothing."""
     first = prefix[-1] + 1 if prefix else 0
-    cards = t.cards
-    code = t.prefix_codes[depth]
-    pcards = [cards[p] for p in prefix]
-    for ys, joint in t.tally.joints(code, n_cfg, range(first, t.n)):
-        m, _, width = joint.shape
-        # x = y: the joint is already the (configuration, child) table, and
-        # the prefix lies below y, so the parent index is the prefix mask;
-        # padding cells count zero, so no table gains a positive cell.
-        # Penalties keep the association of 0.5 * log n * (|x| - 1) * configs.
-        # Scores are written one at a time: numpy calls on a batch of at most
-        # n scores cost more than the loop.
-        lls = log_likelihood(joint, axis=2)
-        c = t.column[mask]
-        for y, ll in zip(ys, lls):
-            t.scores[y, c] = ll - t.half_log_n * (cards[y] - 1) * n_cfg
+    c = t.column[mask]
+    for ys, joint in t.tally.joints(t.prefix_codes[len(prefix)], n_cfg, range(first, t.n)):
+        t.scores[ys, c] = t.nlogn.take(joint.reshape(len(ys), -1)).sum(axis=1)
 
-        # x = a prefix member: move its axis last; the parents are the rest
-        # of the prefix, then y, whose bit lands one slot down above x
-        grid = joint.reshape(m, *pcards, width)
-        for i, x in enumerate(prefix):
-            cx = pcards[i]
-            axes = (0, *range(1, i + 1), *range(i + 2, depth + 2), i + 1)
-            tables = grid.transpose(axes).reshape(m, n_cfg // cx * width, cx)
-            lls = log_likelihood(tables, axis=2)
-            penalty = t.half_log_n * (cx - 1)
-            row = t.scores[x]
-            rest = _drop_bit(mask ^ (1 << x), x)
-            for y, ll in zip(ys, lls):
-                row[t.column[rest | 1 << (y - 1)]] = ll - penalty * (n_cfg // cx * cards[y])
+
+def _score(t: _Tallies, prefix: tuple[int, ...], mask: int, n_cfg: int) -> None:
+    """Pass 2: tally each host ``prefix + (y,)``, y above the prefix, in
+    batches of the prefix's row code, and score the kept families of every
+    subset it serves from its joint (padding sliced off)."""
+    first = prefix[-1] + 1 if prefix else 0
+    ys = [y for y in range(first, t.n) if mask | 1 << y in t.served]
+    if not ys:
+        return
+    pcards = [t.cards[p] for p in prefix]
+    for ys, joint in t.tally.joints(t.prefix_codes[len(prefix)], n_cfg, ys):
+        for y, counts in zip(ys, joint):
+            members = prefix + (y,)
+            grid = counts[:, :t.cards[y]].reshape(*pcards, t.cards[y])
+            for subset in t.served[mask | 1 << y]:
+                drop = tuple(i for i, v in enumerate(members) if not subset >> v & 1)
+                _score_subset(t, [v for v in members if subset >> v & 1],
+                              grid.sum(axis=drop) if drop else grid)
+
+
+def _score_subset(t: _Tallies, members: list[int], grid: np.ndarray) -> None:
+    """Score the kept families (x, members - {x}) from the joint ``grid``
+    of ``members``, one axis per member in ascending order. Moving x's axis
+    last gives exactly the (configuration, child state) table of the family,
+    and its positive cells come in the order of a tally of that family
+    alone. Penalties keep the association 0.5 * log n * (|x| - 1) * configs.
+    """
+    mask = sum(1 << v for v in members)
+    for i, x in enumerate(members):
+        c = t.column[_drop_bit(mask ^ 1 << x, x)]
+        if t.keep[x, c]:
+            cx = t.cards[x]
+            table = grid.transpose(*range(i), *range(i + 1, len(members)), i)
+            ll = log_likelihood(table.reshape(1, -1, cx), axis=2)[0]
+            t.scores[x, c] = ll - t.half_log_n * (cx - 1) * (grid.size // cx)
+
+
+def _entropy_scores(t: _Tallies, x: int) -> tuple[np.ndarray, float]:
+    """Node x's family scores from the H values that pass 1 left, in the
+    table's layout, and the slack: twice a bound on how far any of these
+    can fall from the exact score that pass 2 would give."""
+    parents = _insert_bit(t.masks, x)
+    h_family = _entropy_of(t, parents | 1 << x)
+    # the empty set's one cell counts every row
+    h_parents = np.full(len(parents), t.nlogn[-1])
+    h_parents[1:] = _entropy_of(t, parents[1:])
+    configs = np.ones(len(parents), dtype=np.int64)
+    for v, card in enumerate(t.cards):
+        configs[parents >> v & 1 == 1] *= card
+    penalties = t.half_log_n * (t.cards[x] - 1) * configs
+    # Either route adds at most N nonzero terms (a joint has at most N
+    # occupied cells), whose sizes sum to at most A = N (1 + ln N): a count
+    # N_c weighs at most ln N, in N_c ln N_c and in N_xz ln(N_xz / N_z).
+    # With every division, log and product within four ulps, each of the
+    # three sums (the family's and the two H values) is within
+    # (1.01 N + 9) u A of its real value, u = eps / 2; with their difference
+    # and the penalty subtractions, the two scores differ by at most
+    # (3.03 N + 30) u (A + P) < (3N + 16) eps (A + P).
+    n_rows = len(t.nlogn) - 1
+    bound = ((3 * n_rows + 16) * np.finfo(np.float64).eps
+             * (n_rows * (1 + math.log(n_rows)) + float(penalties.max())))
+    return h_family - h_parents - penalties, 2 * bound
+
+
+def _entropy_of(t: _Tallies, sets: np.ndarray) -> np.ndarray:
+    """H of each non-empty subset in ``sets`` (masks over all variables),
+    read from its slot after pass 1: its highest member's row, at the
+    column of the rest."""
+    top = np.frexp(sets)[1] - 1
+    return t.scores[top, t.columns[sets ^ (1 << top)]]
+
+
+def _subset_maxima(t: _Tallies, scores: np.ndarray) -> np.ndarray:
+    """For one node's ``scores``, each family's best score over the proper
+    subsets of its parents: the largest ``scores[c']`` over the masks
+    ``c'`` strictly inside ``masks[c]``, ``-inf`` for the empty set. Built
+    by member count, from the best inside each mask one member short."""
+    below = np.full(len(scores), -np.inf)
+    inside = scores.copy()
+    for cols, drops in t.layers:
+        best = below[cols]
+        for sub in drops:
+            np.maximum(best, inside[sub], out=best)
+        below[cols] = best
+        inside[cols] = np.maximum(scores[cols], best)
+    return below
+
+
+def _plan(t: _Tallies, keep: np.ndarray) -> list[int]:
+    """Set pass 2 up for the families that ``keep`` marks, and return each
+    branch's count of the subsets it tallies.
+
+    A subset that holds a kept family is scored from the joint of its host,
+    reached by adding members while the larger subset holds one too: its
+    counts are that joint's sums over the added members' axes, so it is
+    tallied only when it is its own host. ``served`` maps each host to the
+    subsets it serves, ``extend`` holds every prefix that a host starts
+    with, and the table is reset to ``-inf`` for pass 2 to fill."""
+    t.keep = keep
+    x, c = np.nonzero(keep)
+    # sorted by hand: np.unique and np.isin would import numpy.ma (0.5 MB)
+    sets = np.array(sorted(set((_insert_bit(t.masks[c], x) | 1 << x).tolist())))
+    hosts, grown = sets.copy(), True
+    while grown:
+        grown = False
+        for v in range(t.n):
+            larger = hosts | 1 << v
+            at = np.minimum(np.searchsorted(sets, larger), len(sets) - 1)
+            up = (sets[at] == larger) & (larger != hosts)
+            hosts[up] = larger[up]
+            grown |= up.any()
+    t.served = {}
+    for subset, host in zip(sets.tolist(), hosts.tolist()):
+        t.served.setdefault(host, []).append(subset)
+    t.extend = set()
+    sizes = [0] * len(_branch_sizes(t.n, t.k))
+    for host in t.served:
+        prefix = host ^ 1 << host.bit_length() - 1
+        if prefix:
+            sizes[(prefix & -prefix).bit_length() - 1] += 1
+        while prefix:
+            t.extend.add(prefix)
+            prefix ^= 1 << prefix.bit_length() - 1
+    t.scores.fill(-np.inf)
+    return sizes
 
 
 def _popcounts(n_bits: int) -> np.ndarray:
@@ -380,13 +545,16 @@ def learn_exact(d: Dataset, cfg: LearnerConfig = LearnerConfig(),
     # smallest mask, and keep the scores in rank order; rank_of[x] holds the
     # ranks in stored order, and the DP's halves derive from it the rank of
     # x's best family inside each parent mask, a layer at a time. The empty
-    # set is stored, so every mask holds a family.
+    # set is stored and finite, so every mask holds a family, and the
+    # table's -inf families rank last; the peel scans the ranks again, so
+    # the order array goes before the DP.
     popcnt = _popcounts(n - 1)
     members = popcnt[stored]
     order = np.array([np.lexsort((members, -row)) for row in scores])
     vals = np.take_along_axis(scores, order, axis=1)
     rank_of = np.empty(order.shape, dtype=np.uint16)
     rank_of[np.arange(n)[:, None], order] = np.arange(len(stored))
+    del order
 
     # best score of each variable subset, in shared memory for the layers'
     # second process
@@ -405,11 +573,12 @@ def learn_exact(d: Dataset, cfg: LearnerConfig = LearnerConfig(),
         for x in range(n):
             if mask >> x & 1:
                 # x's best-ranked stored family inside the other members
-                r = rank_of[x][(stored & ~_drop_bit(mask ^ 1 << x, x)) == 0].min()
-                if dp[mask ^ 1 << x] + vals[x, r] == dp[mask]:
+                fits = np.flatnonzero((stored & ~_drop_bit(mask ^ 1 << x, x)) == 0)
+                c = fits[rank_of[x, fits].argmin()]
+                if dp[mask ^ 1 << x] + vals[x, rank_of[x, c]] == dp[mask]:
                     break
         mask ^= 1 << x
-        pmask = _insert_bit(int(stored[order[x, r]]), x)
+        pmask = _insert_bit(int(stored[c]), x)
         for p in range(n):
             if pmask >> p & 1:
                 g.add_arc(p, x)
@@ -494,18 +663,33 @@ def _fill_layer(dp: np.ndarray, vals: np.ndarray, js: np.ndarray, cut: int, top:
     """Give each subset of one layer of a :func:`_layers` half its best
     candidate: the parent masks ``js`` of the layer before, with ``cut`` of
     them low, and the ranks of each of the half's groups of rows; the ranks
-    of the half's own slice of ``js`` end each row of the first group."""
+    of the half's own slice of ``js`` end each row of the first group. One
+    set of index and value buffers serves every node of the layer."""
     n = len(vals)
     mine = js[cut:] if top else js[:cut]
     spans = [(x, mine, ranks[0][x, ranks[0].shape[1] - len(mine):]) for x in range(n - 1)]
     if top:
         spans.append((n - 1, js, ranks[1][0]))
+    size = len(js) if top else len(mine)
+    sel, idx, cand, other = (np.empty(size, dtype=dtype)
+                             for dtype in (np.intp, np.intp, np.float64, np.float64))
     for x, j, r in spans:
-        prev = _insert_bit(j, x)
-        sel = prev | 1 << x
-        cand = dp[prev] + vals[x].take(r)
-        np.maximum(cand, dp[sel], out=cand)
-        dp[sel] = cand
+        m = len(j)
+        if x < n - 1:
+            # _insert_bit(j, x) into sel; node n - 1's masks lie below its bit
+            np.right_shift(j, x, out=idx[:m])
+            np.left_shift(idx[:m], x + 1, out=idx[:m])
+            np.bitwise_and(j, (1 << x) - 1, out=sel[:m])
+            j = np.bitwise_or(sel[:m], idx[:m], out=sel[:m])
+        # the indices are in range, so "clip" takes them unbuffered
+        np.take(dp, j, out=cand[:m], mode="clip")
+        np.copyto(idx[:m], r)
+        np.take(vals[x], idx[:m], out=other[:m], mode="clip")
+        cand[:m] += other[:m]
+        np.bitwise_or(j, 1 << x, out=sel[:m])
+        np.take(dp, sel[:m], out=other[:m], mode="clip")
+        np.maximum(cand[:m], other[:m], out=cand[:m])
+        dp[sel[:m]] = cand[:m]
 
 
 def _fork_layers(dp: np.ndarray, vals: np.ndarray, rank_of: np.ndarray, stored: np.ndarray,

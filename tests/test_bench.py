@@ -794,8 +794,8 @@ class TestRunBenchmark:
             with open(log, "a", encoding="utf-8") as fh:
                 fh.write(f"{os.getpid()} {call}\n")
 
-        def workers_spy(n, k):
-            got = workers(n, k)
+        def workers_spy(*args):
+            got = workers(*args)
             note(f"workers {got[0]} {got[1]}")
             return got
 
@@ -809,23 +809,24 @@ class TestRunBenchmark:
         csv, _, _ = run_benchmark(bn, [1000], 2, InjectionConfig(seed=0),
                                   LearnerConfig(mode="exact"))
         assert "\n1000," in csv
-        # per repetition, in a pool worker, the rule is checked once for the
-        # table and once for the DP, and nothing forks there: neither the
-        # table nor the DP
+        # per repetition, in a pool worker, the rule is checked once for each
+        # pass of the table and once for the DP, and nothing forks there:
+        # neither the table nor the DP
         calls = [line.split(" ", 1) for line in log.read_text().splitlines()]
-        assert [call for _, call in calls] == ["workers 1 1"] * 4
+        assert [call for _, call in calls] == ["workers 1 1"] * 6
         assert str(os.getpid()) not in {pid for pid, _ in calls}
-        # in this process the same table forks two shares, and learning
-        # forks its table and its DP into two each
+        # in this process the same table's first pass forks two shares, its
+        # second pass tallies 1,020 subsets, below the floor, and learning
+        # forks its table's first pass and its DP into two each
         log.unlink()
         d = sample(bn, 1000, seed=0)
         build_local_scores(ScoreContext(d), 4)
-        assert log.read_text() == f"{os.getpid()} workers 2 2\n{os.getpid()} fork score table 2\n"
+        table = ["workers 2 2", "fork score table 2", "workers 1 2"]
+        assert log.read_text() == "".join(f"{os.getpid()} {call}\n" for call in table)
         log.unlink()
         learn_exact(d)
         assert [line.split(" ", 1)[1] for line in log.read_text().splitlines()] == [
-            "workers 2 2", "fork score table 2",
-            "workers 2 2", "fork DP layer 2"]
+            *table, "workers 2 2", "fork DP layer 2"]
 
     def test_grid_inside_a_pool_worker_runs_in_process(self, monkeypatch):
         from latentdag import LearnerConfig, learner

@@ -30,14 +30,15 @@ from latentdag import (
     sample,
 )
 from latentdag import data, learner
-from latentdag.scoring import log_likelihood
 
 from oracles import (
     all_dags,
     dag_score,
+    dominated_families,
     exact_joint,
     exhaustive_best_dags,
     mi_from_exact_joint,
+    per_family_scores,
 )
 
 
@@ -51,35 +52,30 @@ def make_dataset(columns, cards=None):
     return Dataset(vs, arr)
 
 
-def per_family_scores(d, k):
-    """Every (x, S) with |S| <= k scored from its own tally: one bincount
-    per family into the (configuration, child state) layout, through the
-    kernel alone, with the table's penalty expression."""
-    ctx = ScoreContext(d)
-    cards = d.cardinalities
-    n = d.n_variables
-    out = [dict() for _ in range(n)]
-    for x in range(n):
-        others = [v for v in range(n) if v != x]
-        for size in range(min(k, n - 1) + 1):
-            for ps in itertools.combinations(others, size):
-                code = np.zeros(d.n_rows, dtype=np.int64)
-                n_cfg = 1
-                for p in ps:
-                    code = code * cards[p] + d.values[:, p]
-                    n_cfg *= cards[p]
-                counts = np.bincount(code * cards[x] + d.values[:, x],
-                                     minlength=n_cfg * cards[x])
-                ll = log_likelihood(counts.reshape(1, n_cfg, cards[x]).astype(float), axis=2)[0]
-                out[x][sum(1 << p for p in ps)] = ll - 0.5 * ctx.log_n * (cards[x] - 1) * n_cfg
-    return out
-
-
 def full_mask_scores(table):
     """Each node's stored families as ``{full parent mask: score}``, the mask
     over all variables (bit ``i`` = variable ``i``)."""
     return [dict(zip(learner._insert_bit(table.masks, x).tolist(), row.tolist()))
             for x, row in enumerate(table.node_scores)]
+
+
+def assert_kept_as_oracle(table, want):
+    """The table's contract against the per-family scores ``want``: the
+    same families, ``-inf`` exactly on those that a proper subset of their
+    parents matches or beats there, and every other entry the same float."""
+    dominated = dominated_families(want)
+    for x, (got, row, out) in enumerate(zip(full_mask_scores(table), want, dominated)):
+        assert got.keys() == row.keys()
+        assert {m for m, s in got.items() if s == -math.inf} == out, x
+        assert {m: s for m, s in got.items() if s != -math.inf} == {
+            m: s for m, s in row.items() if m not in out}, x
+
+
+def every_family_kept(monkeypatch):
+    """Make every family a candidate and none dominated, so that the table
+    holds each family's exact score."""
+    monkeypatch.setattr(learner, "_subset_maxima",
+                        lambda t, scores: np.full(len(scores), -np.inf))
 
 
 def total_bic(d, g, k):
@@ -220,10 +216,19 @@ class TestLocalScoreTable:
         d = make_dataset([rng.integers(0, 3, 400) for _ in range(4)])
         ctx = ScoreContext(d)
         tbl = build_local_scores(ctx, 3)
+        kept = 0
         for x in range(4):
             for mask, s in full_mask_scores(tbl)[x].items():
                 z = tuple(i for i in range(4) if mask >> i & 1)
-                assert s == pytest.approx(bic(ctx, x, z), abs=1e-9)
+                if s == -math.inf:
+                    # a proper subset of the parents scores at least as well
+                    assert any(bic(ctx, x, sub) >= bic(ctx, x, z) - 1e-9
+                               for size in range(len(z))
+                               for sub in itertools.combinations(z, size))
+                else:
+                    kept += 1
+                    assert s == pytest.approx(bic(ctx, x, z), abs=1e-9)
+        assert kept >= 4  # the empty sets at least
 
     @pytest.mark.parametrize("seed", range(8))
     def test_equals_per_family_tallies_on_random_data(self, seed):
@@ -236,7 +241,7 @@ class TestLocalScoreTable:
             [rng.choice(c, n_rows, p=rng.dirichlet(np.ones(c))) for c in cards], cards)
         k = int(rng.integers(1, min(4, n - 1) + 1))
         tbl = build_local_scores(ScoreContext(d), k)
-        assert full_mask_scores(tbl) == per_family_scores(d, k)
+        assert_kept_as_oracle(tbl, per_family_scores(d, k))
 
     def test_equals_per_family_tallies_on_edge_inputs(self):
         rng = np.random.default_rng(308)
@@ -254,7 +259,7 @@ class TestLocalScoreTable:
         ]
         for d, k in cases:
             tbl = build_local_scores(ScoreContext(d), k)
-            assert full_mask_scores(tbl) == per_family_scores(d, k)
+            assert_kept_as_oracle(tbl, per_family_scores(d, k))
 
     def test_equals_per_family_tallies_when_batches_split(self, monkeypatch):
         # a small batch cap splits each prefix's children over several
@@ -264,7 +269,7 @@ class TestLocalScoreTable:
         cards = [2, 5, 3, 4, 2, 6]
         d = make_dataset([rng.integers(0, c, 400) for c in cards], cards)
         tbl = build_local_scores(ScoreContext(d), 3)
-        assert full_mask_scores(tbl) == per_family_scores(d, 3)
+        assert_kept_as_oracle(tbl, per_family_scores(d, 3))
 
     @pytest.mark.parametrize("k, message", [
         (1.5, "k must be an integer, got 1.5"),
@@ -281,7 +286,115 @@ class TestLocalScoreTable:
         d = sample(bn_from_json((assets / "child.json").read_text()), 2000, seed=5)
         tbl = build_local_scores(ScoreContext(d), 4)
         assert sum(len(s) for s in tbl.node_scores) == 100_720
-        assert full_mask_scores(tbl) == per_family_scores(d, 4)
+        assert_kept_as_oracle(tbl, per_family_scores(d, 4))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_every_family_exact_when_all_are_kept(self, monkeypatch, seed):
+        # with no family filtered out, the second pass scores every family,
+        # most of them from sums over a larger subset's joint
+        every_family_kept(monkeypatch)
+        rng = np.random.default_rng(320 + seed)
+        n = int(rng.integers(4, 7))
+        cards = [int(c) for c in rng.integers(2, 6, size=n)]
+        n_rows = int(rng.integers(20, 3000))
+        d = make_dataset(
+            [rng.choice(c, n_rows, p=rng.dirichlet(np.ones(c))) for c in cards], cards)
+        k = int(rng.integers(1, n))
+        assert full_mask_scores(build_local_scores(ScoreContext(d), k)) == per_family_scores(d, k)
+
+    @pytest.mark.parametrize("n_rows", [5000, 50000])
+    def test_entropy_scores_stay_within_half_the_slack(self, monkeypatch, n_rows):
+        every_family_kept(monkeypatch)
+        entropy_scores, got = learner._entropy_scores, []
+
+        def spy(t, x):
+            got.append(entropy_scores(t, x))
+            return got[-1]
+
+        monkeypatch.setattr(learner, "_entropy_scores", spy)
+        exact = build_local_scores(ScoreContext(child_sample(n_rows, 1)), 4).scores
+        assert np.isfinite(exact).all()
+        assert len(got) == len(exact)
+        for (approx, slack), row in zip(got, exact):
+            # measured 1.6e-11 at 5,000 rows and 2.6e-10 at 50,000
+            assert np.abs(approx - row).max() < slack / 2
+            # far below the gaps that separate dominated families on child
+            assert slack < 1e-3
+
+    def test_same_table_from_any_scores_within_half_the_slack(self, monkeypatch):
+        # entropy scores that err by just under half of a slack far wider
+        # than the gaps on child, up for parent sets of even size and down
+        # for odd ones, so that a family and a subset one member short lean
+        # apart, still give the table built from the real ones
+        d = child_sample(2000, 3)
+        table = build_local_scores(ScoreContext(d), 4)
+        want = table.scores.copy()
+        with monkeypatch.context() as patch:
+            every_family_kept(patch)
+            exact = build_local_scores(ScoreContext(d), 4).scores.copy()
+        slack = 10.0
+        lean = np.where(learner._popcounts(d.n_variables - 1)[table.masks] % 2, -0.499, 0.499)
+        monkeypatch.setattr(learner, "_entropy_scores",
+                            lambda t, x: (exact[x] + lean * slack, slack))
+        got = build_local_scores(ScoreContext(d), 4).scores
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@st.composite
+def table_cases(draw):
+    """A dataset of 2-7 columns over 30-2,000 rows with 2-6 states each,
+    skewed margins, and columns that copy an earlier one, relabel its
+    states or code two earlier ones jointly; and a parent cap of 1-4."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_rows = draw(st.integers(30, 2000))
+    cols, cards = [], []
+    for j in range(draw(st.integers(2, 7))):
+        kind = draw(st.sampled_from(["fresh", "copy", "relabel", "pair"]) if j else st.just("fresh"))
+        a = draw(st.integers(0, j - 1)) if j else 0
+        b = draw(st.integers(0, j - 1)) if j else 0
+        if kind == "copy":
+            col, card = cols[a], cards[a]
+        elif kind == "relabel":
+            col, card = rng.permutation(cards[a])[cols[a]], cards[a]
+        elif kind == "pair" and a != b and cards[a] * cards[b] <= 6:
+            col, card = cols[a] * cards[b] + cols[b], cards[a] * cards[b]
+        else:
+            card = draw(st.integers(2, 6))
+            col = rng.choice(card, n_rows, p=rng.dirichlet(np.ones(card)))
+        cols.append(col)
+        cards.append(card)
+    return make_dataset(cols, cards), draw(st.integers(1, 4))
+
+
+class TestKeptFamilies:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(table_cases())
+    def test_pruned_table_learns_what_the_full_table_learns(self, case):
+        from unittest import mock
+        d, k = case
+        n = d.n_variables
+        want = per_family_scores(d, k)
+        table = build_local_scores(ScoreContext(d), k)
+        assert_kept_as_oracle(table, want)
+
+        # learning from the pruned table and from the oracle's full one
+        # gives the same graph and the same best score of every subset
+        full = np.array([[want[x][m] for m in learner._insert_bit(table.masks, x).tolist()]
+                         for x in range(n)])
+        fork_layers, dps, arcs = learner._fork_layers, [], []
+
+        def spy(dp, *rest):
+            fork_layers(dp, *rest)
+            dps.append(dp.tobytes())
+
+        with mock.patch.object(learner, "_fork_layers", spy):
+            arcs.append(learn_exact(d, LearnerConfig(max_parents=k)).arcs())
+            oracle_table = learner.LocalScoreTable(n, table.k, table.masks, full)
+            with mock.patch.object(learner, "build_local_scores",
+                                   lambda ctx, cap: oracle_table):
+                arcs.append(learn_exact(d, LearnerConfig(max_parents=k)).arcs())
+        assert arcs[0] == arcs[1]
+        assert dps[0] == dps[1]
 
 
 def forced_workers(monkeypatch, workers):
@@ -301,6 +414,27 @@ def forced_workers(monkeypatch, workers):
 
     monkeypatch.setattr(learner, "_fork_shares", spy)
     return forked
+
+
+def table_forks(monkeypatch, n, k, workers):
+    """Watch the table's second pass; return a function giving the (stage,
+    share count) of each table pass that forks, as ``forced_workers``
+    records them, once a table of ``n`` nodes under the cap ``k`` is built
+    with ``workers`` processes."""
+    plan, second = learner._plan, []
+
+    def spy(t, keep):
+        second.append(plan(t, keep))
+        return second[-1]
+
+    monkeypatch.setattr(learner, "_plan", spy)
+
+    def forks():
+        shares = [len(learner._shares(sizes, workers))
+                  for sizes in (learner._branch_sizes(n, k), second[-1])]
+        return [("score table", count) for count in shares if count > 1]
+
+    return forks
 
 
 def child_sample(n_rows, seed):
@@ -323,8 +457,10 @@ class TestForkedTable:
         bits = {}
         for workers in (1, 2, 3):
             forked = forced_workers(monkeypatch, workers)
+            forks = table_forks(monkeypatch, d.n_variables, 4, workers)
             bits[workers] = build_local_scores(ScoreContext(d), 4).scores.view(np.int64)
-            assert forked == ([] if workers == 1 else [("score table", workers)])
+            assert forked[:1] == ([] if workers == 1 else [("score table", workers)])
+            assert forked == forks()
         assert np.array_equal(bits[1], bits[2])
         assert np.array_equal(bits[1], bits[3])
 
@@ -401,6 +537,23 @@ class TestForkedTable:
         with pytest.raises((RuntimeError, ArithmeticError), match=expected):
             got.append(build_local_scores(ScoreContext(mixed_sample(312)), 4))
         assert got == []
+        assert multiprocessing.active_children() == []
+
+    def test_a_failed_second_pass_fails_the_table(self, monkeypatch):
+        import multiprocessing
+        import os
+        forked = forced_workers(monkeypatch, 3)
+        score, parent = learner._score, os.getpid()
+
+        def failing(t, *args):
+            if os.getpid() != parent:
+                raise ArithmeticError("second pass failed on purpose")
+            score(t, *args)
+
+        monkeypatch.setattr(learner, "_score", failing)
+        with pytest.raises(RuntimeError, match="score table worker failed: branches "):
+            build_local_scores(ScoreContext(child_sample(2000, 2)), 4)
+        assert forked == [("score table", 3)] * 2
         assert multiprocessing.active_children() == []
 
 
@@ -513,12 +666,11 @@ class TestForkedDp:
         monkeypatch.setattr(learner, "_rank_layer", check)
         for workers in (1, 2, 3):
             forked = forced_workers(monkeypatch, workers)
+            forks = table_forks(monkeypatch, n, k, workers)
             seen.clear()
             counts[:] = 0
             arcs[workers] = learn_exact(d, LearnerConfig(max_parents=k)).arcs()
-            shares = len(learner._shares(learner._branch_sizes(n, k), workers))
-            assert forked == ([("score table", shares)] if shares > 1 else []) + (
-                [] if workers == 1 else [("DP layer", 2)])
+            assert forked == forks() + ([] if workers == 1 else [("DP layer", 2)])
             # this process fills one DP array, in shared memory: both halves
             # in turn, or the half without the top node beside a forked child
             assert len(seen) == (2 if workers == 1 else 1)
