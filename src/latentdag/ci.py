@@ -10,7 +10,11 @@ Each step scores its candidates from one batched tally: :func:`fill_bic`
 returns ``bic(u, Z ∪ {v, y})`` and ``bic(u, Z ∪ {y})`` for every candidate
 y as two arrays, and the step takes all statistics at once through the
 formula :func:`~latentdag.scoring.f_bic` uses, so each is the float
-``f_bic`` gives.
+``f_bic`` gives. The statistics take the pair in the orientation
+:func:`~latentdag.scoring.is_independent` tests, u = min and v = max of the
+query's two ids, so a step's least statistic is the next verdict's
+statistic, and the verdict reads both its scores from the step's batch.
+A query and its swap make the same search.
 """
 
 from __future__ import annotations
@@ -87,22 +91,25 @@ def find_separator(q: SeparatorQuery, ctx: ScoreContext) -> SeparatorResult:
     n_vars = ctx.dataset.n_variables
     for x in (q.u, q.v, *q.compulsory, *q.forbidden):
         _check_id("variable id", x, n_vars)
+    # the orientation is_independent tests, so each step's batch fills the
+    # scores of the next verdict
+    u, v = min(q.u, q.v), max(q.u, q.v)
     z = set(q.compulsory)
-    blocked = set(q.forbidden) | {q.u, q.v}
+    blocked = set(q.forbidden) | {u, v}
     trace: list[tuple[int, float]] = []
 
     if len(z) > q.h:
         return SeparatorResult(found=False, trace=trace)
     cards = ctx.dataset.cardinalities
-    while not is_independent(ctx, q.u, q.v, z, q.alpha).independent:
+    while not is_independent(ctx, u, v, z, q.alpha).independent:
         cands = [y for y in range(n_vars) if y not in z and y not in blocked]
         if len(z) == q.h or not cands:
             # no separator within the budget: Z holds h members, or no
             # candidate is left
             return SeparatorResult(found=False, trace=trace)
-        with_v, without_v = fill_bic(ctx, q.u, z | {q.v}, cands, drop=q.v)
+        with_v, without_v = fill_bic(ctx, u, z | {v}, cands, drop=v)
         # f_bic's statistic for every candidate y
-        dof = _dof(ctx, q.u, q.v, z) * np.array([cards[y] for y in cands])
+        dof = _dof(ctx, u, v, z) * np.array([cards[y] for y in cands])
         stats = _statistic(ctx, with_v, without_v, dof)
         i = int(np.argmin(stats))  # the first minimum: ties keep the lowest id
         best, best_stat = cands[i], float(stats[i])

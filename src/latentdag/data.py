@@ -286,11 +286,25 @@ def project(d: Dataset, keep: Iterable[int | str]) -> Dataset:
     return Dataset([d.variables[i] for i in ids], d.values.T[ids].T)
 
 
+def _check_codes(n_codes: int, what: str, *args) -> None:
+    """Reject ``n_codes`` codes, 0 to ``n_codes - 1``, when the largest would
+    not fit in an int64 (nor a bincount's length in a C long), with a
+    ``ValueError`` that says they are ``what.format(*args)``, formatted only
+    then."""
+    if n_codes >= 1 << 63:
+        raise ValueError(f"{what.format(*args)} number {n_codes}, "
+                         "more than int64 codes can (2**63 - 1)")
+
+
 def row_codes(cols: np.ndarray, cards: Sequence[int], variables: Iterable[int]) -> np.ndarray:
     """Mixed-radix int64 code of each row over ``variables``, the first most
     significant: the lexicographic configuration index, last variable
     fastest. ``cols[x]`` holds variable x's states, which lie below
-    ``cards[x]``; with no variables every code is 0."""
+    ``cards[x]``; with no variables every code is 0. Variables with more
+    joint configurations than int64 codes can number raise ``ValueError``."""
+    variables = list(variables)
+    _check_codes(math.prod(cards[x] for x in variables),
+                 "the joint configurations of variables {}", variables)
     code = np.zeros(cols.shape[1], dtype=np.int64)
     for x in variables:
         code *= cards[x]
@@ -351,7 +365,8 @@ class BatchTally:
         ``chunk[j]``), where ``width`` is the widest domain in the chunk; the
         padding cells beyond a variable's own domain count zero. A chunk's
         row codes and joints hold at most ``_BATCH_ELEMENTS`` elements,
-        unless a single joint is larger.
+        unless a single joint is larger. A chunk whose joints span more
+        cells than int64 codes can number raises ``ValueError``.
         """
         cards = self.cards
         step = max(1, min(self.batch_rows,
@@ -361,6 +376,8 @@ class BatchTally:
             m = len(chunk)
             # child j's joint sits at offset j * n_cfg * width
             width = max(cards[y] for y in chunk)
+            _check_codes(m * n_cfg * width, "the cells of {} base configurations by the "
+                         "states of variables {}", n_cfg, list(chunk))
             codes = self.codes[:m]
             np.multiply(code, width, out=self.scaled)
             # ascending distinct ids that span m slots are a slice: no copy

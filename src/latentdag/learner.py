@@ -7,16 +7,15 @@ Two engines behind one config:
   <= k that beat every proper subset of themselves, the only ones an
   optimal graph can read, into a compact table of one column per stored
   parent set; every other family holds ``-inf``. Two passes tally variable
-  subsets of size <= k + 1, sibling subsets in one bincount, with
-  :class:`~latentdag.data.BatchTally` (the batch tally that the probes and
-  the climber share). The first keeps H(T) = sum N ln N of every subset
-  and rules out each family that a subset beats by more than a bound on
-  both routes' rounding. The second scores the remaining families exactly,
-  from the joints of the subsets that hold them: it tallies again only
-  those subsets not inside a larger such subset, and sums the others out
-  of those joints. (2) Rank each node's families by best score, then
-  fewest members, then smallest mask. (3) Run dynamic programming over
-  node subsets, layer by popcount, that keeps only each
+  subsets of size <= k + 1. The first tallies every subset, sibling
+  subsets in one bincount, with :class:`~latentdag.data.BatchTally` (the
+  batch tally that the probes and the climber share), keeps H(T) =
+  sum N ln N of each and rules out each family that a subset beats by more
+  than a bound on both routes' rounding. The second tallies again, one
+  bincount each, the subsets that hold the remaining families, and scores
+  those exactly from their joints. (2) Rank each node's families by best
+  score, then fewest members, then smallest mask. (3) Run dynamic
+  programming over node subsets, layer by popcount, that keeps only each
   subset's best score, a value that no candidate order can change; each
   layer first derives, from the layer before, the rank of each node's best
   family inside each parent mask it reads, as the minimum of the mask's
@@ -130,19 +129,18 @@ def build_local_scores(ctx: ScoreContext, k: int) -> LocalScoreTable:
 
     Each pass enumerates variable subsets T with 1 <= |T| <= k + 1
     depth-first in ascending-id order: a prefix P extends its mixed-radix
-    row code to each child subset P + {y}, y > max(P), and one bincount
-    tallies a batch of those children side by side.
+    row code to each child subset P + {y}, y > max(P).
 
-    Pass 1 tallies every subset and keeps one number of each,
-    H(T) = sum N ln N over the cells of its joint (one lookup in a table of
-    N ln N per batch). A family (x, S) then scores H(S + {x}) - H(S) less
-    its penalty, within half of a slack of its exact score
-    (:func:`_entropy_scores`), so a family that some proper subset beats by
-    more than the slack there is beaten exactly too, and drops out. Pass 2
-    scores each remaining family exactly from the joint of its subset: it
-    tallies a subset again only when no larger subset that holds a
-    remaining family contains it, and sums the others out of those joints
-    (:func:`_plan`). Moving x's axis of a joint to the last place gives
+    Pass 1 tallies every subset, a batch of sibling subsets side by side in
+    one bincount, and keeps one number of each, H(T) = sum N ln N over the
+    cells of its joint (one lookup in a table of N ln N per batch). A family
+    (x, S) then scores H(S + {x}) - H(S) less its penalty, within half of a
+    slack of its exact score (:func:`_entropy_scores`), so a family that
+    some proper subset beats by more than the slack there is beaten exactly
+    too, and drops out. Pass 2
+    tallies again, by one bincount each, the subsets that hold a remaining
+    family (:func:`_plan`), and scores those families exactly from the
+    subset's joint. Moving x's axis of a joint to the last place gives
     exactly the (configuration, child state) table of the family, so each
     score is the float a separate tally of that family would give. Last,
     each family that a proper subset matches or beats in these exact scores
@@ -303,8 +301,8 @@ class _Tallies:
     pass's step and the score array being filled, which lives in anonymous
     shared memory so that forked workers write into it. Pass 1 leaves there
     H(T) of each subset T, in the slot of the family (max T, T - {max T});
-    pass 2 reads the families to ``keep``, the subsets each host has
-    ``served`` and the prefixes to ``extend`` (see :func:`_plan`)."""
+    pass 2 reads the families to ``keep``, the ``kept`` subsets that hold
+    them and the prefixes to ``extend`` (see :func:`_plan`)."""
 
     def __init__(self, ctx: ScoreContext, k: int):
         d = ctx.dataset
@@ -313,8 +311,9 @@ class _Tallies:
         self.cards = d.cardinalities
         self.half_log_n = 0.5 * ctx.log_n
         self.tally = ctx.tally
-        # row code of the current prefix at each depth; depth 0 is empty
-        self.prefix_codes = np.zeros((k + 1, d.n_rows), dtype=np.int64)
+        # row code of the current prefix at each depth, depth 0 empty; pass 2
+        # codes each subset it tallies one depth below its prefix
+        self.prefix_codes = np.zeros((k + 2, d.n_rows), dtype=np.int64)
         members = _popcounts(self.n - 1)
         self.masks = np.flatnonzero(members <= k)
         self.columns = np.full(1 << (self.n - 1), -1, dtype=np.int32)
@@ -338,7 +337,7 @@ class _Tallies:
         counts = np.arange(d.n_rows + 1, dtype=np.float64)
         self.nlogn = counts * np.log(np.maximum(counts, 1))
         # set by each pass
-        self.step = self.keep = self.served = self.extend = None
+        self.step = self.keep = self.kept = self.extend = None
 
 
 def _visit(t: _Tallies, prefix: tuple[int, ...], mask: int, n_cfg: int, y: int) -> None:
@@ -348,15 +347,21 @@ def _visit(t: _Tallies, prefix: tuple[int, ...], mask: int, n_cfg: int, y: int) 
     starts with."""
     if t.extend is not None and mask | 1 << y not in t.extend:
         return
-    depth = len(prefix)
-    code = t.prefix_codes[depth + 1]
-    np.multiply(t.prefix_codes[depth], t.cards[y], out=code)
-    code += t.tally.cols[y]
+    _extend(t, len(prefix), y)
     prefix, mask, n_cfg = prefix + (y,), mask | 1 << y, n_cfg * t.cards[y]
     t.step(t, prefix, mask, n_cfg)
     if len(prefix) < t.k:
         for z in range(y + 1, t.n - 1):
             _visit(t, prefix, mask, n_cfg, z)
+
+
+def _extend(t: _Tallies, depth: int, y: int) -> np.ndarray:
+    """Write the row code of the depth-``depth`` prefix extended by ``y``
+    into the next depth's buffer, and return it."""
+    code = t.prefix_codes[depth + 1]
+    np.multiply(t.prefix_codes[depth], t.cards[y], out=code)
+    code += t.tally.cols[y]
+    return code
 
 
 def _entropies(t: _Tallies, prefix: tuple[int, ...], mask: int, n_cfg: int) -> None:
@@ -370,22 +375,16 @@ def _entropies(t: _Tallies, prefix: tuple[int, ...], mask: int, n_cfg: int) -> N
 
 
 def _score(t: _Tallies, prefix: tuple[int, ...], mask: int, n_cfg: int) -> None:
-    """Pass 2: tally each host ``prefix + (y,)``, y above the prefix, in
-    batches of the prefix's row code, and score the kept families of every
-    subset it serves from its joint (padding sliced off)."""
+    """Pass 2: tally each kept subset ``prefix + (y,)``, y above the prefix,
+    by one bincount of the prefix's row code extended by y, and score its
+    kept families from that joint."""
     first = prefix[-1] + 1 if prefix else 0
-    ys = [y for y in range(first, t.n) if mask | 1 << y in t.served]
-    if not ys:
-        return
     pcards = [t.cards[p] for p in prefix]
-    for ys, joint in t.tally.joints(t.prefix_codes[len(prefix)], n_cfg, ys):
-        for y, counts in zip(ys, joint):
-            members = prefix + (y,)
-            grid = counts[:, :t.cards[y]].reshape(*pcards, t.cards[y])
-            for subset in t.served[mask | 1 << y]:
-                drop = tuple(i for i, v in enumerate(members) if not subset >> v & 1)
-                _score_subset(t, [v for v in members if subset >> v & 1],
-                              grid.sum(axis=drop) if drop else grid)
+    for y in range(first, t.n):
+        if mask | 1 << y in t.kept:
+            cy = t.cards[y]
+            counts = np.bincount(_extend(t, len(prefix), y), minlength=n_cfg * cy)
+            _score_subset(t, [*prefix, y], counts.reshape(*pcards, cy))
 
 
 def _score_subset(t: _Tallies, members: list[int], grid: np.ndarray) -> None:
@@ -458,34 +457,16 @@ def _subset_maxima(t: _Tallies, scores: np.ndarray) -> np.ndarray:
 
 def _plan(t: _Tallies, keep: np.ndarray) -> list[int]:
     """Set pass 2 up for the families that ``keep`` marks, and return each
-    branch's count of the subsets it tallies.
-
-    A subset that holds a kept family is scored from the joint of its host,
-    reached by adding members while the larger subset holds one too: its
-    counts are that joint's sums over the added members' axes, so it is
-    tallied only when it is its own host. ``served`` maps each host to the
-    subsets it serves, ``extend`` holds every prefix that a host starts
-    with, and the table is reset to ``-inf`` for pass 2 to fill."""
+    branch's count of the subsets it tallies: ``kept`` holds every subset
+    that holds a kept family, ``extend`` every prefix that such a subset
+    starts with, and the table is reset to ``-inf`` for pass 2 to fill."""
     t.keep = keep
     x, c = np.nonzero(keep)
-    # sorted by hand: np.unique and np.isin would import numpy.ma (0.5 MB)
-    sets = np.array(sorted(set((_insert_bit(t.masks[c], x) | 1 << x).tolist())))
-    hosts, grown = sets.copy(), True
-    while grown:
-        grown = False
-        for v in range(t.n):
-            larger = hosts | 1 << v
-            at = np.minimum(np.searchsorted(sets, larger), len(sets) - 1)
-            up = (sets[at] == larger) & (larger != hosts)
-            hosts[up] = larger[up]
-            grown |= up.any()
-    t.served = {}
-    for subset, host in zip(sets.tolist(), hosts.tolist()):
-        t.served.setdefault(host, []).append(subset)
+    t.kept = set((_insert_bit(t.masks[c], x) | 1 << x).tolist())
     t.extend = set()
     sizes = [0] * len(_branch_sizes(t.n, t.k))
-    for host in t.served:
-        prefix = host ^ 1 << host.bit_length() - 1
+    for subset in t.kept:
+        prefix = subset ^ 1 << subset.bit_length() - 1
         if prefix:
             sizes[(prefix & -prefix).bit_length() - 1] += 1
         while prefix:

@@ -815,13 +815,13 @@ class TestRunBenchmark:
         calls = [line.split(" ", 1) for line in log.read_text().splitlines()]
         assert [call for _, call in calls] == ["workers 1 1"] * 6
         assert str(os.getpid()) not in {pid for pid, _ in calls}
-        # in this process the same table's first pass forks two shares, its
-        # second pass tallies 1,020 subsets, below the floor, and learning
-        # forks its table's first pass and its DP into two each
+        # in this process each pass of the same table forks two shares (the
+        # second tallies 2,229 subsets, above the floor), and learning forks
+        # its table's passes and its DP into two each
         log.unlink()
         d = sample(bn, 1000, seed=0)
         build_local_scores(ScoreContext(d), 4)
-        table = ["workers 2 2", "fork score table 2", "workers 1 2"]
+        table = ["workers 2 2", "fork score table 2"] * 2
         assert log.read_text() == "".join(f"{os.getpid()} {call}\n" for call in table)
         log.unlink()
         learn_exact(d)

@@ -234,27 +234,29 @@ class TestGreedyStatisticSelection:
 
 def find_separator_per_candidate(q, ctx):
     """The search with one f_bic tally pair per candidate and no batch fill,
-    kept as the reference the batched search must equal exactly."""
+    kept as the reference the batched search must equal exactly; like
+    is_independent, it takes u = min and v = max of the query's pair."""
+    u, v = min(q.u, q.v), max(q.u, q.v)
     z = set(q.compulsory)
-    blocked = set(q.forbidden) | {q.u, q.v}
+    blocked = set(q.forbidden) | {u, v}
     trace = []
     if len(z) > q.h:
         return SeparatorResult(found=False, trace=trace)
-    if is_independent(ctx, q.u, q.v, z, q.alpha).independent:
+    if is_independent(ctx, u, v, z, q.alpha).independent:
         return SeparatorResult(found=True, z=frozenset(z), trace=trace)
     while len(z) < q.h:
         best, best_stat = None, float("inf")
         for y in range(ctx.dataset.n_variables):
             if y in z or y in blocked:
                 continue
-            stat = f_bic(ctx, q.u, q.v, z | {y}).statistic
+            stat = f_bic(ctx, u, v, z | {y}).statistic
             if stat < best_stat:
                 best, best_stat = y, stat
         if best is None:
             break
         z.add(best)
         trace.append((best, best_stat))
-        if is_independent(ctx, q.u, q.v, z, q.alpha).independent:
+        if is_independent(ctx, u, v, z, q.alpha).independent:
             return SeparatorResult(found=True, z=frozenset(z), trace=trace)
     return SeparatorResult(found=False, trace=trace)
 
@@ -309,3 +311,34 @@ class TestBatchedSteps:
         got = find_separator(q, ScoreContext(d))
         want = find_separator_per_candidate(q, ScoreContext(d))
         assert (got.found, got.z, got.trace) == (want.found, want.z, want.trace)
+
+    def test_swapped_pair_gives_the_same_search(self):
+        # the statistics of both orders differ in their last bits when each
+        # takes its own u as the child
+        d, _ = chain_data()
+        a = find_separator(SeparatorQuery(u=0, v=2), ScoreContext(d))
+        b = find_separator(SeparatorQuery(u=2, v=0), ScoreContext(d))
+        assert a.trace and a.trace[0][0] == 1
+        assert (b.found, b.z, b.trace) == (a.found, a.z, a.trace)
+
+    def test_u_above_v_tallies_no_family_after_the_first_test(self, monkeypatch):
+        from latentdag import ci, scoring
+        events = []
+        count, test = scoring.count, ci.is_independent
+
+        def count_spy(*args):
+            events.append("count")
+            return count(*args)
+
+        def test_spy(*args):
+            got = test(*args)
+            events.append("test")
+            return got
+
+        monkeypatch.setattr(scoring, "count", count_spy)
+        monkeypatch.setattr(ci, "is_independent", test_spy)
+        r = find_separator(SeparatorQuery(u=3, v=1), ScoreContext(hidden_pair_data()))
+        # each step's batch holds both scores of the next verdict
+        assert len(r.trace) == 2
+        first = events.index("test")
+        assert events[first + 1:] == ["test"] * len(r.trace)

@@ -453,6 +453,31 @@ class TestRowCodes:
         assert np.array_equal(code, want)
 
 
+def twenty_ten_state_columns():
+    """Ten rows of twenty 10-state variables: 10**20 joint configurations,
+    more than int64 codes can number."""
+    vs = [VariableMeta(f"V{i}", tuple(f"s{j}" for j in range(10))) for i in range(20)]
+    return Dataset(vs, np.random.default_rng(0).integers(0, 10, (10, 20)))
+
+
+class TestCodeOverflow:
+    @pytest.mark.parametrize("call", [
+        lambda d: row_codes(d.values.T, d.cardinalities, range(20)),
+        lambda d: count(d, 0, range(1, 20)),
+    ], ids=["row_codes", "count"])
+    def test_names_the_variables_past_int64(self, call):
+        with pytest.raises(ValueError, match=r"variables \[0, 1, .*, 19\] number 10{20},"):
+            call(twenty_ten_state_columns())
+
+    def test_the_limit_is_a_bincount_length(self):
+        # 2**62 codes fit; 2**63 fit an int64 but not a bincount's length
+        vs = [VariableMeta(f"V{i}", ("a", "b")) for i in range(63)]
+        d = Dataset(vs, np.ones((1, 63), dtype=np.int64))
+        assert row_codes(d.values.T, d.cardinalities, range(62)).tolist() == [2**62 - 1]
+        with pytest.raises(ValueError, match=rf"number {2**63},"):
+            row_codes(d.values.T, d.cardinalities, range(63))
+
+
 @st.composite
 def tally_cases(draw):
     """Columns of 2 to 6 states, an ascending base set (possibly empty), the

@@ -32,6 +32,7 @@ from latentdag.scoring import drop_bic, fill_bic, log_likelihood
 from oracles import bic_direct, g2_direct
 from test_cli import write_csv
 from test_confounder import planted_dataset
+from test_data import twenty_ten_state_columns
 
 
 def make_context(columns, cards=None):
@@ -372,6 +373,20 @@ def batch_cases(draw):
     cached = draw(st.sets(st.sampled_from(keys)))
     cap = draw(st.sampled_from([1 << 20, 1, 9, 100]))
     return cols, cards, x, base, ys, drop, keys, cached, cap
+
+
+class TestCodeOverflow:
+    @pytest.mark.parametrize("call, message", [
+        (lambda ctx: bic(ctx, 0, range(1, 20)), r"variables \[0, 1, .*, 19\] number 10{20},"),
+        (lambda ctx: fill_bic(ctx, 0, range(1, 19), [19]),
+         r"variables \[0, 1, .*, 18\] number 10{19},"),
+        # the base code fits, but not once widened by the candidate's states
+        (lambda ctx: fill_bic(ctx, 0, range(1, 18), [18]),
+         r"cells of 10{18} base configurations by the states of variables \[18\] number 10{19},"),
+    ], ids=["bic", "fill_bic-base", "fill_bic-widened"])
+    def test_names_the_variables_past_int64(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call(ScoreContext(twenty_ten_state_columns()))
 
 
 class TestFillBic:
