@@ -15,6 +15,7 @@ the layout conventions fixed here propagate to the whole package:
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -341,14 +342,22 @@ class BatchTally:
     """Joint tallies of one base variable set with each of several extra
     variables, side by side in one bincount.
 
-    Reads the dataset's own int64 columns and holds workspace buffers sized
-    once, so a caller that tallies many batches (the exact learner's score
-    table, each separator step, each hill-climb target) allocates them once.
+    The states of all variables share one row of slots, in id order:
+    variable y owns the ``cards[y]`` slots from ``slots[y]``, the summed
+    domain sizes of the variables before it. ``shifted`` holds each column
+    moved to its slots, a copy of the dataset's int64 columns (8 bytes per
+    cell: 0.8 MB for 20 variables over 5,000 rows), so that one add of the
+    scaled base code to a batch's shifted columns writes every row code of
+    the batch. Holds workspace buffers sized once, so a caller that tallies
+    many batches (the exact learner's score table, each separator step,
+    each hill-climb target) allocates them once.
     """
 
     def __init__(self, d: Dataset):
         self.cards = d.cardinalities
         self.cols = d.values.T
+        self.slots = [0, *itertools.accumulate(self.cards)]
+        self.shifted = self.cols + np.array(self.slots[:-1], dtype=np.int64)[:, None]
         self.batch_rows = max(1, min(d.n_variables, _BATCH_ELEMENTS // d.n_rows))
         self.codes = np.empty((self.batch_rows, d.n_rows), dtype=np.int64)
         self.scaled = np.empty(d.n_rows, dtype=np.int64)
@@ -358,32 +367,42 @@ class BatchTally:
         return row_codes(self.cols, self.cards, variables)
 
     def joints(self, code: np.ndarray, n_cfg: int, ys: Sequence[int]):
-        """Yield ``(chunk, joint)`` batches that cover the ascending ids ``ys``.
+        """Yield ``(chunk, joint, at)`` batches that cover the ascending ids
+        ``ys``.
 
-        ``code`` takes values below ``n_cfg``. ``joint[j]`` is the
-        ``(n_cfg, width)`` grid counting the rows by (``code``, state of
-        ``chunk[j]``), where ``width`` is the widest domain in the chunk; the
-        padding cells beyond a variable's own domain count zero. A chunk's
-        row codes and joints hold at most ``_BATCH_ELEMENTS`` elements,
-        unless a single joint is larger. A chunk whose joints span more
-        cells than int64 codes can number raises ``ValueError``.
+        ``code`` takes values below ``n_cfg``. ``joint`` is an
+        ``(n_cfg, span)`` grid that counts the rows by (``code``, slot) over
+        the slots from ``chunk[0]``'s first to ``chunk[-1]``'s last, and
+        ``joint[:, at[j]:at[j] + cards[y]]`` is the (``code``, state of y)
+        table of ``y = chunk[j]``. No table is padded to another's domain;
+        only the slots of ids between those of the chunk that it does not
+        hold count zero. A chunk's row codes and joint hold at most
+        ``_BATCH_ELEMENTS`` elements, unless a single table is larger. A
+        chunk whose joint spans more cells than int64 codes can number
+        raises ``ValueError`` before any code is written.
         """
-        cards = self.cards
-        step = max(1, min(self.batch_rows,
-                          _BATCH_ELEMENTS // (n_cfg * max(cards[y] for y in ys))))
-        for lo in range(0, len(ys), step):
-            chunk = ys[lo:lo + step]
-            m = len(chunk)
-            # child j's joint sits at offset j * n_cfg * width
-            width = max(cards[y] for y in chunk)
-            _check_codes(m * n_cfg * width, "the cells of {} base configurations by the "
+        slots, cards = self.slots, self.cards
+        room = max(1, _BATCH_ELEMENTS // n_cfg)  # slots per chunk
+        lo = 0
+        while lo < len(ys):
+            first = slots[ys[lo]]
+            hi = min(len(ys), lo + self.batch_rows)
+            while hi - lo > 1 and slots[ys[hi - 1] + 1] - first > room:
+                hi -= 1
+            chunk = ys[lo:hi]
+            lo = hi
+            m, span = len(chunk), slots[chunk[-1] + 1] - first
+            _check_codes(n_cfg * span, "the cells of {} base configurations by the "
                          "states of variables {}", n_cfg, list(chunk))
             codes = self.codes[:m]
-            np.multiply(code, width, out=self.scaled)
-            # ascending distinct ids that span m slots are a slice: no copy
-            rows = (self.cols[chunk[0]:chunk[-1] + 1] if chunk[-1] - chunk[0] == m - 1
-                    else self.cols[chunk])
-            np.add(rows, self.scaled, out=codes)
-            codes += np.arange(0, m * n_cfg * width, n_cfg * width)[:, None]
-            joint = np.bincount(codes.ravel(), minlength=m * n_cfg * width)
-            yield chunk, joint.reshape(m, n_cfg, width)
+            np.multiply(code, span, out=self.scaled)
+            self.scaled -= first
+            # each run of consecutive ids adds a slice of the shifted columns;
+            # ascending ids that span m slots are one run
+            runs = ([range(m)] if chunk[-1] - chunk[0] == m - 1 else
+                    [list(run) for _, run in itertools.groupby(range(m), lambda j: chunk[j] - j)])
+            for run in runs:
+                np.add(self.shifted[chunk[run[0]]:chunk[run[-1]] + 1], self.scaled,
+                       out=codes[run[0]:run[-1] + 1])
+            joint = np.bincount(codes.ravel(), minlength=n_cfg * span)
+            yield chunk, joint.reshape(n_cfg, span), [slots[y] - first for y in chunk]

@@ -13,28 +13,33 @@ Two engines behind one config:
   sum N ln N of each and rules out each family that a subset beats by more
   than a bound on both routes' rounding. The second tallies again, one
   bincount each, the subsets that hold the remaining families, and scores
-  those exactly from their joints. (2) Rank each node's families by best
-  score, then fewest members, then smallest mask. (3) Run dynamic
-  programming over node subsets, layer by popcount, that keeps only each
-  subset's best score, a value that no candidate order can change; each
-  layer first derives, from the layer before, the rank of each node's best
-  family inside each parent mask it reads, as the minimum of the mask's
-  own rank and those of the masks one member short, so no array spans
-  every parent mask. The graph is rebuilt by peeling sinks, and the peel
-  sets the tie rule: each subset's sink is the smallest member whose
-  candidate attains its best, and its parents are its best-ranked family
-  in the remaining nodes, found by a scan of the stored sets. Feasible up
-  to 20 nodes with k <= 4, where the best scores (8 MB) are the largest
-  array, against 0.8 MB of scores.
+  those exactly from their joints. The filter between the passes and the
+  last one after them work on every node's scores at once. (2) Rank each
+  node's families by best score, then fewest members, then smallest mask:
+  one sort orders the finite families of all nodes, and the ``-inf`` ones
+  follow in one fixed order. (3) Run dynamic programming over node
+  subsets, layer by popcount (the masks of each popcount listed once, for
+  both halves), that keeps only each subset's best score, a value that no
+  candidate order can change; each layer first derives, from the layer
+  before, the rank of each node's best family inside each parent mask it
+  reads, as the minimum of the mask's own rank and those of the masks one
+  member short, so no array spans every parent mask. The graph is rebuilt
+  by peeling sinks, and the peel sets the tie rule: each subset's sink is
+  the smallest member whose candidate attains its best, and its parents
+  are its best-ranked family in the remaining nodes, the first of its
+  finite families in rank order that fits there, found for every member
+  at once. Feasible up to 20 nodes with k <= 4, where the best scores
+  (8 MB) are the largest array, against 0.8 MB of scores.
   One rule sets the processes of the table and of the DP, checked as each
   starts. Each runs in one process on a single CPU, where ``fork`` is
   missing or unsafe, or in a process that ``multiprocessing`` started
   (the outermost layer with independent work takes the CPUs, and nothing
   inside it forks again). Otherwise each pass of step (1) splits its
   branches (the subsets by smallest member) over the usable CPUs from
-  ``_FORK_MIN_SUBSETS`` subsets, and step (3) splits on the top node
-  into two processes from ``_FORK_MIN_DP_NODES`` nodes, each half deriving
-  the ranks it reads in its own arrays. Both fork into arrays in shared
+  ``_FORK_MIN_SUBSETS`` units of work, a unit being a subset tallied or a
+  family scored exactly, and step (3) splits on the top node into two
+  processes from ``_FORK_MIN_DP_NODES`` nodes, each half deriving the
+  ranks it reads in its own arrays. Both fork into arrays in shared
   memory. Every array is bit-identical at every worker count.
 * ``learn_hill_climb`` — add/remove/reverse local search with best-improvement
   moves and seeded random restarts. The climber keeps n x n arrays of add
@@ -150,14 +155,16 @@ def build_local_scores(ctx: ScoreContext, k: int) -> LocalScoreTable:
 
     Branch ``y`` holds the subsets of two or more members whose smallest
     member is ``y``. In each pass the branches are split over the usable
-    CPUs, and each share but the first runs in a process forked for it, all
-    into one array in shared memory. Every value comes from one subset, in
-    the same steps in whichever process, so the table is bit-identical at
-    every worker count. A pass runs serially on one CPU, where ``fork`` is
-    missing or unsafe (beside other threads), in a process that
-    ``multiprocessing`` started (a benchmark repetition in its pool, say,
-    whose pool already holds the CPUs), and below ``_FORK_MIN_SUBSETS``
-    subsets, where a fork costs more than it saves.
+    CPUs, balanced by their work (pass 1 tallies each subset; pass 2 also
+    scores each kept family exactly, a unit of work each), and each share
+    but the first runs in a process forked for it, all into one array in
+    shared memory. Every value comes from one subset, in the same steps in
+    whichever process, so the table is bit-identical at every worker count.
+    A pass runs serially on one CPU, where ``fork`` is missing or unsafe
+    (beside other threads), in a process that ``multiprocessing`` started
+    (a benchmark repetition in its pool, say, whose pool already holds the
+    CPUs), and below ``_FORK_MIN_SUBSETS`` units of work, where a fork
+    costs more than it saves.
     """
     _check_integer("k", k)
     if k < 0:
@@ -168,25 +175,23 @@ def build_local_scores(ctx: ScoreContext, k: int) -> LocalScoreTable:
     if n == 0:
         return LocalScoreTable(0, k, np.empty(0, dtype=np.intp), np.empty((0, 0)))
     t = _Tallies(ctx, k)
-    _run_pass(t, _entropies, _branch_sizes(n, k))
-    keep = np.empty(t.scores.shape, dtype=bool)
-    for x in range(n):
-        approx, slack = _entropy_scores(t, x)
-        keep[x] = approx >= _subset_maxima(t, approx) - slack
-    _run_pass(t, _score, _plan(t, keep))
+    _run_pass(t, _entropies, n, _branch_sizes(n, k))
+    approx, slack = _entropy_scores(t)
+    keep = approx >= _subset_maxima(t, approx) - slack[:, None]
+    _run_pass(t, _score, *_plan(t, keep))
     # a family that a proper subset matches ranks after it, by fewer members
-    for row in t.scores:
-        row[~(row > _subset_maxima(t, row))] = -np.inf
+    t.scores[~(t.scores > _subset_maxima(t, t.scores))] = -np.inf
     return LocalScoreTable(n, k, t.masks, t.scores)
 
 
-def _run_pass(t: _Tallies, step, sizes: list[int]) -> None:
-    """Run ``step`` on the singletons here, then on every branch, whose
-    subset counts are ``sizes``, split over the processes that
-    :func:`_workers` allows for that many subsets."""
+def _run_pass(t: _Tallies, step, here: int, sizes: list[int]) -> None:
+    """Run ``step`` on the singletons here, then on every branch, split over
+    the processes that :func:`_workers` allows for the pass's work: ``here``
+    units on the singletons and ``sizes`` on the branches, a unit being a
+    subset tallied or a family scored exactly."""
     t.step = step
     step(t, (), 0, 1)
-    shares = _shares(sizes, _workers(t.n, t.k, t.n + sum(sizes))[0])
+    shares = _shares(sizes, _workers(t.n, t.k, here + sum(sizes))[0])
     _fork_shares(lambda share: _run_share(t, share), shares, "score table", "branches")
 
 
@@ -196,9 +201,15 @@ def _branch_sizes(n: int, k: int) -> list[int]:
             for y in range(n - 1 if k else 0)]
 
 
-# Tables of fewer subsets are built serially. On 2 cores a second worker
-# paid off from about 400 subsets at 50 rows, and from about 1,000 in a
-# process holding 400 MB, whose fork copies more page tables.
+# A pass of the table with less work runs serially. Its work counts a unit
+# per subset tallied and per family scored exactly: a subset that shares
+# pass 1's batches and a pass-2 tally or exact score each cost about
+# 10-20 us at 5k rows. On 2 vCPUs, timing passes of child samples at 1 and
+# 2 workers in alternation, a second worker paid off in pass 1 from about
+# 1,000 units (child cut to 11 nodes at 5k rows) while the second vCPU was
+# free, and lost up to 3,500 while it was busy; in pass 2 it paid off from
+# about 1,300 units (3k rows) in one set and from about 1,900 (5k rows) in
+# another, and never below 900.
 _FORK_MIN_SUBSETS = 1500
 # The DP over fewer nodes runs in one process. On 2 cores, with child at
 # 5k rows cut to its first m nodes, forking the DP (then in two stages)
@@ -223,13 +234,15 @@ def _cpu_budget() -> int:
     return 1 if multiprocessing.parent_process() is not None else _usable_cpus()
 
 
-def _workers(n: int, k: int, subsets: int | None = None) -> tuple[int, int]:
-    """How many processes tally ``subsets`` table subsets (by default all
-    of those of ``n`` nodes under the cap ``k``), and how many run the DP
-    over those nodes: at most two, one per half of its layer split."""
-    if subsets is None:
-        subsets = n + sum(_branch_sizes(n, k))
-    table = subsets >= _FORK_MIN_SUBSETS
+def _workers(n: int, k: int, work: int | None = None) -> tuple[int, int]:
+    """How many processes run a pass of the table that does ``work`` units
+    (subsets tallied plus families scored exactly; by default a first pass
+    over ``n`` nodes under the cap ``k``, which tallies every subset), and
+    how many run the DP over those nodes: at most two, one per half of its
+    layer split."""
+    if work is None:
+        work = n + sum(_branch_sizes(n, k))
+    table = work >= _FORK_MIN_SUBSETS
     dp = n >= _FORK_MIN_DP_NODES
     if not (table or dp):
         return 1, 1
@@ -367,11 +380,13 @@ def _extend(t: _Tallies, depth: int, y: int) -> np.ndarray:
 def _entropies(t: _Tallies, prefix: tuple[int, ...], mask: int, n_cfg: int) -> None:
     """Pass 1: H of every subset ``prefix + (y,)``, y above the prefix, from
     batch tallies of the prefix's row code, into the slot of the family
-    (y, prefix); padding cells count zero and add nothing."""
+    (y, prefix). The ys of a batch are consecutive ids, so each owns one
+    run of its joint's columns."""
     first = prefix[-1] + 1 if prefix else 0
     c = t.column[mask]
-    for ys, joint in t.tally.joints(t.prefix_codes[len(prefix)], n_cfg, range(first, t.n)):
-        t.scores[ys, c] = t.nlogn.take(joint.reshape(len(ys), -1)).sum(axis=1)
+    for ys, joint, at in t.tally.joints(t.prefix_codes[len(prefix)], n_cfg, range(first, t.n)):
+        cells = np.add.reduce(t.nlogn.take(joint), axis=0)
+        t.scores[ys.start:ys.stop, c] = np.add.reduceat(cells, at)
 
 
 def _score(t: _Tallies, prefix: tuple[int, ...], mask: int, n_cfg: int) -> None:
@@ -404,19 +419,26 @@ def _score_subset(t: _Tallies, members: list[int], grid: np.ndarray) -> None:
             t.scores[x, c] = ll - t.half_log_n * (cx - 1) * (grid.size // cx)
 
 
-def _entropy_scores(t: _Tallies, x: int) -> tuple[np.ndarray, float]:
-    """Node x's family scores from the H values that pass 1 left, in the
-    table's layout, and the slack: twice a bound on how far any of these
-    can fall from the exact score that pass 2 would give."""
-    parents = _insert_bit(t.masks, x)
-    h_family = _entropy_of(t, parents | 1 << x)
+def _entropy_scores(t: _Tallies) -> tuple[np.ndarray, np.ndarray]:
+    """Every node's family scores from the H values that pass 1 left, in
+    the table's layout, and each node's slack: twice a bound on how far any
+    of its scores can fall from the exact score that pass 2 would give."""
+    nodes = np.arange(t.n)[:, None]
+    parents = _insert_bit(t.masks, nodes)
+    h_family = _entropy_of(t, parents | 1 << nodes)
     # the empty set's one cell counts every row
-    h_parents = np.full(len(parents), t.nlogn[-1])
-    h_parents[1:] = _entropy_of(t, parents[1:])
-    configs = np.ones(len(parents), dtype=np.int64)
-    for v, card in enumerate(t.cards):
-        configs[parents >> v & 1 == 1] *= card
-    penalties = t.half_log_n * (t.cards[x] - 1) * configs
+    h_parents = np.full(parents.shape, t.nlogn[-1])
+    h_parents[:, 1:] = _entropy_of(t, parents[:, 1:])
+    # the configurations of a parent mask: those of the mask without its
+    # lowest member, times that member's states, built by member count
+    cards = np.array(t.cards)
+    slots = np.arange(t.n - 1)
+    others = cards[slots + (slots >= nodes)]  # row x: the cards of x's parent slots
+    configs = np.ones(parents.shape, dtype=np.int64)
+    for cols, drops in t.layers:
+        low = t.masks[cols] & -t.masks[cols]
+        configs[:, cols] = configs[:, drops[0]] * others[:, np.frexp(low)[1] - 1]
+    penalties = t.half_log_n * (cards[:, None] - 1) * configs
     # Either route adds at most N nonzero terms (a joint has at most N
     # occupied cells), whose sizes sum to at most A = N (1 + ln N): a count
     # N_c weighs at most ln N, in N_c ln N_c and in N_xz ln(N_xz / N_z).
@@ -427,7 +449,7 @@ def _entropy_scores(t: _Tallies, x: int) -> tuple[np.ndarray, float]:
     # (3.03 N + 30) u (A + P) < (3N + 16) eps (A + P).
     n_rows = len(t.nlogn) - 1
     bound = ((3 * n_rows + 16) * np.finfo(np.float64).eps
-             * (n_rows * (1 + math.log(n_rows)) + float(penalties.max())))
+             * (n_rows * (1 + math.log(n_rows)) + penalties.max(axis=1)))
     return h_family - h_parents - penalties, 2 * bound
 
 
@@ -440,40 +462,46 @@ def _entropy_of(t: _Tallies, sets: np.ndarray) -> np.ndarray:
 
 
 def _subset_maxima(t: _Tallies, scores: np.ndarray) -> np.ndarray:
-    """For one node's ``scores``, each family's best score over the proper
-    subsets of its parents: the largest ``scores[c']`` over the masks
-    ``c'`` strictly inside ``masks[c]``, ``-inf`` for the empty set. Built
-    by member count, from the best inside each mask one member short."""
-    below = np.full(len(scores), -np.inf)
+    """For every node's row of ``scores``, each family's best score over the
+    proper subsets of its parents: the largest ``scores[x, c']`` over the
+    masks ``c'`` strictly inside ``masks[c]``, ``-inf`` for the empty set.
+    Built by member count, from the best inside each mask one member short,
+    for all nodes at once."""
+    below = np.full(scores.shape, -np.inf)
     inside = scores.copy()
     for cols, drops in t.layers:
-        best = below[cols]
+        best = below[:, cols]
         for sub in drops:
-            np.maximum(best, inside[sub], out=best)
-        below[cols] = best
-        inside[cols] = np.maximum(scores[cols], best)
+            np.maximum(best, inside[:, sub], out=best)
+        below[:, cols] = best
+        inside[:, cols] = np.maximum(scores[:, cols], best)
     return below
 
 
-def _plan(t: _Tallies, keep: np.ndarray) -> list[int]:
-    """Set pass 2 up for the families that ``keep`` marks, and return each
-    branch's count of the subsets it tallies: ``kept`` holds every subset
-    that holds a kept family, ``extend`` every prefix that such a subset
-    starts with, and the table is reset to ``-inf`` for pass 2 to fill."""
+def _plan(t: _Tallies, keep: np.ndarray) -> tuple[int, list[int]]:
+    """Set pass 2 up for the families that ``keep`` marks, and return its
+    work (a unit per subset tallied and per family scored) on the
+    singletons and on each branch: ``kept`` holds every subset that holds a
+    kept family, ``extend`` every prefix that such a subset starts with,
+    and the table is reset to ``-inf`` for pass 2 to fill."""
     t.keep = keep
     x, c = np.nonzero(keep)
-    t.kept = set((_insert_bit(t.masks[c], x) | 1 << x).tolist())
+    subsets, families = np.unique(_insert_bit(t.masks[c], x) | 1 << x, return_counts=True)
+    t.kept = set(subsets.tolist())
     t.extend = set()
-    sizes = [0] * len(_branch_sizes(t.n, t.k))
-    for subset in t.kept:
-        prefix = subset ^ 1 << subset.bit_length() - 1
-        if prefix:
-            sizes[(prefix & -prefix).bit_length() - 1] += 1
+    for prefix in t.kept:
+        prefix ^= 1 << prefix.bit_length() - 1
         while prefix:
             t.extend.add(prefix)
             prefix ^= 1 << prefix.bit_length() - 1
+    # a subset of two or more members lies in the branch of its lowest one
+    low = subsets & -subsets
+    work = 1 + families
+    single = subsets == low
+    branches = np.bincount(np.frexp(low[~single])[1] - 1, work[~single],
+                           minlength=len(_branch_sizes(t.n, t.k)))
     t.scores.fill(-np.inf)
-    return sizes
+    return int(work[single].sum()), branches.astype(np.int64).tolist()
 
 
 def _popcounts(n_bits: int) -> np.ndarray:
@@ -523,47 +551,99 @@ def learn_exact(d: Dataset, cfg: LearnerConfig = LearnerConfig(),
     dp_workers = _workers(n, k)[1]
 
     # rank each node's families by best score, then fewest members, then
-    # smallest mask, and keep the scores in rank order; rank_of[x] holds the
-    # ranks in stored order, and the DP's halves derive from it the rank of
-    # x's best family inside each parent mask, a layer at a time. The empty
-    # set is stored and finite, so every mask holds a family, and the
-    # table's -inf families rank last; the peel scans the ranks again, so
-    # the order array goes before the DP.
-    popcnt = _popcounts(n - 1)
-    members = popcnt[stored]
-    order = np.array([np.lexsort((members, -row)) for row in scores])
-    vals = np.take_along_axis(scores, order, axis=1)
-    rank_of = np.empty(order.shape, dtype=np.uint16)
-    rank_of[np.arange(n)[:, None], order] = np.arange(len(stored))
-    del order
+    # smallest mask; the DP's halves derive from the ranks the rank of x's
+    # best family inside each parent mask, a layer at a time. The empty set
+    # is stored and finite, so every mask holds a family, and the table's
+    # -inf families rank last.
+    rank_of, vals, best = _rank(scores, stored)
 
     # best score of each variable subset, in shared memory for the layers'
     # second process
     dp = np.frombuffer(mmap.mmap(-1, 8 << n), dtype=np.float64)
     dp.fill(-np.inf)
     dp[0] = 0.0
-    _fork_layers(dp, vals, rank_of, stored, popcnt, k, dp_workers)
+    _fork_layers(dp, vals, rank_of, stored, k, dp_workers)
 
     # peel the sinks, which sets the tie rule: a subset's sink is the
     # smallest x whose candidate attains its best. A sink's parents are its
     # best-ranked family in the remaining variables: the first stored set,
     # by fewest members then smallest mask, that scores the best there.
     g = Dag(n, [v.name for v in d.variables])
+    nodes = np.arange(n)
     mask = (1 << n) - 1
     while mask:
-        for x in range(n):
-            if mask >> x & 1:
-                # x's best-ranked stored family inside the other members
-                fits = np.flatnonzero((stored & ~_drop_bit(mask ^ 1 << x, x)) == 0)
-                c = fits[rank_of[x, fits].argmin()]
-                if dp[mask ^ 1 << x] + vals[x, rank_of[x, c]] == dp[mask]:
-                    break
+        xs = nodes[mask >> nodes & 1 == 1]
+        rest = mask ^ 1 << xs
+        # each member's best-ranked family inside the other members; the
+        # empty set fits any, so the first fit lies among the finite ranks
+        fit = (best[xs] & ~_drop_bit(rest, xs)[:, None] == 0).argmax(axis=1)
+        i = int((dp[rest] + vals[xs, fit] == dp[mask]).argmax())
+        x = int(xs[i])
         mask ^= 1 << x
-        pmask = _insert_bit(int(stored[c]), x)
+        pmask = _insert_bit(int(best[x, fit[i]]), x)
         for p in range(n):
             if pmask >> p & 1:
                 g.add_arc(p, x)
     return g
+
+
+def _rank(scores: np.ndarray, stored: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rank each node's stored families by best score, then fewest members,
+    then smallest mask. Returns each family's rank in stored order (uint16),
+    the scores in rank order, and the masks of each node's finite families
+    in rank order, padded with -1 to the longest such run.
+
+    The finite families lead each row, sorted in one pass over those of
+    all rows; the -inf ones follow in the order of (members, mask), the
+    same for every row, so only the finite families are sorted."""
+    n = len(scores)
+    members = _popcounts(n - 1)[stored]
+    finite = scores > -np.inf
+    heads = np.count_nonzero(finite, axis=1)
+    # the -inf families' ranks: each row's finite count, then their places
+    # in (members, mask) order
+    by_members = np.argsort(members, kind="stable")
+    tail = ~finite[:, by_members]
+    ranks = np.cumsum(tail, axis=1, dtype=np.uint16)
+    ranks += (heads - 1).astype(np.uint16)[:, None]
+    rank_of = np.empty(scores.shape, dtype=np.uint16)
+    rank_of[:, by_members] = ranks
+    # the finite families' ranks overwrite the rest
+    xs, cs = np.nonzero(finite)
+    order = np.lexsort((members[cs], -scores[xs, cs], xs))
+    xs, cs = xs[order], cs[order]
+    rank = np.arange(len(xs)) - (np.cumsum(heads) - heads)[xs]
+    rank_of[xs, cs] = rank
+    vals = np.full(scores.shape, -np.inf)
+    vals[xs, rank] = scores[xs, cs]
+    best = np.full((n, heads.max()), -1, dtype=stored.dtype)
+    best[xs, rank] = stored[cs]
+    return rank_of, vals, best
+
+
+def _masks_by_popcount(n_bits: int):
+    """Yield the masks below ``1 << n_bits`` of popcount 0, 1, ..., n_bits
+    in turn, each ascending: every mask sorted stably by popcount, one
+    layer at a time. The masks of each popcount over the low bits (all but
+    the top four) are built by doubling (those of count p over one bit more
+    are those of count p, then those of count p - 1 with the new bit); a
+    layer joins, for each pattern of the top bits in ascending order, the
+    low masks whose popcount completes it."""
+    top = min(n_bits, 4)
+    groups = [np.zeros(1, dtype=np.int32)]
+    none = groups[0][:0]
+    for b in range(n_bits - top):
+        groups = [np.concatenate([low, high | 1 << b])
+                  for low, high in zip([*groups, none], [none, *groups])]
+    for p in range(n_bits + 1):
+        parts = [(groups[p - h.bit_count()], h << (n_bits - top))
+                 for h in range(1 << top) if 0 <= p - h.bit_count() < len(groups)]
+        layer = np.empty(sum(len(low) for low, _ in parts), dtype=np.intp)
+        at = 0
+        for low, high in parts:
+            np.bitwise_or(low, high, out=layer[at:at + len(low)])
+            at += len(low)
+        yield layer
 
 
 def _rank_layer(rank_of: np.ndarray, rows: slice, stored: np.ndarray, k: int,
@@ -601,7 +681,7 @@ def _rank_layer(rank_of: np.ndarray, rows: slice, stored: np.ndarray, k: int,
 
 
 def _layers(dp: np.ndarray, vals: np.ndarray, rank_of: np.ndarray, stored: np.ndarray,
-            popcnt: np.ndarray, k: int, top: bool, sync) -> None:
+            k: int, top: bool, sync) -> None:
     """Fill the subsets of ``dp`` with (``top`` True) or without (False)
     node n - 1, layer by popcount: each subset of layer s takes the best of
     ``dp[T - {x}] + vals[x][r]`` over its members x, where r is the rank of
@@ -627,9 +707,8 @@ def _layers(dp: np.ndarray, vals: np.ndarray, rank_of: np.ndarray, stored: np.nd
     half = 1 << max(n - 2, 0)
     groups = [slice(0, n - 1), slice(n - 1, n)] if top else [slice(0, n - 1)]
     below = [None] * len(groups)
-    place = np.empty(len(popcnt), dtype=np.int32)
-    for s in range(1, n + 1):
-        js = np.flatnonzero(popcnt == s - 1)
+    place = np.empty(1 << max(n - 1, 0), dtype=np.int32)
+    for s, js in enumerate(_masks_by_popcount(max(n - 1, 0)), 1):
         place[js] = np.arange(len(js))
         cut = int(np.searchsorted(js, half))
         picks = [js if s - 1 <= k else js[cut:], js] if top else [js[:cut]]
@@ -674,7 +753,7 @@ def _fill_layer(dp: np.ndarray, vals: np.ndarray, js: np.ndarray, cut: int, top:
 
 
 def _fork_layers(dp: np.ndarray, vals: np.ndarray, rank_of: np.ndarray, stored: np.ndarray,
-                 popcnt: np.ndarray, k: int, workers: int) -> None:
+                 k: int, workers: int) -> None:
     """Run both halves of :func:`_layers`, split on node n - 1. Before each
     layer the half without the node, in this process, writes a byte to a
     pipe and the other reads one, so it waits only for the first's previous
@@ -690,7 +769,7 @@ def _fork_layers(dp: np.ndarray, vals: np.ndarray, rank_of: np.ndarray, stored: 
 
     def run(share: list[str]) -> None:
         for half in share:
-            _layers(dp, vals, rank_of, stored, popcnt, k, half == top, syncs[half])
+            _layers(dp, vals, rank_of, stored, k, half == top, syncs[half])
 
     try:
         _fork_shares(run, shares, "DP layer", "subsets")

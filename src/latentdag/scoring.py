@@ -169,25 +169,25 @@ def fill_bic(ctx: ScoreContext, x: int, base, ys, drop: int | None = None) -> li
         base_cards = [cards[p] for p in base]
         tally = ctx.tally
         code = tally.code([x, *base])
-        for chunk, joint in tally.joints(code, cards[x] * math.prod(base_cards), todo):
-            grid = joint.reshape(len(chunk), cards[x], *base_cards, -1)
-            _fill_from(ctx, x, base, chunk, grid, missing[0])
+        for chunk, joint, at in tally.joints(code, cards[x] * math.prod(base_cards), todo):
+            grid = joint.reshape(cards[x], *base_cards, -1)
+            _fill_from(ctx, x, base, chunk, at, grid, missing[0])
             if drop is not None:
-                _fill_from(ctx, x, sets[1], chunk, grid.sum(axis=2 + base.index(drop)),
+                _fill_from(ctx, x, sets[1], chunk, at, grid.sum(axis=1 + base.index(drop)),
                            missing[1])
     return [np.array([memo[key] for key in row], dtype=np.float64) for row in keys]
 
 
-def _fill_from(ctx: ScoreContext, x: int, parents: list[int], chunk, grid: np.ndarray,
-               missing: dict) -> None:
+def _fill_from(ctx: ScoreContext, x: int, parents: list[int], chunk, at,
+               grid: np.ndarray, missing: dict) -> None:
     """Memoise ``bic(x, parents ∪ {y})`` under ``missing[y]`` for the ys of
-    ``chunk`` it names; ``grid[j]`` counts (x, *parents, y) for ``chunk[j]``,
-    y's axis padded.
+    ``chunk`` it names; ``grid[..., at[j]:at[j] + |y|]`` counts
+    (x, *parents, y) for ``y = chunk[j]``.
 
     The tables of the ys of one cardinality share one stack and one kernel
     call. y's axis goes to its sorted slot among the parents; the ys of a
     slot are consecutive in ``chunk``, so each slot fills its block of the
-    stack with one transposed copy.
+    stack with one gathered, transposed copy.
     """
     cards = ctx.dataset.cardinalities
     pcards = [cards[p] for p in parents]
@@ -195,15 +195,22 @@ def _fill_from(ctx: ScoreContext, x: int, parents: list[int], chunk, grid: np.nd
     for j, y in enumerate(chunk):
         if y in missing:
             groups.setdefault(cards[y], []).append(j)
-    last = len(pcards) + 2  # grid axes: row, x, parents, y
+    last = len(pcards) + 1  # grid axes: x, parents, slot
     for c, js in groups.items():
         stack = np.empty((len(js), cards[x], math.prod(pcards) * c), dtype=np.int64)
         lo = 0
         for slot, run in itertools.groupby(js, lambda j: bisect.bisect(parents, chunk[j])):
-            hi = lo + len(list(run))
-            axes = (0, 1, *range(2, 2 + slot), last, *range(2 + slot, last))
+            starts = [at[j] for j in run]
+            hi = lo + len(starts)
+            # the run's tables, indexed last by (table, state of y): a view
+            # when they sit side by side
+            if starts[-1] - starts[0] == (hi - lo - 1) * c:
+                tables = grid[..., starts[0]:starts[-1] + c].reshape(*grid.shape[:-1], -1, c)
+            else:
+                tables = grid[..., np.add.outer(starts, range(c))]
+            axes = (last, 0, *range(1, 1 + slot), last + 1, *range(1 + slot, last))
             block = stack[lo:hi].reshape(hi - lo, cards[x], *pcards[:slot], c, *pcards[slot:])
-            block[...] = grid[js[lo:hi], ..., :c].transpose(axes)
+            block[...] = tables.transpose(axes)
             lo = hi
         _memoise(ctx, x, [missing[chunk[j]] for j in js], stack)
 

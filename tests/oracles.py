@@ -5,8 +5,9 @@ library: a whole-file CSV read instead of row blocks, direct G2 sums instead of 
 enumeration instead of reachability, dict-tally or sort-based counting
 instead of mixed-radix bincounts, one tally per family instead of subset
 tallies and an entropy filter, a check of every parent subset instead of
-running maxima, exhaustive DAG enumeration instead of dynamic programming,
-and full joint enumeration instead of variable elimination.
+running maxima, one node or one row at a time instead of all at once,
+exhaustive DAG enumeration instead of dynamic programming, and full joint
+enumeration instead of variable elimination.
 Agreement between the two routes is the point of the tests.
 """
 
@@ -165,6 +166,55 @@ def _proper_submasks(mask):
     for size in range(len(bits)):
         for sub in itertools.combinations(bits, size):
             yield sum(1 << b for b in sub)
+
+
+def entropy_scores_per_node(t, x):
+    """Node x's entropy scores and slack as the exact learner once took
+    them, one node at a time: ``t`` is the learner's ``_Tallies`` after its
+    first pass, which left H(T) of each subset T in the slot of the family
+    (max T, T - {max T}). Each parent set's configurations are multiplied
+    up one variable at a time over the whole row."""
+    parents = (t.masks & ((1 << x) - 1)) | ((t.masks >> x) << (x + 1))
+
+    def entropy_of(sets):
+        top = np.frexp(sets)[1] - 1
+        return t.scores[top, t.columns[sets ^ (1 << top)]]
+
+    h_family = entropy_of(parents | 1 << x)
+    h_parents = np.full(len(parents), t.nlogn[-1])
+    h_parents[1:] = entropy_of(parents[1:])
+    configs = np.ones(len(parents), dtype=np.int64)
+    for v, card in enumerate(t.cards):
+        configs[parents >> v & 1 == 1] *= card
+    penalties = t.half_log_n * (t.cards[x] - 1) * configs
+    n_rows = len(t.nlogn) - 1
+    bound = ((3 * n_rows + 16) * np.finfo(np.float64).eps
+             * (n_rows * (1 + math.log(n_rows)) + float(penalties.max())))
+    return h_family - h_parents - penalties, 2 * bound
+
+
+def subset_maxima_per_node(t, scores):
+    """For one node's ``scores`` in the layout of ``t.masks``, each
+    family's best score over the proper subsets of its parents, as the
+    exact learner once took it, one node at a time."""
+    below = np.full(len(scores), -np.inf)
+    inside = scores.copy()
+    for cols, drops in t.layers:
+        best = below[cols]
+        for sub in drops:
+            np.maximum(best, inside[sub], out=best)
+        below[cols] = best
+        inside[cols] = np.maximum(scores[cols], best)
+    return below
+
+
+def ranks_per_row(scores, members):
+    """Each row's rank of each column, by best score, then fewest
+    ``members``, then smallest column, from one lexsort per row."""
+    order = np.array([np.lexsort((members, -row)) for row in scores])
+    ranks = np.empty(order.shape, dtype=np.int64)
+    ranks[np.arange(len(scores))[:, None], order] = np.arange(scores.shape[1])
+    return ranks
 
 
 def g2_direct(rows, cards, u, v, z):

@@ -816,8 +816,9 @@ class TestRunBenchmark:
         assert [call for _, call in calls] == ["workers 1 1"] * 6
         assert str(os.getpid()) not in {pid for pid, _ in calls}
         # in this process each pass of the same table forks two shares (the
-        # second tallies 2,229 subsets, above the floor), and learning forks
-        # its table's passes and its DP into two each
+        # second tallies 2,229 subsets and scores 2,738 families, 4,967
+        # units of work, above the floor), and learning forks its table's
+        # passes and its DP into two each
         log.unlink()
         d = sample(bn, 1000, seed=0)
         build_local_scores(ScoreContext(d), 4)

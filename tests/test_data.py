@@ -510,21 +510,68 @@ class TestBatchTally:
                                         tuple(cards[v] for v in (y, *base)))
             return np.bincount(flat, minlength=cards[y] * n_cfg).reshape(cards[y], n_cfg)
 
-        seen = []
+        seen, chunks = [], []
         with mock.patch.object(data, "_BATCH_ELEMENTS", cap):
             tally = BatchTally(d)
             code = tally.code(base)
-            for chunk, joint in tally.joints(code, n_cfg, ys):
-                assert joint.shape == (len(chunk), n_cfg, max(cards[y] for y in chunk))
-                for y, grid in zip(chunk, joint):
+            for chunk, joint, at in tally.joints(code, n_cfg, ys):
+                chunks.append(list(chunk))
+                # the slots run in id order from chunk[0]'s first state to
+                # chunk[-1]'s last, a variable's states each in a slot
+                assert joint.shape == (n_cfg, sum(cards[chunk[0]:chunk[-1] + 1]))
+                assert at == [sum(cards[chunk[0]:y]) for y in chunk]
+                owned = np.zeros(joint.shape[1], dtype=bool)
+                for y, a in zip(chunk, at):
                     seen.append(y)
+                    grid = joint[:, a:a + cards[y]]
+                    owned[a:a + cards[y]] = True
                     assert grid.sum() == d.n_rows
-                    assert not grid[:, cards[y]:].any()  # padding counts zero
-                    assert np.array_equal(grid.sum(axis=1),
-                                          np.bincount(code, minlength=n_cfg))
-                    assert np.array_equal(grid[:, :cards[y]].T, table(y))
+                    assert np.array_equal(grid.sum(axis=1), np.bincount(code, minlength=n_cfg))
+                    assert np.array_equal(grid.T, table(y))
+                # the slots of ids that a gapped chunk skips count zero
+                assert not joint[:, ~owned].any()
+                # a chunk of two or more ids keeps its codes and cells under the cap
+                assert len(chunk) == 1 or (len(chunk) * d.n_rows <= cap and joint.size <= cap)
+            batch_rows = tally.batch_rows
         assert seen == ys
+        # each cut is one that the cap forced: the next chunk's first id
+        # would have taken this chunk's codes or cells over it
+        for chunk, after in zip(chunks, chunks[1:]):
+            span = sum(cards[chunk[0]:after[0] + 1])
+            assert len(chunk) + 1 > batch_rows or span > max(1, cap // n_cfg)
+
+    def test_gapped_chunk_of_mixed_domains(self):
+        # V0, V2 and V3 against V1: states 2, 3, 4 and 2, in slots 0-1, 2-4
+        # (V1's, counting zero), 5-8 and 9-10
+        d = make_dataset([[0, 1, 1, 0], [0, 2, 1, 2], [3, 0, 3, 1], [1, 1, 0, 1]])
+        tally = BatchTally(d)
+        assert tally.slots == [0, 2, 5, 9, 11]
+        code = tally.code([1])
+        [(chunk, joint, at)] = tally.joints(code, 3, [0, 2, 3])
+        assert list(chunk) == [0, 2, 3]
+        assert at == [0, 5, 9]
+        assert joint.tolist() == [
+            [1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1],
+            [0, 1, 0, 0, 0, 0, 0, 0, 1, 1, 0],
+            [1, 1, 0, 0, 0, 1, 1, 0, 0, 0, 2],
+        ]
+        for y, a in zip(chunk, at):
+            assert np.array_equal(joint[:, a:a + d.cardinalities[y]].T, count(d, y, [1]))
+
+    def test_a_joint_past_int64_is_named_before_any_code_is_written(self):
+        d = twenty_ten_state_columns()
+        tally = BatchTally(d)
+        code = tally.code(range(18))  # 10**18 configurations fit
+        tally.codes.fill(-7)
+        tally.scaled.fill(-7)
+        with pytest.raises(ValueError, match=r"cells of 10{18} base configurations by the "
+                                             r"states of variables \[18\] number 10{19},"):
+            next(tally.joints(code, 10**18, [18, 19]))
+        assert (tally.codes == -7).all() and (tally.scaled == -7).all()
 
     def test_reads_the_dataset_columns_without_a_copy(self):
         d = make_dataset([[0, 1, 0, 1], [1, 1, 0, 0]])
-        assert np.shares_memory(ScoreContext(d).tally.cols, d.values)
+        tally = ScoreContext(d).tally
+        assert np.shares_memory(tally.cols, d.values)
+        # the one copy: each column moved to its variable's slots
+        assert tally.shifted.tolist() == [[0, 1, 0, 1], [3, 3, 2, 2]]

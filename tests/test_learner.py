@@ -35,10 +35,13 @@ from oracles import (
     all_dags,
     dag_score,
     dominated_families,
+    entropy_scores_per_node,
     exact_joint,
     exhaustive_best_dags,
     mi_from_exact_joint,
     per_family_scores,
+    ranks_per_row,
+    subset_maxima_per_node,
 )
 
 
@@ -75,7 +78,7 @@ def every_family_kept(monkeypatch):
     """Make every family a candidate and none dominated, so that the table
     holds each family's exact score."""
     monkeypatch.setattr(learner, "_subset_maxima",
-                        lambda t, scores: np.full(len(scores), -np.inf))
+                        lambda t, scores: np.full(scores.shape, -np.inf))
 
 
 def total_bic(d, g, k):
@@ -307,15 +310,16 @@ class TestLocalScoreTable:
         every_family_kept(monkeypatch)
         entropy_scores, got = learner._entropy_scores, []
 
-        def spy(t, x):
-            got.append(entropy_scores(t, x))
+        def spy(t):
+            got.append(entropy_scores(t))
             return got[-1]
 
         monkeypatch.setattr(learner, "_entropy_scores", spy)
         exact = build_local_scores(ScoreContext(child_sample(n_rows, 1)), 4).scores
         assert np.isfinite(exact).all()
-        assert len(got) == len(exact)
-        for (approx, slack), row in zip(got, exact):
+        [(approxes, slacks)] = got
+        assert approxes.shape == exact.shape and slacks.shape == (len(exact),)
+        for approx, slack, row in zip(approxes, slacks, exact):
             # measured 1.6e-11 at 5,000 rows and 2.6e-10 at 50,000
             assert np.abs(approx - row).max() < slack / 2
             # far below the gaps that separate dominated families on child
@@ -335,7 +339,7 @@ class TestLocalScoreTable:
         slack = 10.0
         lean = np.where(learner._popcounts(d.n_variables - 1)[table.masks] % 2, -0.499, 0.499)
         monkeypatch.setattr(learner, "_entropy_scores",
-                            lambda t, x: (exact[x] + lean * slack, slack))
+                            lambda t: (exact + lean * slack, np.full(len(exact), slack)))
         got = build_local_scores(ScoreContext(d), 4).scores
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
@@ -397,6 +401,68 @@ class TestKeptFamilies:
         assert dps[0] == dps[1]
 
 
+class TestAllNodeBookkeeping:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(table_cases())
+    def test_equals_the_per_node_reference(self, case):
+        from unittest import mock
+        d, k = case
+        t = learner._Tallies(ScoreContext(d), k)
+        learner._run_pass(t, learner._entropies, t.n, learner._branch_sizes(t.n, k))
+        approx, slack = learner._entropy_scores(t)
+        keep = approx >= learner._subset_maxima(t, approx) - slack[:, None]
+        for x in range(t.n):
+            want, want_slack = entropy_scores_per_node(t, x)
+            assert approx[x].tobytes() == want.tobytes()
+            assert slack[x] == want_slack
+            assert np.array_equal(keep[x],
+                                  want >= subset_maxima_per_node(t, want) - want_slack)
+
+        # the table built through the per-node reference has the same bits
+        def per_node_scores(t):
+            rows = [entropy_scores_per_node(t, x) for x in range(t.n)]
+            return np.array([row for row, _ in rows]), np.array([sl for _, sl in rows])
+
+        def per_node_maxima(t, scores):
+            return np.array([subset_maxima_per_node(t, row) for row in scores])
+
+        table = build_local_scores(ScoreContext(d), k).scores
+        with mock.patch.object(learner, "_entropy_scores", per_node_scores), \
+                mock.patch.object(learner, "_subset_maxima", per_node_maxima):
+            want_table = build_local_scores(ScoreContext(d), k).scores
+        assert table.tobytes() == want_table.tobytes()
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(st.integers(1, 8), st.integers(0, 2**32 - 1))
+    def test_ranks_equal_one_sort_per_row(self, n, seed):
+        # stored parent masks over n - 1 bits, the empty one among them, and
+        # few distinct scores, so that ties between members and masks decide
+        rng = np.random.default_rng(seed)
+        others = 1 + rng.permutation((1 << (n - 1)) - 1)
+        stored = np.sort(np.concatenate([[0], others[:rng.integers(0, len(others) + 1)]]))
+        m = len(stored)
+        scores = rng.choice([-np.inf, -3.0, -2.5, -1.0, -0.0, 0.0], size=(n, m))
+        scores[:, 0] = rng.choice([-2.0, -1.0], size=n)  # the empty set, finite
+        rank_of, vals, best = learner._rank(scores, stored)
+        members = np.array([int(v).bit_count() for v in stored])
+        want = ranks_per_row(scores, members)
+        assert np.array_equal(rank_of, want)
+        for x in range(n):
+            assert vals[x].tobytes() == scores[x][np.argsort(want[x])].tobytes()
+            finite = np.argsort(want[x])[:np.count_nonzero(scores[x] > -np.inf)]
+            assert best[x, :len(finite)].tolist() == stored[finite].tolist()
+            assert (best[x, len(finite):] == -1).all()
+
+    @pytest.mark.parametrize("n_bits", [0, 1, 2, 4, 5, 7, 19])
+    def test_masks_by_popcount_equal_a_scan_per_count(self, n_bits):
+        popcnt = learner._popcounts(n_bits)
+        layers = list(learner._masks_by_popcount(n_bits))
+        assert len(layers) == n_bits + 1
+        for p, layer in enumerate(layers):
+            assert layer.dtype == np.intp
+            assert np.array_equal(layer, np.flatnonzero(popcnt == p))
+
+
 def forced_workers(monkeypatch, workers):
     """Build tables with ``workers`` processes and run the DP with up to
     two, whatever the size and the machine's CPU count; return the (stage,
@@ -431,7 +497,7 @@ def table_forks(monkeypatch, n, k, workers):
 
     def forks():
         shares = [len(learner._shares(sizes, workers))
-                  for sizes in (learner._branch_sizes(n, k), second[-1])]
+                  for sizes in (learner._branch_sizes(n, k), second[-1][1])]
         return [("score table", count) for count in shares if count > 1]
 
     return forks
@@ -485,6 +551,39 @@ class TestForkedTable:
         assert learner._workers(20, 4) == (4, 2)
         monkeypatch.setattr(learner, "_usable_cpus", lambda: 1)
         assert learner._workers(20, 4) == (1, 1)
+
+    @pytest.mark.parametrize("make, work, forks", [
+        (lambda: child_sample(5000, 1), (854, 1090), [("score table", 2)] * 2),
+        (lambda: mixed_sample(310), (13, 13), [("score table", 2)]),
+    ], ids=["child-5k", "mixed-13"])
+    def test_second_pass_splits_by_its_tallies_and_scorings(self, monkeypatch, make, work,
+                                                            forks):
+        # two usable CPUs and the real floors: the first pass of either table
+        # splits, and the second splits where its subset tallies and exact
+        # scorings together reach the floor, though child's 854 subsets
+        # alone would not
+        monkeypatch.setattr(learner, "_usable_cpus", lambda: 2)
+        forked, planned = [], []
+        fork_shares, plan = learner._fork_shares, learner._plan
+
+        def fork_spy(run, shares, stage, unit):
+            if len(shares) > 1:
+                forked.append((stage, len(shares)))
+            fork_shares(run, shares, stage, unit)
+
+        def plan_spy(t, keep):
+            work = plan(t, keep)
+            planned.append((work, len(t.kept), int(keep.sum())))
+            return work
+
+        monkeypatch.setattr(learner, "_fork_shares", fork_spy)
+        monkeypatch.setattr(learner, "_plan", plan_spy)
+        build_local_scores(ScoreContext(make()), 4)
+        [((here, sizes), subsets, families)] = planned
+        assert (subsets, families) == work
+        assert here + sum(sizes) == subsets + families
+        assert subsets < learner._FORK_MIN_SUBSETS
+        assert forked == forks
 
     def test_no_fork_inside_a_multiprocessing_child(self, monkeypatch):
         import concurrent.futures
@@ -795,10 +894,10 @@ class TestForkedDp:
         assert learn_exact(d, LearnerConfig(max_parents=4)).arcs() == want
         layers = learner._layers
         for failing_top in (False, True):
-            def failing(dp, vals, rank_of, stored, popcnt, k, top, sync):
+            def failing(dp, vals, rank_of, stored, k, top, sync):
                 if top == failing_top:
                     raise ArithmeticError("half failed on purpose")
-                layers(dp, vals, rank_of, stored, popcnt, k, top, sync)
+                layers(dp, vals, rank_of, stored, k, top, sync)
 
             monkeypatch.setattr(learner, "_layers", failing)
             with pytest.raises((ArithmeticError, RuntimeError)):
