@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .ci import DEFAULT_H, check_probe_options
-from .data import Dataset, VariableMeta, _check_integer, _repeated, project, row_codes
+from .data import Dataset, VariableMeta, _check_integer, _check_seed, _repeated, project, row_codes
 from .graphs import Dag, Pdag, cpdag_of
 from .scoring import DEFAULT_ALPHA
 
@@ -190,7 +190,7 @@ def bn_from_json(text: str) -> DiscreteBayesNet:
 def sample(bn: DiscreteBayesNet, n: int, seed: int = 0) -> Dataset:
     """Draw ``n`` rows by ancestral sampling (deterministic given the seed)."""
     _check_integer("row count", n)
-    _check_integer("seed", seed)
+    _check_seed(seed)
     if n < 0:
         raise ValueError(f"row count must be >= 0, got {n}")
     rng = np.random.default_rng(seed)
@@ -409,6 +409,7 @@ def inject_confounders(bn: DiscreteBayesNet, cfg: InjectionConfig
     Returns the augmented network and the truth list
     ``[(latent name, (child name, child name)), ...]``.
     """
+    _check_seed(cfg.seed)
     if cfg.n_confounders == 0:
         return bn.copy(), []
 

@@ -150,6 +150,14 @@ def _check_integer(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _check_seed(seed) -> None:
+    """Reject a ``seed`` that numpy's generators refuse, naming it: one that
+    is not an integer, or a negative one."""
+    _check_integer("seed", seed)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
 def _check_id(what: str, x, n: int) -> int:
     """``x`` as an ``int``, when it is an integer id in ``0..n-1``.
 

@@ -15,21 +15,21 @@ Two engines behind one config:
   bincount each, the subsets that hold the remaining families, and scores
   those exactly from their joints. The filter between the passes and the
   last one after them work on every node's scores at once. (2) Rank each
-  node's families by best score, then fewest members, then smallest mask:
-  one sort orders the finite families of all nodes, and the ``-inf`` ones
-  follow in one fixed order. (3) Run dynamic programming over node
-  subsets, layer by popcount (the masks of each popcount listed once, for
-  both halves), that keeps only each subset's best score, a value that no
-  candidate order can change; each layer first derives, from the layer
-  before, the rank of each node's best family inside each parent mask it
-  reads, as the minimum of the mask's own rank and those of the masks one
-  member short, so no array spans every parent mask. The graph is rebuilt
-  by peeling sinks, and the peel sets the tie rule: each subset's sink is
-  the smallest member whose candidate attains its best, and its parents
-  are its best-ranked family in the remaining nodes, the first of its
-  finite families in rank order that fits there, found for every member
-  at once. Feasible up to 20 nodes with k <= 4, where the best scores
-  (8 MB) are the largest array, against 0.8 MB of scores.
+  node's finite families by best score, then fewest members, then
+  smallest mask, in one sort over those of all nodes; each ``-inf`` family
+  holds one sentinel rank, which the DP never reads. (3) Run dynamic
+  programming over node subsets, layer by popcount (each layer found by
+  one scan of every mask's popcount), that keeps only each subset's best
+  score, a value that no candidate order can change; each layer first
+  derives, from the layer before, the rank of each node's best family
+  inside each parent mask it reads, as the minimum of the mask's own rank
+  and those of the masks one member short, so no array spans every parent
+  mask. The graph is rebuilt by peeling sinks, and the peel sets the tie
+  rule: each subset's sink is the smallest member whose candidate attains
+  its best, and its parents are its best-ranked family in the remaining
+  nodes, the first of its finite families in rank order that fits there,
+  found for every member at once. Feasible up to 20 nodes with k <= 4,
+  where the best scores (8 MB) are the largest array, the table 0.8 MB.
   One rule sets the processes of the table and of the DP, checked as each
   starts. Each runs in one process on a single CPU, where ``fork`` is
   missing or unsafe, or in a process that ``multiprocessing`` started
@@ -68,7 +68,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, _check_integer
+from .data import Dataset, _check_integer, _check_seed
 from .graphs import Dag
 from .scoring import ScoreContext, bic, drop_bic, fill_bic, log_likelihood
 
@@ -550,11 +550,11 @@ def learn_exact(d: Dataset, cfg: LearnerConfig = LearnerConfig(),
     # the table's rule, checked again now that the DP is about to fork
     dp_workers = _workers(n, k)[1]
 
-    # rank each node's families by best score, then fewest members, then
-    # smallest mask; the DP's halves derive from the ranks the rank of x's
-    # best family inside each parent mask, a layer at a time. The empty set
-    # is stored and finite, so every mask holds a family, and the table's
-    # -inf families rank last.
+    # rank each node's finite families by best score, then fewest members,
+    # then smallest mask; the DP's halves derive from the ranks the rank of
+    # x's best family inside each parent mask, a layer at a time. The empty
+    # set is stored and finite, so every mask holds a finite family, and the
+    # table's -inf families, which share a sentinel rank, are never read.
     rank_of, vals, best = _rank(scores, stored)
 
     # best score of each variable subset, in shared memory for the layers'
@@ -588,62 +588,27 @@ def learn_exact(d: Dataset, cfg: LearnerConfig = LearnerConfig(),
 
 
 def _rank(scores: np.ndarray, stored: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rank each node's stored families by best score, then fewest members,
-    then smallest mask. Returns each family's rank in stored order (uint16),
-    the scores in rank order, and the masks of each node's finite families
-    in rank order, padded with -1 to the longest such run.
-
-    The finite families lead each row, sorted in one pass over those of
-    all rows; the -inf ones follow in the order of (members, mask), the
-    same for every row, so only the finite families are sorted."""
+    """Rank each node's finite families by best score, then fewest members,
+    then smallest mask, in one sort over those of all rows. Returns each
+    family's rank in stored order (uint16; each -inf family holds the
+    sentinel ``np.iinfo(np.uint16).max``, which no layer's minimum reaches,
+    as the empty set is finite), and the scores and the masks of each node's
+    finite families in rank order, padded with -inf and -1 to the longest
+    such run."""
     n = len(scores)
     members = _popcounts(n - 1)[stored]
-    finite = scores > -np.inf
-    heads = np.count_nonzero(finite, axis=1)
-    # the -inf families' ranks: each row's finite count, then their places
-    # in (members, mask) order
-    by_members = np.argsort(members, kind="stable")
-    tail = ~finite[:, by_members]
-    ranks = np.cumsum(tail, axis=1, dtype=np.uint16)
-    ranks += (heads - 1).astype(np.uint16)[:, None]
-    rank_of = np.empty(scores.shape, dtype=np.uint16)
-    rank_of[:, by_members] = ranks
-    # the finite families' ranks overwrite the rest
-    xs, cs = np.nonzero(finite)
+    xs, cs = np.nonzero(scores > -np.inf)
     order = np.lexsort((members[cs], -scores[xs, cs], xs))
     xs, cs = xs[order], cs[order]
+    heads = np.bincount(xs, minlength=n)
     rank = np.arange(len(xs)) - (np.cumsum(heads) - heads)[xs]
+    rank_of = np.full(scores.shape, np.iinfo(np.uint16).max, dtype=np.uint16)
     rank_of[xs, cs] = rank
-    vals = np.full(scores.shape, -np.inf)
+    vals = np.full((n, heads.max()), -np.inf)
     vals[xs, rank] = scores[xs, cs]
-    best = np.full((n, heads.max()), -1, dtype=stored.dtype)
+    best = np.full(vals.shape, -1, dtype=stored.dtype)
     best[xs, rank] = stored[cs]
     return rank_of, vals, best
-
-
-def _masks_by_popcount(n_bits: int):
-    """Yield the masks below ``1 << n_bits`` of popcount 0, 1, ..., n_bits
-    in turn, each ascending: every mask sorted stably by popcount, one
-    layer at a time. The masks of each popcount over the low bits (all but
-    the top four) are built by doubling (those of count p over one bit more
-    are those of count p, then those of count p - 1 with the new bit); a
-    layer joins, for each pattern of the top bits in ascending order, the
-    low masks whose popcount completes it."""
-    top = min(n_bits, 4)
-    groups = [np.zeros(1, dtype=np.int32)]
-    none = groups[0][:0]
-    for b in range(n_bits - top):
-        groups = [np.concatenate([low, high | 1 << b])
-                  for low, high in zip([*groups, none], [none, *groups])]
-    for p in range(n_bits + 1):
-        parts = [(groups[p - h.bit_count()], h << (n_bits - top))
-                 for h in range(1 << top) if 0 <= p - h.bit_count() < len(groups)]
-        layer = np.empty(sum(len(low) for low, _ in parts), dtype=np.intp)
-        at = 0
-        for low, high in parts:
-            np.bitwise_or(low, high, out=layer[at:at + len(low)])
-            at += len(low)
-        yield layer
 
 
 def _rank_layer(rank_of: np.ndarray, rows: slice, stored: np.ndarray, k: int,
@@ -691,24 +656,26 @@ def _layers(dp: np.ndarray, vals: np.ndarray, rank_of: np.ndarray, stored: np.nd
     Parent masks j below ``half = 1 << (n - 2)`` lack node n - 1 for every
     x < n - 1, so each half takes a contiguous slice of the ascending j, and
     ranks, by :func:`_rank_layer`, the layer of masks it reads from the
-    layer before, in its own arrays (two layers of ranks and an int32 place
-    per parent mask): the half without the node the low masks of rows
-    x < n - 1; the other the high ones, whose masks j - b reach the low
-    masks of the first k + 1 layers, so it ranks those too, and all masks of
-    row n - 1. So a half's ranks depend on nothing that the other writes,
-    and are taken before ``sync()``. A subset without node n - 1
-    reads only others without it, while one with it reads, through
-    x = n - 1, the previous layer of the others. ``dp`` holds values only,
-    so neither the order of the candidates nor that of ``np.maximum``'s
-    arguments changes a bit, signed zeros aside; the peel in
-    :func:`learn_exact` sets the tie rule.
+    layer before, in its own arrays (two layers of ranks, an int32 place
+    and a uint8 popcount per parent mask): the half without the node the
+    low masks of rows x < n - 1; the other the high ones, whose masks j - b
+    reach the low masks of the first k + 1 layers, so it ranks those too,
+    and all masks of row n - 1. So a half's ranks depend on nothing that
+    the other writes, and are taken before ``sync()``. A subset without
+    node n - 1 reads only others without it, while one with it reads,
+    through x = n - 1, the previous layer of the others. ``dp`` holds
+    values only, so neither the order of the candidates nor that of
+    ``np.maximum``'s arguments changes a bit, signed zeros aside; the peel
+    in :func:`learn_exact` sets the tie rule.
     """
     n = len(vals)
     half = 1 << max(n - 2, 0)
     groups = [slice(0, n - 1), slice(n - 1, n)] if top else [slice(0, n - 1)]
     below = [None] * len(groups)
-    place = np.empty(1 << max(n - 1, 0), dtype=np.int32)
-    for s, js in enumerate(_masks_by_popcount(max(n - 1, 0)), 1):
+    popcnt = _popcounts(max(n - 1, 0))
+    place = np.empty(len(popcnt), dtype=np.int32)
+    for s in range(1, n + 1):
+        js = np.flatnonzero(popcnt == s - 1)
         place[js] = np.arange(len(js))
         cut = int(np.searchsorted(js, half))
         picks = [js if s - 1 <= k else js[cut:], js] if top else [js[:cut]]
@@ -795,6 +762,8 @@ def _random_start(adj: np.ndarray, k: int, rng: np.random.Generator) -> None:
 def learn_hill_climb(d: Dataset, cfg: LearnerConfig = LearnerConfig(),
                      ctx: ScoreContext | None = None) -> Dag:
     """Best-improvement local search over add/remove/reverse moves."""
+    if cfg.restarts > 1:  # each later restart seeds a generator from the seed
+        _check_seed(cfg.seed)
     ctx = _context(d, ctx)
     n = d.n_variables
     best = np.zeros((n, n), dtype=bool)

@@ -138,6 +138,7 @@ def _memoise(ctx: ScoreContext, x: int, keys, tables: np.ndarray) -> None:
 
 def fill_bic(ctx: ScoreContext, x: int, base, ys, drop: int | None = None) -> list[np.ndarray]:
     """``bic(x, base ∪ {y})`` for every y of ``ys``, from batch tallies.
+    ``base`` is read as a set, as :func:`bic` reads its parents.
 
     Returns one float64 array in ``ys`` order; with ``drop``, a member of
     ``base``, a second array holds ``bic(x, (base - {drop}) ∪ {y})``, got
@@ -149,7 +150,7 @@ def fill_bic(ctx: ScoreContext, x: int, base, ys, drop: int | None = None) -> li
     """
     n = ctx.dataset.n_variables
     x = _check_id("variable id", x, n)
-    base = sorted([_check_id("variable id", p, n) for p in base])
+    base = sorted({_check_id("variable id", p, n) for p in base})
     ys = [_check_id("variable id", y, n) for y in ys]
     if x in base or x in ys:
         raise ValueError("x may not appear in its own conditioning set")
@@ -218,7 +219,7 @@ def _fill_from(ctx: ScoreContext, x: int, parents: list[int], chunk, at,
 def drop_bic(ctx: ScoreContext, x: int, parents, drops) -> np.ndarray:
     """``bic(x, parents - {p})`` for each p of ``drops``, members of
     ``parents``, as one float64 array; ``bic(x, parents)`` is memoised on
-    the way.
+    the way. ``parents`` is read as a set, as :func:`bic` reads it.
 
     When any of these keys is missing, one tally of (x, *parents) fills them
     all: summing it over p's axis gives, integer for integer and in the same
@@ -226,7 +227,7 @@ def drop_bic(ctx: ScoreContext, x: int, parents, drops) -> np.ndarray:
     """
     n = ctx.dataset.n_variables
     x = _check_id("variable id", x, n)
-    parents = sorted([_check_id("variable id", p, n) for p in parents])
+    parents = sorted({_check_id("variable id", p, n) for p in parents})
     drops = [_check_id("variable id", p, n) for p in drops]
     for p in drops:
         if p not in parents:

@@ -229,6 +229,10 @@ class TestSampling:
             sample(diamond_bn(), **kw)
         assert sample(diamond_bn(), np.int64(10), seed=np.int64(3)).n_rows == 10
 
+    def test_negative_seed_is_named(self):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            sample(diamond_bn(), 10, seed=-1)
+
     def test_empirical_conditionals_approach_the_tables(self):
         bn = diamond_bn()
         d = sample(bn, 100_000, seed=7)
@@ -401,6 +405,16 @@ class TestInjection:
         assert injected.dag.arcs() == bn.dag.arcs()
         for x in range(bn.n_nodes):
             np.testing.assert_allclose(injected.cpts[x], bn.cpts[x])
+
+    def test_negative_seed_is_named_before_any_work(self, monkeypatch):
+        from latentdag import bench
+        monkeypatch.setattr(bench, "_thresholds_of", lambda net: pytest.fail("worked"))
+        # the config holds it, as the benchmark derives the seeds it injects
+        # with from it, but no generator is seeded from it
+        for n_confounders in (2, 0):
+            cfg = InjectionConfig(n_confounders=n_confounders, seed=-1)
+            with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+                inject_confounders(chain_bn(), cfg)
 
     def test_deterministic_for_seed(self):
         bn = chain_bn()

@@ -117,6 +117,12 @@ class TestDiscover:
         assert r.returncode == 2
         assert r.stderr == f"error: {path}: duplicate column name 'A'\n"
 
+    def test_negative_seed_of_a_restart_is_usage_error(self, workdir):
+        r = run_cli("discover", "--input", workdir / "chain.csv",
+                    "--mode", "hc", "--restarts", "2", "--seed", "-1")
+        assert r.returncode == 2
+        assert r.stderr == "error: seed must be >= 0, got -1\n"
+
     @pytest.mark.parametrize("flags", [("--alpha", "7"), ("--h", "-3")])
     def test_bad_probe_option_is_usage_error(self, workdir, flags):
         # the chain's learnt DAG has no triangle, so no probe would run
@@ -247,6 +253,14 @@ class TestBenchmark:
         assert lines[0] == "size,ok,nok,precision,recall,f1,cpdag_ok,miss,rev,type,xs"
         assert len(lines) == 3
         assert "mean learn" in r1.stdout
+
+    def test_negative_seed_with_one_restart_runs(self, workdir):
+        # the grid derives a non-negative seed for each injection and sample
+        # from it, and one restart seeds no generator
+        r = run_cli("benchmark", "--bn", workdir / "bn7.json", "--sizes", "300",
+                    "--reps", "1", "--confounders", "1", "--mode", "hc", "--seed", "-1")
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.startswith("size,ok,nok,")
 
     def test_injection_exhaustion_returns_one(self, workdir):
         r = run_cli("benchmark", "--bn", workdir / "hopeless.json",

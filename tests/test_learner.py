@@ -446,21 +446,52 @@ class TestAllNodeBookkeeping:
         rank_of, vals, best = learner._rank(scores, stored)
         members = np.array([int(v).bit_count() for v in stored])
         want = ranks_per_row(scores, members)
-        assert np.array_equal(rank_of, want)
+        # the finite families take the oracle's ranks, which lead each row,
+        # and every -inf family holds the sentinel
+        finite = scores > -np.inf
+        assert rank_of.dtype == np.uint16
+        assert np.array_equal(rank_of[finite], want[finite])
+        assert (rank_of[~finite] == np.iinfo(np.uint16).max).all()
+        heads = np.count_nonzero(finite, axis=1)
+        assert vals.shape == best.shape == (n, heads.max())
         for x in range(n):
-            assert vals[x].tobytes() == scores[x][np.argsort(want[x])].tobytes()
-            finite = np.argsort(want[x])[:np.count_nonzero(scores[x] > -np.inf)]
-            assert best[x, :len(finite)].tolist() == stored[finite].tolist()
-            assert (best[x, len(finite):] == -1).all()
+            order = np.argsort(want[x])[:heads[x]]
+            assert vals[x, :heads[x]].tobytes() == scores[x][order].tobytes()
+            assert (vals[x, heads[x]:] == -np.inf).all()
+            assert best[x, :heads[x]].tolist() == stored[order].tolist()
+            assert (best[x, heads[x]:] == -1).all()
 
-    @pytest.mark.parametrize("n_bits", [0, 1, 2, 4, 5, 7, 19])
-    def test_masks_by_popcount_equal_a_scan_per_count(self, n_bits):
-        popcnt = learner._popcounts(n_bits)
-        layers = list(learner._masks_by_popcount(n_bits))
-        assert len(layers) == n_bits + 1
-        for p, layer in enumerate(layers):
-            assert layer.dtype == np.intp
-            assert np.array_equal(layer, np.flatnonzero(popcnt == p))
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(table_cases(), st.integers(0, 2**32 - 1))
+    def test_any_ranks_above_the_finite_ones_learn_the_same(self, case, seed):
+        # the DP reads no -inf family's rank, so any ranks above the finite
+        # ones in its place give the same dp array and the same graph, even
+        # with a score above every family's at each rank past a row's
+        # finite run (a rank past the last column reads the last)
+        from unittest import mock
+        d, k = case
+        rank, fork_layers, dps, arcs = learner._rank, learner._fork_layers, [], []
+
+        def spy(dp, *rest):
+            fork_layers(dp, *rest)
+            dps.append(dp.tobytes())
+
+        def shuffled(scores, stored):
+            rank_of, vals, best = rank(scores, stored)
+            rng = np.random.default_rng(seed)
+            heads = np.count_nonzero(scores > -np.inf, axis=1)
+            for x, c in zip(*np.nonzero(scores == -np.inf)):
+                rank_of[x, c] = rng.integers(heads[x], np.iinfo(np.uint16).max, endpoint=True)
+            vals = np.concatenate([vals, np.zeros((len(vals), 1))], axis=1)
+            vals[np.arange(vals.shape[1]) >= heads[:, None]] = 1.0
+            return rank_of, vals, best
+
+        with mock.patch.object(learner, "_fork_layers", spy):
+            arcs.append(learn_exact(d, LearnerConfig(max_parents=k)).arcs())
+            with mock.patch.object(learner, "_rank", shuffled):
+                arcs.append(learn_exact(d, LearnerConfig(max_parents=k)).arcs())
+        assert arcs[0] == arcs[1]
+        assert dps[0] == dps[1]
 
 
 def forced_workers(monkeypatch, workers):
@@ -754,8 +785,14 @@ class TestForkedDp:
         def check(rank_of, rows, stored, k, masks, *rest):
             first, ranks = rank_layer(rank_of, rows, stored, k, masks, *rest)
             nodes = np.arange(n)[rows]
-            vals = np.empty((len(nodes), len(stored)))
-            np.put_along_axis(vals, rank_of[rows].astype(np.intp), table.scores[nodes], axis=1)
+            # the finite families' scores at their ranks; every layer rank
+            # is one of those, none the -inf families' sentinel
+            scores = table.scores[nodes]
+            heads = np.count_nonzero(scores > -np.inf, axis=1)
+            assert (ranks < heads[:, None]).all()
+            vals = np.full((len(nodes), heads.max(initial=0)), np.nan)
+            xs, cs = np.nonzero(scores > -np.inf)
+            vals[xs, rank_of[rows][xs, cs]] = scores[xs, cs]
             assert np.array_equal(np.take_along_axis(vals, ranks.astype(np.intp), axis=1),
                                   bps[nodes][:, masks])
             counts[int(os.getpid() != parent)] += 1
@@ -835,7 +872,8 @@ class TestForkedDp:
         n, k = learner.EXACT_MAX_NODES, learner.EXACT_MAX_PARENTS
         families = np.count_nonzero(learner._popcounts(n - 1) <= k)
         assert families == sum(math.comb(n - 1, size) for size in range(k + 1)) == 5036
-        assert families - 1 <= np.iinfo(np.uint16).max
+        # the last finite rank stays below the -inf families' sentinel
+        assert families - 1 < np.iinfo(np.uint16).max
 
     def test_one_process_asks_for_no_fork_context(self, monkeypatch):
         import multiprocessing
@@ -1119,6 +1157,19 @@ class TestConfig:
     def test_non_integers_are_named(self, field, value, mode):
         with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
             LearnerConfig(mode=mode, **{field: value})
+
+    def test_negative_seed_of_a_restart_is_named(self, monkeypatch):
+        # a second restart seeds a generator from the seed, and the seed is
+        # named before the first climbs; one restart seeds none, so any
+        # integer seed serves it
+        d = make_dataset([[0, 1, 1, 0], [1, 1, 0, 0]])
+        climb = learner._climb
+        monkeypatch.setattr(learner, "_climb", lambda *args: pytest.fail("climbed"))
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            learn_hill_climb(d, LearnerConfig(restarts=2, seed=-1))
+        monkeypatch.setattr(learner, "_climb", climb)
+        assert learn_hill_climb(d, LearnerConfig(seed=-1)).arcs() == \
+            learn_hill_climb(d, LearnerConfig(seed=0)).arcs()
 
     def test_numpy_integers_are_accepted(self):
         cfg = LearnerConfig(max_parents=np.int64(2), restarts=np.int32(2), seed=np.uint8(3))

@@ -433,6 +433,24 @@ class TestFillBic:
         assert ctx._scores[(x, frozenset(base))] == bic(fresh, x, base)
         assert set(ctx._scores) == {(x, key) for key in [*keys, frozenset(base)]}
 
+    @pytest.mark.parametrize("call, args, once", [
+        (fill_bic, ([1, 1], [2]), ([1], [2])),
+        (fill_bic, ([1, 1], [2], 1), ([1], [2], 1)),
+        (fill_bic, ([3, 1, 3, 1], [2], 3), ([1, 3], [2], 3)),
+        (drop_bic, ([1, 1], [1]), ([1], [1])),
+        (drop_bic, ([2, 1, 2], [2, 1]), ([1, 2], [2, 1])),
+    ], ids=["fill", "fill-drop", "fill-drop-two", "drop", "drop-two"])
+    def test_a_repeated_id_reads_as_one(self, call, args, once):
+        # a repeated base id once memoised a wrong score (-353.59 under
+        # (0, {1, 2}), whose score is -258.22) or failed inside numpy
+        cols = np.random.default_rng(0).integers(0, 3, (200, 4)).T
+        ctx, fresh = make_context(cols), make_context(cols)
+        got, want = call(ctx, 0, *args), call(fresh, 0, *once)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert ctx._scores == fresh._scores
+        # the memo's later readers see the fresh scores too
+        assert is_independent(ctx, 0, 2, [1]) == is_independent(make_context(cols), 0, 2, [1])
+
     def test_empty_base_and_unobserved_configurations(self):
         # 6 x 5 x 4 grid over 12 rows: most configurations never occur
         rng = np.random.default_rng(8)
